@@ -12,9 +12,9 @@ from __future__ import annotations
 
 import argparse
 import sys
-from fractions import Fraction
 
 from hkdensity.catalog import catalog_density, catalog_entry
+from hkdensity.errors import CapacityError
 from hkdensity.exact import pw_sup_distance, rat_str
 from hkdensity.lattice import LatticePair, MonomialIdealSpec, SemigroupSpec
 
@@ -24,7 +24,6 @@ def main(argv=None) -> int:
     ap.add_argument("--n", type=int, default=2, help="A-family parameter")
     ap.add_argument("--p", type=int, default=5, help="characteristic")
     ap.add_argument("--levels", type=int, default=3, help="run levels 1..L")
-    ap.add_argument("--threads", type=int, default=1)
     args = ap.parse_args(argv)
 
     entry = catalog_entry("A", args.n, p=args.p)
@@ -37,15 +36,15 @@ def main(argv=None) -> int:
         SemigroupSpec.build(2, gens, (1, 1), args.p),
         MonomialIdealSpec.build(gens),
     )
-    feasible = pair.max_feasible_level()
-    levels = [l for l in range(1, args.levels + 1) if l <= feasible]
-    if len(levels) < args.levels:
-        print(f"capped at level {feasible} by the enumeration budget")
 
     print(f"{entry.label} at p = {args.p}; closed-form e_HK = {rat_str(pair_closed.ehk)}")
     print(f"{'level':>5} {'q':>6} {'|g_n - f|':>12} {'to printed':>12} {'integral':>10}")
-    for level in levels:
-        approx = pair.build_approximant(level, threads=args.threads)
+    for level in range(1, args.levels + 1):
+        try:
+            approx = pair.build_approximant(level)
+        except CapacityError:
+            print(f"capped at level {level - 1} by the enumeration budget")
+            break
         d_derived = pw_sup_distance(approx.g_interp, derived)
         row = f"{level:>5} {approx.q:>6} {rat_str(d_derived):>12}"
         if printed is not None:

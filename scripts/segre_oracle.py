@@ -29,7 +29,6 @@ def koszul_pair() -> DensityPair:
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--levels", type=int, default=5, help="lattice levels 1..L (p = 2)")
-    ap.add_argument("--threads", type=int, default=1)
     args = ap.parse_args(argv)
 
     product = segre(koszul_pair(), koszul_pair())
@@ -43,7 +42,7 @@ def main(argv=None) -> int:
     )
     print(f"\n{'level':>5} {'q':>5} {'integral':>14} {'4/3 - integral':>16}")
     for level in range(1, args.levels + 1):
-        approx = pair.build_approximant(level, threads=args.threads)
+        approx = pair.build_approximant(level)
         err = product.ehk - approx.integral
         print(
             f"{level:>5} {approx.q:>5} {rat_str(approx.integral):>14} "

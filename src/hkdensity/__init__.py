@@ -44,7 +44,6 @@ from .rings import (
     SemigroupRing,
     VeroneseRing,
     hilbert_density,
-    hilbert_fn,
     leading_coefficient,
     parse_ring_json,
 )
@@ -52,8 +51,6 @@ from .lattice import (
     LatticePair,
     MonomialIdealSpec,
     SemigroupSpec,
-    build_approximant,
-    convergence_report,
 )
 from .combinators import (
     DensityPair,
@@ -92,18 +89,15 @@ __all__ = [
     "SemigroupSpec",
     "ValidationError",
     "VeroneseRing",
-    "build_approximant",
     "catalog_density",
     "catalog_entry",
     "catalog_lattice_crosscheck",
     "catalog_minor_check",
     "closed_form_density",
     "colength_by_degree",
-    "convergence_report",
     "dim2_pair_density",
     "ehk_closed_form",
     "hilbert_density",
-    "hilbert_fn",
     "hn_density",
     "koszul_betti",
     "leading_coefficient",

@@ -278,18 +278,17 @@ def graded_ideal_equal(
 ) -> bool:
     """Equality of the homogeneous ideals generated by the two sets.
 
-    Both sides generated in degree <= N, so piecewise agreement up to N
-    decides: each generator would lie in a graded piece of the other ideal.
+    Only the generator degrees of both sets are compared, in ascending
+    order.  Equal pieces there put each generator of one set in the other
+    ideal, so both containments hold; unequal pieces refute equality.
     """
     disc = None
     for g in [*gens_a, *gens_b]:
         if not g.is_homogeneous():
             raise ValidationError("ideal comparison needs homogeneous generators")
         disc = _merge_disc(disc, g.disc)
-    degree_cap = max(
-        (g.degree() for g in [*gens_a, *gens_b] if not g.is_zero()), default=0
-    )
-    for m in range(degree_cap + 1):
+    degrees = sorted({g.degree() for g in [*gens_a, *gens_b] if not g.is_zero()})
+    for m in degrees:
         if _graded_piece(gens_a, m, disc) != _graded_piece(gens_b, m, disc):
             return False
     return True

@@ -29,11 +29,13 @@ from .bivariate import BivariatePoly, MinorMatchReport, match_generators
 from .combinators import DensityPair, rank_from_degrees, rescale_density
 from .errors import DomainError, InputError, ValidationError
 from .exact import PiecewisePoly, Polynomial, pw_integrate, pw_sup_distance
+# the package's one primality test lives in lattice, next to SemigroupSpec
 from .lattice import (
     ConvergenceRow,
     LatticePair,
     MonomialIdealSpec,
     SemigroupSpec,
+    _is_prime,
 )
 from .resolution import BettiTable, closed_form_density, validate_betti
 
@@ -88,21 +90,6 @@ class AdeEntry:
         if self.char_coprime_to is not None and self.char_coprime_to % p == 0:
             return False
         return True
-
-
-def _is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    if p < 4:
-        return True
-    if p % 2 == 0:
-        return False
-    f = 3
-    while f * f <= p:
-        if p % f == 0:
-            return False
-        f += 2
-    return True
 
 
 def _pw_from_segments(segments) -> PiecewisePoly | None:
@@ -490,7 +477,6 @@ def catalog_lattice_crosscheck(
     entry: AdeEntry,
     p: int,
     levels: list[int],
-    threads: int = 1,
     reference: PiecewisePoly | None = None,
 ) -> list[ConvergenceRow]:
     """Empirical convergence check against the derived density.
@@ -512,4 +498,4 @@ def catalog_lattice_crosscheck(
     lattice_pair = LatticePair(spec, ideal)
     if reference is None:
         reference = catalog_density(entry)[0].f
-    return lattice_pair.convergence_report(levels, reference=reference, threads=threads)
+    return lattice_pair.convergence_report(levels, reference=reference)

@@ -3,8 +3,8 @@
 One subcommand = one output artifact (JSON or CSV), written to --out or
 stdout.  All numbers in artifacts are exact rational strings; decimal
 columns are convenience duplicates and lossy.  Output bytes are
-deterministic for identical inputs, including across --threads settings,
-because every quantity is computed exactly.
+deterministic for identical inputs, because every quantity is computed
+exactly.
 
 Exit codes: 0 ok, 1 parse/input error, 2 validation error, 3 resource
 cap.  Failures write a one-object JSON report to stderr.
@@ -17,42 +17,16 @@ import csv
 import io
 import json
 import sys
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .catalog import catalog_density, catalog_entry, catalog_minor_check
 from .combinators import DensityPair, rescale_density, segre
 from .errors import CapacityError, HKDError, InputError, ValidationError
-from .exact import PiecewisePoly, pw_integrate, pw_sup_distance, rat, rat_str
+from .exact import PiecewisePoly, pw_integrate, rat, rat_str
 from .hn import HNData, dim2_pair_density, hn_density
 from .lattice import LatticePair, MonomialIdealSpec, SemigroupSpec
 from .resolution import BettiTable, closed_form_density, ehk_closed_form
 from .rings import hilbert_function, leading_coefficient, parse_ring_json
-
-COMMANDS = (
-    "density-betti",
-    "density-empirical",
-    "compare",
-    "segre",
-    "rescale",
-    "catalog",
-    "hn2",
-    "integrate",
-    "sample",
-)
-
-
-@dataclass(frozen=True)
-class JobSpec:
-    command: str
-    inputs: dict[str, str] = field(default_factory=dict)
-    output: str | None = None
-    options: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        if self.command not in COMMANDS:
-            raise InputError(f"unknown command {self.command!r}")
-
 
 class _Parser(argparse.ArgumentParser):
     # argparse exits 2 on bad flags by default; route through InputError
@@ -162,11 +136,20 @@ def _parse_levels(text: str) -> list[int]:
     return levels
 
 
+def _parse_twists(text: str) -> list[int]:
+    try:
+        return [int(t) for t in text.split(",") if t.strip()]
+    except ValueError:
+        raise InputError(f"twists must be comma-separated integers, got {text!r}") from None
+
+
 # ---------------------------------------------------------------- handlers
+# Each handler checks its own flags before it reads any file, so a bad flag
+# is reported ahead of a bad input file.
 
 
-def _run_density_betti(job: JobSpec) -> str:
-    data = _read_json(job.inputs["in"])
+def _run_density_betti(ns: argparse.Namespace) -> str:
+    data = _read_json(ns.infile)
     if "betti" not in data:
         raise InputError("input needs a 'betti' table")
     betti = BettiTable.from_json(data["betti"])
@@ -194,10 +177,9 @@ def _run_density_betti(job: JobSpec) -> str:
     return _json_text(payload)
 
 
-def _run_density_empirical(job: JobSpec) -> str:
-    pair = _load_lattice_pair(job.inputs["in"], cap=job.options.get("cap"))
-    level = job.options["level"]
-    approx = pair.build_approximant(level, threads=job.options.get("threads", 1))
+def _run_density_empirical(ns: argparse.Namespace) -> str:
+    pair = _load_lattice_pair(ns.infile, cap=ns.max_points)
+    approx = pair.build_approximant(ns.level)
     payload = {
         "command": "density-empirical",
         "level": approx.level,
@@ -210,16 +192,13 @@ def _run_density_empirical(job: JobSpec) -> str:
     return _json_text(payload)
 
 
-def _run_compare(job: JobSpec) -> str:
-    pair = _load_lattice_pair(job.inputs["spec"], cap=job.options.get("cap"))
+def _run_compare(ns: argparse.Namespace) -> str:
+    levels = _parse_levels(ns.levels)
+    pair = _load_lattice_pair(ns.spec, cap=ns.max_points)
     reference = None
-    if "reference" in job.inputs:
-        reference = _load_density(job.inputs["reference"])
-    rows = pair.convergence_report(
-        job.options["levels"],
-        reference=reference,
-        threads=job.options.get("threads", 1),
-    )
+    if ns.reference is not None:
+        reference = _load_density(ns.reference)
+    rows = pair.convergence_report(levels, reference=reference)
     header = [
         "level",
         "q",
@@ -242,21 +221,21 @@ def _run_compare(job: JobSpec) -> str:
     return _csv_text(header, body)
 
 
-def _run_segre(job: JobSpec) -> str:
-    pair = segre(_load_pair(job.inputs["a"]), _load_pair(job.inputs["b"]))
+def _run_segre(ns: argparse.Namespace) -> str:
+    pair = segre(_load_pair(ns.a), _load_pair(ns.b))
     return _json_text({"command": "segre", **_pair_payload(pair)})
 
 
-def _run_rescale(job: JobSpec) -> str:
-    f = _load_density(job.inputs["in"])
-    out = rescale_density(f, job.options["l0"], job.options["rank"])
+def _run_rescale(ns: argparse.Namespace) -> str:
+    if ns.l0 < 1 or ns.rank < 1:
+        raise InputError("l0 and rank must be >= 1")
+    f = _load_density(ns.infile)
+    out = rescale_density(f, ns.l0, ns.rank)
     return _json_text({"command": "rescale", **_density_payload(out)})
 
 
-def _run_catalog(job: JobSpec) -> str:
-    entry = catalog_entry(
-        job.options["family"], job.options.get("n"), job.options.get("p")
-    )
+def _run_catalog(ns: argparse.Namespace) -> str:
+    entry = catalog_entry(ns.family, ns.n, ns.p)
     pair, verdict = catalog_density(entry)
     minors = catalog_minor_check(entry)
     payload = {
@@ -303,9 +282,9 @@ def _run_catalog(job: JobSpec) -> str:
     return _json_text(payload)
 
 
-def _run_hn2(job: JobSpec) -> str:
-    v = HNData.from_json(_read_json(job.inputs["in"]))
-    twists = job.options.get("twists")
+def _run_hn2(ns: argparse.Namespace) -> str:
+    twists = None if ns.twists is None else _parse_twists(ns.twists)
+    v = HNData.from_json(_read_json(ns.infile))
     if twists is None:
         f = hn_density(v)
     else:
@@ -313,8 +292,8 @@ def _run_hn2(job: JobSpec) -> str:
     return _json_text({"command": "hn2", **_density_payload(f)})
 
 
-def _run_integrate(job: JobSpec) -> str:
-    f = _load_density(job.inputs["in"])
+def _run_integrate(ns: argparse.Namespace) -> str:
+    f = _load_density(ns.infile)
     val = pw_integrate(f)
     return _json_text(
         {
@@ -325,9 +304,9 @@ def _run_integrate(job: JobSpec) -> str:
     )
 
 
-def _run_sample(job: JobSpec) -> str:
-    f = _load_density(job.inputs["in"])
-    k = job.options["count"]
+def _run_sample(ns: argparse.Namespace) -> str:
+    f = _load_density(ns.infile)
+    k = ns.count
     if k < 2:
         raise ValidationError(f"sample count {k} must be >= 2")
     end = f.support_end * Fraction(11, 10)
@@ -337,24 +316,6 @@ def _run_sample(job: JobSpec) -> str:
         v = f(x)
         rows.append([rat_str(x), _dec(x), rat_str(v), _dec(v)])
     return _csv_text(["x", "x_decimal", "value", "value_decimal"], rows)
-
-
-_HANDLERS = {
-    "density-betti": _run_density_betti,
-    "density-empirical": _run_density_empirical,
-    "compare": _run_compare,
-    "segre": _run_segre,
-    "rescale": _run_rescale,
-    "catalog": _run_catalog,
-    "hn2": _run_hn2,
-    "integrate": _run_integrate,
-    "sample": _run_sample,
-}
-
-
-def run(job: JobSpec) -> int:
-    _emit(_HANDLERS[job.command](job), job.output)
-    return 0
 
 
 # ------------------------------------------------------------ arg parsing
@@ -368,95 +329,66 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", parser_class=_Parser)
     sub.required = True
 
-    def add(name: str, help_text: str) -> argparse.ArgumentParser:
+    def add(name: str, help_text: str, handler) -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--out", help="output file (default stdout)")
+        p.set_defaults(handler=handler)
         return p
 
-    p = add("density-betti", "closed-form density from a graded Betti table")
+    threads_help = "has no effect; accepted for compatibility"
+
+    p = add("density-betti", "closed-form density from a graded Betti table", _run_density_betti)
     p.add_argument("--in", dest="infile", required=True, help="betti + ring JSON")
 
-    p = add("density-empirical", "step/interpolant approximants by colength counting")
+    p = add(
+        "density-empirical",
+        "step/interpolant approximants by colength counting",
+        _run_density_empirical,
+    )
     p.add_argument("--in", dest="infile", required=True, help="semigroup pair JSON")
     p.add_argument("--level", type=int, required=True, help="Frobenius level n (q = p^n)")
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=int, default=1, help=threads_help)
     p.add_argument("--max-points", type=int, default=None, help="enumeration cap override")
 
-    p = add("compare", "convergence table of sup distances")
+    p = add("compare", "convergence table of sup distances", _run_compare)
     p.add_argument("--spec", required=True, help="semigroup pair JSON")
     p.add_argument("--levels", required=True, help="comma-separated levels")
     p.add_argument("--reference", help="density JSON to compare against")
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=int, default=1, help=threads_help)
     p.add_argument("--max-points", type=int, default=None)
 
-    p = add("segre", "Segre product of two density pairs")
+    p = add("segre", "Segre product of two density pairs", _run_segre)
     p.add_argument("--a", required=True, help="density pair JSON")
     p.add_argument("--b", required=True, help="density pair JSON")
 
-    p = add("rescale", "Veronese-type rescale x -> s f(c x) with c=l0, s=l0/rank")
+    p = add(
+        "rescale",
+        "Veronese-type rescale x -> s f(c x) with c=l0, s=l0/rank",
+        _run_rescale,
+    )
     p.add_argument("--in", dest="infile", required=True, help="density JSON")
     p.add_argument("--l0", type=int, required=True)
     p.add_argument("--rank", type=int, required=True)
 
-    p = add("catalog", "built-in ADE invariant pairs with verdicts")
+    p = add("catalog", "built-in ADE invariant pairs with verdicts", _run_catalog)
     p.add_argument("--family", required=True, help="A, D, E6, E7 or E8")
     p.add_argument("--n", type=int, help="parameter for the A and D families")
     p.add_argument("--p", type=int, help="characteristic to validate")
 
-    p = add("hn2", "dimension-2 density from Harder-Narasimhan data")
+    p = add("hn2", "dimension-2 density from Harder-Narasimhan data", _run_hn2)
     p.add_argument("--in", dest="infile", required=True, help="HN JSON")
     p.add_argument(
         "--twists", help="comma-separated generator degrees; subtracts the twisted line-bundle sum"
     )
 
-    p = add("integrate", "integral of a density JSON")
+    p = add("integrate", "integral of a density JSON", _run_integrate)
     p.add_argument("--in", dest="infile", required=True)
 
-    p = add("sample", "evaluate k+1 evenly spaced points past the support")
+    p = add("sample", "evaluate k+1 evenly spaced points past the support", _run_sample)
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--count", type=int, required=True, help="k >= 2")
 
     return parser
-
-
-def parse_args(argv: list[str] | None = None) -> JobSpec:
-    ns = _build_parser().parse_args(argv)
-    cmd = ns.command
-    inputs: dict[str, str] = {}
-    options: dict = {}
-    if cmd in ("density-betti", "density-empirical", "rescale", "hn2", "integrate", "sample"):
-        inputs["in"] = ns.infile
-    if cmd == "density-empirical":
-        options["level"] = ns.level
-        options["threads"] = ns.threads
-        if ns.max_points is not None:
-            options["cap"] = ns.max_points
-    if cmd == "compare":
-        inputs["spec"] = ns.spec
-        if ns.reference is not None:
-            inputs["reference"] = ns.reference
-        options["levels"] = _parse_levels(ns.levels)
-        options["threads"] = ns.threads
-        if ns.max_points is not None:
-            options["cap"] = ns.max_points
-    if cmd == "segre":
-        inputs["a"], inputs["b"] = ns.a, ns.b
-    if cmd == "rescale":
-        if ns.l0 < 1 or ns.rank < 1:
-            raise InputError("l0 and rank must be >= 1")
-        options["l0"], options["rank"] = ns.l0, ns.rank
-    if cmd == "catalog":
-        options["family"] = ns.family
-        options["n"] = ns.n
-        options["p"] = ns.p
-    if cmd == "hn2" and ns.twists is not None:
-        try:
-            options["twists"] = [int(t) for t in ns.twists.split(",") if t.strip()]
-        except ValueError:
-            raise InputError(f"twists must be comma-separated integers, got {ns.twists!r}") from None
-    if cmd == "sample":
-        options["count"] = ns.count
-    return JobSpec(cmd, inputs, ns.out, options)
 
 
 def _report(exc: Exception, **extra) -> None:
@@ -466,13 +398,11 @@ def _report(exc: Exception, **extra) -> None:
 
 def main(argv: list[str] | None = None) -> int:
     try:
-        job = parse_args(argv)
-        return run(job)
+        ns = _build_parser().parse_args(argv)
+        _emit(ns.handler(ns), ns.out)
+        return 0
     except CapacityError as exc:
-        extra = {}
-        if getattr(exc, "max_feasible_level", None) is not None:
-            extra["max_feasible_level"] = exc.max_feasible_level
-        _report(exc, **extra)
+        _report(exc)
         return 3
     except InputError as exc:
         _report(exc)

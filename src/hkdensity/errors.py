@@ -26,10 +26,6 @@ class DomainError(ValidationError):
 class CapacityError(HKDError):
     """A configured resource cap (enumeration size, search depth) was exceeded."""
 
-    def __init__(self, message: str, *, max_feasible_level: int | None = None):
-        super().__init__(message)
-        self.max_feasible_level = max_feasible_level
-
 
 class BettiIdentityError(ValidationError):
     """The alternating-sum vanishing identity failed; carries the residual."""

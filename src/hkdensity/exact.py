@@ -286,10 +286,6 @@ class PiecewisePoly:
         return "{" + "; ".join(parts) + "}" if parts else "{0}"
 
 
-def pw_eval(f: PiecewisePoly, x: int | str | Fraction) -> Fraction:
-    return f(x)
-
-
 def pw_integrate(f: PiecewisePoly) -> Fraction:
     """Exact integral over [0, oo); requires compact support."""
     if f.tail is not None:
@@ -520,11 +516,3 @@ def pw_sup_distance(f: PiecewisePoly, g: PiecewisePoly) -> Fraction:
             sup = max(sup, _poly_abs_sup(p, a, b))
         # closure values at the right end still bound the open-interval sup
     return sup
-
-
-def pw_to_json(f: PiecewisePoly) -> dict:
-    return f.to_json()
-
-
-def pw_from_json(data: dict) -> PiecewisePoly:
-    return PiecewisePoly.from_json(data)

@@ -17,13 +17,12 @@ from __future__ import annotations
 
 import itertools
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
 from .errors import CapacityError, DomainError, ValidationError
-from .exact import PiecewisePoly, Polynomial, rat
+from .exact import PiecewisePoly, Polynomial
 
 Point = tuple[int, ...]
 
@@ -359,28 +358,18 @@ class LatticePair:
         enum = self._enumerated(m)
         return sum(1 for v in enum.by_degree[m] if self._survives(v, q, enum))
 
-    def colengths_up_to(self, q: int, max_m: int, threads: int = 1) -> list[int]:
-        """Colength of the q-th Frobenius power in each degree 0..max_m.
-
-        Counting parallelizes over degrees after the (serial) enumeration;
-        the result is independent of the thread count.
-        """
+    def colengths_up_to(self, q: int, max_m: int) -> list[int]:
+        """Colength of the q-th Frobenius power in each degree 0..max_m."""
         self._check_q(q)
         enum = self._enumerated(max_m)
-
-        def count(m: int) -> int:
-            return sum(
-                1 for v in enum.by_degree[m] if self._survives(v, q, enum)
-            )
-
-        if threads > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                return list(pool.map(count, range(max_m + 1)))
-        return [count(m) for m in range(max_m + 1)]
+        return [
+            sum(1 for v in enum.by_degree[m] if self._survives(v, q, enum))
+            for m in range(max_m + 1)
+        ]
 
     # -- approximants ------------------------------------------------------
 
-    def build_approximant(self, level: int, threads: int = 1) -> DensityApproximant:
+    def build_approximant(self, level: int) -> DensityApproximant:
         if level < 1:
             raise DomainError("level must be >= 1")
         q = self.spec.p ** level
@@ -389,7 +378,7 @@ class LatticePair:
         bound = self.support_bound()
         max_window = int(bound * q)  # windows max_window.. are all zero
         max_degree = (max_window + 1) * n0 - 1
-        counts = self.colengths_up_to(q, max_degree, threads=threads)
+        counts = self.colengths_up_to(q, max_degree)
         scale = Fraction(1, q ** (d - 1)) if d > 1 else Fraction(1)
         values = [
             sum(counts[window * n0 + j] for j in range(n0)) * scale
@@ -424,7 +413,6 @@ class LatticePair:
         self,
         levels: list[int],
         reference: PiecewisePoly | None = None,
-        threads: int = 1,
     ) -> list[ConvergenceRow]:
         """Sup distances of g_n to the reference, or to g_{n+1} when absent."""
         from .exact import pw_sup_distance
@@ -435,7 +423,7 @@ class LatticePair:
         needed = set(levels)
         if reference is None:
             needed.update(n + 1 for n in levels)
-        approx = {n: self.build_approximant(n, threads=threads) for n in sorted(needed)}
+        approx = {n: self.build_approximant(n) for n in sorted(needed)}
         rows = []
         for n in levels:
             target = reference if reference is not None else approx[n + 1].g_interp
@@ -448,51 +436,3 @@ class LatticePair:
                 )
             )
         return rows
-
-    def estimate_points(self, max_degree: int) -> int:
-        """Cheap extrapolated point-count estimate used for early cap checks."""
-        d = self.spec.dim
-        probe = min(max_degree, max(16, 64 // max(1, d - 1)) * self.spec.n0)
-        enum = self._enumerated(probe)
-        if probe >= max_degree:
-            return enum.count
-        ratio = Fraction(max_degree + 1, probe + 1)
-        return int(enum.count * ratio ** d) + 1
-
-    def max_feasible_level(self, max_level: int = 30) -> int:
-        """Largest level whose enumeration stays under the configured cap."""
-        bound = self.support_bound()
-        n0 = self.spec.n0
-        best = 0
-        for level in range(1, max_level + 1):
-            q = self.spec.p ** level
-            max_degree = (int(bound * q) + 1) * n0 - 1
-            if self.estimate_points(max_degree) > self.cap:
-                break
-            best = level
-        return best
-
-
-def monomial_colength_by_degree(
-    spec: SemigroupSpec, ideal: MonomialIdealSpec, q: int, m: int
-) -> int:
-    return LatticePair(spec, ideal).colength_by_degree(q, m)
-
-
-def build_approximant(
-    spec: SemigroupSpec, ideal: MonomialIdealSpec, level: int
-) -> DensityApproximant:
-    return LatticePair(spec, ideal).build_approximant(level)
-
-
-def support_bound(spec: SemigroupSpec, ideal: MonomialIdealSpec) -> Fraction:
-    return LatticePair(spec, ideal).support_bound()
-
-
-def convergence_report(
-    spec: SemigroupSpec,
-    ideal: MonomialIdealSpec,
-    levels: list[int],
-    reference: PiecewisePoly | None = None,
-) -> list[ConvergenceRow]:
-    return LatticePair(spec, ideal).convergence_report(levels, reference)

@@ -13,7 +13,6 @@ window M grows like ehat * M^(d-1).
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -90,12 +89,11 @@ RingSpec = CompleteIntersectionRing | SemigroupRing | VeroneseRing
 
 
 class HilbertFunction:
-    """Memoized length oracle m -> dim_k R_m; thread-safe extension."""
+    """Memoized length oracle m -> dim_k R_m."""
 
     def __init__(self, extend, d: int, n0: int):
         self._extend = extend  # extend(values: list[int], upto: int) -> None
         self._values: list[int] = []
-        self._lock = threading.Lock()
         self.dim = d
         self.n0 = n0
 
@@ -103,9 +101,7 @@ class HilbertFunction:
         if m < 0:
             return 0
         if m >= len(self._values):
-            with self._lock:
-                if m >= len(self._values):
-                    self._extend(self._values, max(m, 2 * len(self._values) + 16))
+            self._extend(self._values, max(m, 2 * len(self._values) + 16))
         return self._values[m]
 
     def window_sum(self, window: int) -> int:
@@ -188,22 +184,6 @@ def _verify_gcd(h: HilbertFunction, n0: int, window: int) -> None:
         raise ValidationError(
             f"occupied degrees up to {window} have gcd {got}, expected {n0}"
         )
-
-
-def hilbert_fn(spec: RingSpec, m: int) -> int:
-    return hilbert_function(spec)(m)
-
-
-def gcd_degrees(spec: RingSpec) -> int:
-    return hilbert_function(spec).n0
-
-
-def veronese(spec: RingSpec, factor: int) -> VeroneseRing:
-    return VeroneseRing(spec, factor)
-
-
-def dimension(spec: RingSpec) -> int:
-    return hilbert_function(spec).dim
 
 
 def _degreewise_leading(spec: RingSpec) -> Fraction | None:
@@ -312,7 +292,7 @@ def parse_ring_json(data: dict) -> RingSpec:
         return SemigroupRing(SemigroupSpec.from_json(sg))
     if kind == "veronese":
         try:
-            return veronese(parse_ring_json(body["base"]), body["factor"])
+            return VeroneseRing(parse_ring_json(body["base"]), body["factor"])
         except KeyError as exc:
             raise InputError(f"veronese ring JSON missing key {exc}") from None
     raise InputError(f"unknown ring type {kind!r}")

@@ -37,7 +37,7 @@ from hkdensity.resolution import (
     koszul_betti,
     validate_betti,
 )
-from hkdensity.rings import CompleteIntersectionRing, hilbert_fn
+from hkdensity.rings import CompleteIntersectionRing, hilbert_function
 
 F = Fraction
 
@@ -143,10 +143,7 @@ def test_criterion_04_vanishing_identity():
 def test_criterion_05_toric_oracle_equivalence():
     with criterion(5, "A_2/A_3 at p=5: lattice colengths == resolution colengths"):
         start = time.perf_counter()
-        plane_ring = CompleteIntersectionRing.build((1, 1), ())
-
-        def plane_hilbert(m: int) -> int:
-            return hilbert_fn(plane_ring, m)
+        plane_hilbert = hilbert_function(CompleteIntersectionRing.build((1, 1), ()))
 
         for n in (2, 3):
             entry = catalog_entry("A", n)

@@ -3,9 +3,12 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hkdensity.bivariate import (
     BivariatePoly,
+    _graded_piece,
     graded_ideal_equal,
     hilbert_burch_minors,
     match_generators,
@@ -109,6 +112,46 @@ def test_graded_ideal_equal_basic():
     ]
     assert graded_ideal_equal(gens_a, gens_b)
     assert not graded_ideal_equal([x1(2)], [x2(2)])
+
+
+def test_graded_ideal_equal_differs_only_at_higher_degree():
+    # the degree-1 pieces agree; the ideals part only in degree 3
+    assert not graded_ideal_equal([x1(), x2(3)], [x1(), x2(4)])
+    assert not graded_ideal_equal([x1(), x2(4)], [x1(), x2(3)])
+
+
+def ideal_equal_every_degree(gens_a, gens_b) -> bool:
+    """Reference: compare the graded pieces in every degree up to the
+    largest generator degree (rational coefficients only)."""
+    cap = max((g.degree() for g in [*gens_a, *gens_b] if not g.is_zero()), default=0)
+    return all(
+        _graded_piece(gens_a, m, None) == _graded_piece(gens_b, m, None)
+        for m in range(cap + 1)
+    )
+
+
+@st.composite
+def generator_sets(draw):
+    def form():
+        d = draw(st.integers(0, 4))
+        coeffs = draw(st.lists(st.integers(-2, 2), min_size=d + 1, max_size=d + 1))
+        return P.build([(i, d - i, c) for i, c in enumerate(coeffs)])
+
+    gens_a = [form() for _ in range(draw(st.integers(1, 3)))]
+    if draw(st.booleans()):
+        gens_b = [form() for _ in range(draw(st.integers(1, 3)))]
+    else:
+        # the same ideal presented differently, unless the extra form breaks it
+        gens_b = [g.scale(draw(st.integers(1, 3))) for g in reversed(gens_a)]
+        gens_b.append(gens_a[0] * form() if draw(st.booleans()) else form())
+    return gens_a, gens_b
+
+
+@settings(max_examples=150, deadline=None)
+@given(generator_sets())
+def test_graded_ideal_equal_matches_every_degree_reference(sets):
+    gens_a, gens_b = sets
+    assert graded_ideal_equal(gens_a, gens_b) == ideal_equal_every_degree(gens_a, gens_b)
 
 
 def test_match_generators_permutation_insensitive():

@@ -15,7 +15,6 @@ from hkdensity.exact import (
     Polynomial,
     count_real_roots,
     pw_add,
-    pw_eval,
     pw_integrate,
     pw_mul,
     pw_rescale_arg,
@@ -122,7 +121,7 @@ def test_piecewise_eval_right_continuous():
     assert f(F(1, 2)) == F(1, 2)
     assert f(F(3, 2)) == F(1, 2)
     assert f(2) == 0 and f(100) == 0
-    assert pw_eval(f, "3/2") == F(1, 2)
+    assert f("3/2") == F(1, 2)
 
 
 def test_piecewise_tail_and_support():

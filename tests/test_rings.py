@@ -11,14 +11,11 @@ from hkdensity.lattice import SemigroupSpec
 from hkdensity.rings import (
     CompleteIntersectionRing,
     SemigroupRing,
-    dimension,
-    gcd_degrees,
+    VeroneseRing,
     hilbert_density,
-    hilbert_fn,
     hilbert_function,
     leading_coefficient,
     parse_ring_json,
-    veronese,
 )
 
 F = Fraction
@@ -112,18 +109,18 @@ def test_leading_coefficient_dim1_rejected():
 
 
 def test_veronese_factor_hilbert():
-    v = veronese(plane(), 3)
+    v = VeroneseRing(plane(), 3)
     hv, h = hilbert_function(v), hilbert_function(plane())
     for m in range(10):
         assert hv(m) == h(3 * m)
-    assert dimension(v) == 2
+    assert hv.dim == 2
     assert leading_coefficient(v) == 3
 
 
 def test_veronese_normalizes_n0():
     # A_2 invariants are generated in even degrees; the 2nd Veronese
     # regrades them with n0 = 1
-    v = veronese(a_inv(2), 2)
+    v = VeroneseRing(a_inv(2), 2)
     hv = hilbert_function(v)
     assert hv.n0 == 1
     assert [hv(m) for m in range(5)] == [1, 3, 5, 7, 9]
@@ -138,9 +135,9 @@ def test_hilbert_density_envelope():
 
 
 def test_gcd_degrees():
-    assert gcd_degrees(a_inv(2)) == 2
-    assert gcd_degrees(a_inv(3)) == 1
-    assert gcd_degrees(CompleteIntersectionRing.build((12, 30, 20), (60,))) == 2
+    assert hilbert_function(a_inv(2)).n0 == 2
+    assert hilbert_function(a_inv(3)).n0 == 1
+    assert hilbert_function(CompleteIntersectionRing.build((12, 30, 20), (60,))).n0 == 2
 
 
 def test_parse_ring_json_round_trip():
@@ -151,7 +148,7 @@ def test_parse_ring_json_round_trip():
     ]
     for data in specs:
         ring = parse_ring_json(data)
-        assert hilbert_fn(ring, 0) == 1
+        assert hilbert_function(ring)(0) == 1
     with pytest.raises(InputError):
         parse_ring_json({"type": "widget"})
     with pytest.raises(InputError):
