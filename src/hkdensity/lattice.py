@@ -1,13 +1,20 @@
 """Affine semigroup rings as lattice-point sets, and the empirical density path.
 
-A ``SemigroupSpec`` is a finitely generated subsemigroup of N^rank graded by a
-positive weight vector.  Monomial ideals are given by their generators as
-lattice points; membership of v in the ideal is exactly "v - a_j lies in the
-semigroup for some generator a_j", so once the semigroup is enumerated far
-enough every colength count below the support bound is exact, not sampled.
+A ``SemigroupSpec`` is a finitely generated subsemigroup S of N^rank graded
+by a nonnegative weight vector under which every generator has positive
+degree.  ``SemigroupEnumeration`` holds one bucket S_m per degree m, a set of
+points each encoded as one integer, built in degree order as
+S_m = U_g (S_{m - deg g} + g) and extended in place when a larger degree is
+needed.
+
+Monomial ideals are given by their generators as lattice points.  The
+degree-m part of the q-th Frobenius power I^[q] is the union of the
+translates S_{m - q deg a} + q a over the ideal generators a, which all lie in
+S_m, so the colength in degree m is |S_m| minus the size of that union: an
+exact count, with no per-point membership probe.
 
 The degree-n approximants follow the defining limit of the density function:
-survivors of the q-th Frobenius power are counted degree by degree, bucketed
+colengths of the q-th Frobenius power are counted degree by degree, bucketed
 into windows of n0 = gcd of occupied degrees consecutive degrees, and scaled
 by q^(d-1).  f_n is the resulting step function, constant on [M/q, (M+1)/q);
 g_n joins the window values at the grid points x = M/q by straight lines.
@@ -19,7 +26,7 @@ import itertools
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import comb, gcd
 
 from .errors import CapacityError, DomainError, ValidationError
 from .exact import PiecewisePoly, Polynomial
@@ -169,57 +176,100 @@ class MonomialIdealSpec:
             raise InputError(f"ideal JSON missing key {exc}") from None
 
 
+def _degree_ceiling(spec: SemigroupSpec, cap: int) -> int:
+    """A degree up to which the semigroup holds more than cap points.
+
+    The generators span a lattice of rank d = spec.dim, so some d of them are
+    linearly independent.  Their sums n_1 g_1 + ... + n_d g_d with
+    n_1 + ... + n_d <= k are C(k + d, d) distinct points, all of degree at
+    most k times the largest generator degree; the ceiling takes the least k
+    for which that count exceeds cap.
+    """
+    d = spec.dim
+    lo, hi = 0, cap  # C(cap + d, d) > cap for every d >= 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if comb(mid + d, d) > cap:
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo * max(spec.degree(g) for g in spec.generators)
+
+
 class SemigroupEnumeration:
-    """All semigroup points of degree <= max_degree, in deterministic order."""
+    """All semigroup points of degree <= max_degree, one bucket per degree.
+
+    ``by_degree[m]`` is the set of points of degree m, each stored as the
+    integer sum(v_i * radix**i).  Buckets are built in degree order as
+    S_m = U_g (S_{m - deg g} + g), and ``extend`` grows them in place.
+
+    The radix is fixed once, from the cap.  A point of degree m has
+    v_i <= m * max_g(g_i / deg g), and the radix exceeds that bound at the
+    degree ceiling, which no enumeration within the cap reaches (see
+    ``_degree_ceiling``).  So the sum of the codes of two semigroup points is
+    the code of their vector sum whenever that sum has degree at most the
+    ceiling, and ``extend`` never needs a wider radix.
+    """
 
     def __init__(self, spec: SemigroupSpec, max_degree: int, cap: int):
         self.spec = spec
-        self.max_degree = max_degree
-        by_degree: list[list[Point]] = [[] for _ in range(max_degree + 1)]
-        seen: set[Point] = set()
-        import heapq
-
-        origin = (0,) * spec.rank
-        heap: list[tuple[int, Point]] = [(0, origin)]
-        seen.add(origin)
-        gens = [(spec.degree(g), g) for g in spec.generators]
-        while heap:
-            deg, v = heapq.heappop(heap)
-            by_degree[deg].append(v)
-            for gdeg, g in gens:
-                ndeg = deg + gdeg
-                if ndeg > max_degree:
-                    continue
-                w = tuple(a + b for a, b in zip(v, g))
-                if w not in seen:
-                    if len(seen) >= cap:
-                        raise CapacityError(
-                            f"semigroup enumeration exceeded cap of {cap} points "
-                            f"(degree bound {max_degree}); raise {_MAX_POINTS_ENV} "
-                            "or lower the level"
-                        )
-                    seen.add(w)
-                    heapq.heappush(heap, (ndeg, w))
-        self.by_degree = by_degree
-        self._members = seen
+        self.cap = cap
+        ceiling = _degree_ceiling(spec, cap)
+        self.radix = 1 + max(
+            ceiling * c // spec.degree(g) for g in spec.generators for c in g
+        )
+        self._gens = [(spec.degree(g), self.encode(g)) for g in spec.generators]
+        self.by_degree: list[set[int]] = [{0}]
+        self.count = 1
+        self.extend(max_degree)
 
     @property
-    def count(self) -> int:
-        return len(self._members)
+    def max_degree(self) -> int:
+        return len(self.by_degree) - 1
 
-    def points(self) -> list[Point]:
-        return [v for bucket in self.by_degree for v in bucket]
+    def encode(self, v: Point) -> int:
+        code = 0
+        for c in reversed(v):
+            code = code * self.radix + c
+        return code
+
+    def extend(self, max_degree: int) -> None:
+        """Build the missing buckets up to max_degree.
+
+        The exact count is checked after each degree, before the next one is
+        built.  A degree that would take it past the cap is not kept and
+        raises ``CapacityError``; by the choice of the ceiling this happens at
+        the ceiling at the latest.
+        """
+        buckets = self.by_degree
+        for m in range(len(buckets), max_degree + 1):
+            bucket: set[int] = set()
+            for gdeg, code in self._gens:
+                if gdeg <= m:
+                    bucket.update(map(code.__add__, buckets[m - gdeg]))
+            if self.count + len(bucket) > self.cap:
+                raise CapacityError(
+                    f"semigroup enumeration exceeded cap of {self.cap} points "
+                    f"(degree bound {max_degree}); raise {_MAX_POINTS_ENV} "
+                    "or lower the level"
+                )
+            buckets.append(bucket)
+            self.count += len(bucket)
 
     def contains(self, v: Point) -> bool:
         """Exact membership for points of degree <= max_degree."""
         if any(c < 0 for c in v):
             return False
-        if self.spec.degree(v) > self.max_degree:
+        degree = self.spec.degree(v)
+        if degree > self.max_degree:
             raise DomainError(
-                f"membership query at degree {self.spec.degree(v)} beyond "
+                f"membership query at degree {degree} beyond "
                 f"enumerated bound {self.max_degree}"
             )
-        return v in self._members
+        # every point built has coordinates below the radix
+        if any(c >= self.radix for c in v):
+            return False
+        return self.encode(v) in self.by_degree[degree]
 
 
 def enumerate_semigroup(
@@ -255,8 +305,10 @@ class ConvergenceRow:
 class LatticePair:
     """A semigroup ring together with a finite-colength monomial ideal.
 
-    Caches the support-bound computation and the largest enumeration done so
-    far; every public count is exact.
+    The pair owns one ``SemigroupEnumeration``, built at construction to the
+    largest ideal generator degree and extended in place, never rebuilt, when
+    the containment search or a colength count needs a larger degree.  It
+    also caches the containment exponent; every public count is exact.
     """
 
     def __init__(
@@ -268,28 +320,25 @@ class LatticePair:
         self.spec = spec
         self.ideal = ideal
         self.cap = cap if cap is not None else enumeration_cap()
-        self._enum: SemigroupEnumeration | None = None
         self._ell: int | None = None
         # every ideal generator must be a semigroup element
         probe = max(spec.degree(a) for a in ideal.generators)
-        enum = self._enumerated(probe)
+        self._enum = SemigroupEnumeration(spec, probe, self.cap)
         for a in ideal.generators:
-            if not enum.contains(a):
+            if not self._enum.contains(a):
                 raise ValidationError(
                     f"ideal generator {a} is not a semigroup element"
                 )
-
-    def _enumerated(self, max_degree: int) -> SemigroupEnumeration:
-        if self._enum is None or self._enum.max_degree < max_degree:
-            self._enum = SemigroupEnumeration(self.spec, max_degree, self.cap)
-        return self._enum
+        self._ideal_codes = [
+            (spec.degree(a), self._enum.encode(a)) for a in ideal.generators
+        ]
 
     # -- support bound ----------------------------------------------------
 
-    def _in_ideal(self, v: Point, enum: SemigroupEnumeration) -> bool:
+    def _in_ideal(self, v: Point) -> bool:
         for a in self.ideal.generators:
             w = tuple(c - d for c, d in zip(v, a))
-            if all(c >= 0 for c in w) and enum.contains(w):
+            if all(c >= 0 for c in w) and self._enum.contains(w):
                 return True
         return False
 
@@ -301,13 +350,13 @@ class LatticePair:
             return self._ell
         m_mu = max(self.spec.degree(g) for g in self.spec.generators)
         for ell in range(1, _CONTAINMENT_DEPTH_CAP + 1):
-            enum = self._enumerated(ell * m_mu)
+            self._enum.extend(ell * m_mu)
             ok = True
             for combo in itertools.combinations_with_replacement(
                 self.spec.generators, ell
             ):
                 v = tuple(map(sum, zip(*combo)))
-                if not self._in_ideal(v, enum):
+                if not self._in_ideal(v):
                     ok = False
                     break
             if ok:
@@ -344,28 +393,36 @@ class LatticePair:
                 f"p = {self.spec.p}"
             )
 
-    def _survives(self, v: Point, q: int, enum: SemigroupEnumeration) -> bool:
-        for a in self.ideal.generators:
-            w = tuple(c - q * d for c, d in zip(v, a))
-            if all(c >= 0 for c in w) and enum.contains(w):
-                return False
-        return True
+    def _colength(self, q: int, m: int) -> int:
+        """|S_m| minus the points of degree m in the q-th Frobenius power of
+        the ideal, which are the union of the translates
+        S_{m - q deg a} + q a over the ideal generators a.  Each translate
+        lies in S_m, so no point needs a membership probe."""
+        buckets = self._enum.by_degree
+        translates = [
+            (buckets[m - q * deg], q * code)
+            for deg, code in self._ideal_codes
+            if q * deg <= m
+        ]
+        if len(translates) == 1:
+            return len(buckets[m]) - len(translates[0][0])
+        inside: set[int] = set()
+        for bucket, shift in translates:
+            inside.update(map(shift.__add__, bucket))
+        return len(buckets[m]) - len(inside)
 
     def colength_by_degree(self, q: int, m: int) -> int:
         self._check_q(q)
         if m < 0:
             return 0
-        enum = self._enumerated(m)
-        return sum(1 for v in enum.by_degree[m] if self._survives(v, q, enum))
+        self._enum.extend(m)
+        return self._colength(q, m)
 
     def colengths_up_to(self, q: int, max_m: int) -> list[int]:
         """Colength of the q-th Frobenius power in each degree 0..max_m."""
         self._check_q(q)
-        enum = self._enumerated(max_m)
-        return [
-            sum(1 for v in enum.by_degree[m] if self._survives(v, q, enum))
-            for m in range(max_m + 1)
-        ]
+        self._enum.extend(max_m)
+        return [self._colength(q, m) for m in range(max_m + 1)]
 
     # -- approximants ------------------------------------------------------
 

@@ -134,6 +134,13 @@ def _ci_extender(spec: CompleteIntersectionRing):
 
 def _semigroup_extender(spec: SemigroupSpec):
     def extend(values: list[int], upto: int) -> None:
+        # Each extension enumerates afresh and keeps only the bucket sizes.
+        # The HilbertFunction lives in the process-wide hilbert_function
+        # cache, so buckets kept for in-place extension would live as long as
+        # the process: on the closed-form benchmark workload (seed 1) that
+        # took peak RSS from 37.8 to 1371 MiB, while rebuilding per extension
+        # stays at 37.8 MiB.  The doubling in HilbertFunction.__call__ bounds
+        # the rebuild cost.
         enum = enumerate_semigroup(spec, upto)
         values[:] = [len(enum.by_degree[m]) for m in range(upto + 1)]
 

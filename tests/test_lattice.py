@@ -1,8 +1,11 @@
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from hkdensity.errors import CapacityError, DomainError, ValidationError
 from hkdensity.exact import PiecewisePoly, Polynomial, pw_integrate, pw_sup_distance
@@ -10,6 +13,7 @@ from hkdensity.lattice import (
     DEFAULT_MAX_POINTS,
     LatticePair,
     MonomialIdealSpec,
+    SemigroupEnumeration,
     SemigroupSpec,
     enumerate_semigroup,
     enumeration_cap,
@@ -24,6 +28,10 @@ def plane(p=2) -> SemigroupSpec:
 
 def a_spec(n: int, p: int) -> SemigroupSpec:
     return SemigroupSpec.build(2, [(1, 1), (n, 0), (0, n)], (1, 1), p)
+
+
+# {(a, b, c) : a + b <= c}, graded by c alone
+CONE = SemigroupSpec.build(3, [(1, 0, 1), (0, 1, 1), (0, 0, 1)], (0, 0, 1), 2)
 
 
 def koszul_pair(p=2) -> LatticePair:
@@ -71,6 +79,15 @@ def test_enumeration_counts_a2():
     for m in range(9):
         want = sum(1 for a in range(m + 1) if (2 * a - m) % 2 == 0)
         assert len(enum.by_degree[m]) == want
+
+
+def test_contains_rejects_coordinates_beyond_radix():
+    # the weights vanish on the first two coordinates, so (radix, 0, 1) has
+    # the degree and the integer code of the semigroup point (0, 1, 1)
+    enum = enumerate_semigroup(CONE, 2)
+    assert enum.contains((0, 1, 1))
+    assert enum.encode((enum.radix, 0, 1)) == enum.encode((0, 1, 1))
+    assert not enum.contains((enum.radix, 0, 1))
 
 
 def test_ideal_generators_must_lie_in_semigroup():
@@ -155,6 +172,146 @@ def test_capacity_cap_and_feasibility():
     pair.build_approximant(1)
     with pytest.raises(CapacityError):
         pair.build_approximant(4)
+
+
+def test_capacity_boundary_per_degree():
+    # plane() holds (D + 1)(D + 2) / 2 = 28 points up to degree D = 6
+    assert enumerate_semigroup(plane(), 6, cap=28).count == 28
+    with pytest.raises(CapacityError, match=r"cap of 27 points \(degree bound 6\)"):
+        enumerate_semigroup(plane(), 6, cap=27)
+    # a refused degree is not kept: the enumeration stays as it was
+    enum = enumerate_semigroup(plane(), 5, cap=27)
+    with pytest.raises(CapacityError, match=r"degree bound 9"):
+        enum.extend(9)
+    assert enum.max_degree == 5 and enum.count == 21
+    assert [len(b) for b in enum.by_degree] == [m + 1 for m in range(6)]
+
+
+def test_convergence_report_enumerates_once(monkeypatch):
+    built = []
+    original = SemigroupEnumeration.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(args)
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(SemigroupEnumeration, "__init__", counting)
+    pair = LatticePair(a_spec(3, 2), MonomialIdealSpec.build([(1, 1), (3, 0), (0, 3)]))
+    pair.convergence_report([1, 2, 3])
+    assert len(built) == 1
+
+
+# -- properties against tuple enumeration and per-point survivor probes ------
+
+
+def reference_points(spec: SemigroupSpec, max_degree: int) -> set[tuple[int, ...]]:
+    """Every semigroup point of degree <= max_degree, as tuples, by closure."""
+    points = {(0,) * spec.rank}
+    frontier = list(points)
+    while frontier:
+        grown = []
+        for v in frontier:
+            for g in spec.generators:
+                w = tuple(a + b for a, b in zip(v, g))
+                if spec.degree(w) <= max_degree and w not in points:
+                    points.add(w)
+                    grown.append(w)
+        frontier = grown
+    return points
+
+
+def reference_colengths(spec, ideal, q: int, max_m: int) -> list[int]:
+    """Per-point survivor test: v survives when no v - q a is a semigroup point."""
+    points = reference_points(spec, max_m)
+
+    def survives(v):
+        for a in ideal.generators:
+            w = tuple(c - q * d for c, d in zip(v, a))
+            if all(c >= 0 for c in w) and w in points:
+                return False
+        return True
+
+    counts = [0] * (max_m + 1)
+    for v in points:
+        if survives(v):
+            counts[spec.degree(v)] += 1
+    return counts
+
+
+SEGRE = SemigroupSpec.build(3, [(1, 0, 0), (1, 1, 0), (1, 0, 1), (1, 1, 1)], (1, 0, 0), 2)
+
+
+@st.composite
+def semigroups(draw):
+    rank = draw(st.sampled_from([2, 3]))
+    weights = draw(st.lists(st.integers(0, 2), min_size=rank, max_size=rank).filter(any))
+    generator = st.tuples(*[st.integers(0, 2)] * rank).filter(
+        lambda g: sum(w * c for w, c in zip(weights, g)) >= 1
+    )
+    gens = draw(st.lists(generator, min_size=1, max_size=4, unique=True))
+    return SemigroupSpec.build(rank, gens, weights, draw(st.sampled_from([2, 3])))
+
+
+@st.composite
+def semigroup_ideals(draw):
+    spec = draw(semigroups())
+    index = st.integers(0, len(spec.generators) - 1)
+    elements = []
+    for _ in range(draw(st.integers(1, 3))):
+        parts = [spec.generators[i] for i in draw(st.lists(index, min_size=1, max_size=2))]
+        elements.append(tuple(map(sum, zip(*parts))))
+    return spec, MonomialIdealSpec.build(elements)
+
+
+@settings(max_examples=80, deadline=None)
+@given(semigroup_ideals(), st.integers(1, 3), st.integers(0, 16))
+@example((SEGRE, MonomialIdealSpec.build(SEGRE.generators)), 3, 16)
+def test_colengths_match_per_point_reference(spec_ideal, e, max_m):
+    spec, ideal = spec_ideal
+    q = spec.p ** e
+    pair = LatticePair(spec, ideal)
+    assert pair.colengths_up_to(q, max_m) == reference_colengths(spec, ideal, q, max_m)
+
+
+@settings(max_examples=80, deadline=None)
+@given(semigroups(), st.integers(0, 12), st.integers(0, 12))
+@example(SEGRE, 2, 9)
+def test_extend_matches_fresh_enumeration(spec, a, b):
+    a, b = min(a, b), max(a, b)
+    grown = enumerate_semigroup(spec, a)
+    grown.extend(b)
+    fresh = enumerate_semigroup(spec, b)
+    assert grown.max_degree == fresh.max_degree == b
+    assert grown.count == fresh.count
+    points = reference_points(spec, b)
+    sizes = [0] * (b + 1)
+    for v in points:
+        sizes[spec.degree(v)] += 1
+    assert [len(s) for s in grown.by_degree] == [len(s) for s in fresh.by_degree] == sizes
+    box = itertools.product(range(5), repeat=spec.rank)
+    for v in itertools.chain(points, box):
+        if spec.degree(v) <= b:
+            assert grown.contains(v) == fresh.contains(v) == (v in points)
+
+
+@settings(max_examples=80, deadline=None)
+@given(semigroups(), st.integers(0, 12), st.integers(1, 200))
+@example(CONE, 8, 200)
+def test_small_cap_radix_and_boundary(spec, b, cap):
+    # A small cap gives a small radix.  In CONE the points (r, 0, c) and
+    # (0, 1, c) share degree and code for radix r, so a radix too narrow for
+    # the degrees the cap admits (r <= 8 at cap 200) merges them.
+    points = reference_points(spec, b)
+    if len(points) > cap:
+        with pytest.raises(CapacityError):
+            enumerate_semigroup(spec, b, cap)
+        return
+    enum = enumerate_semigroup(spec, b, cap)
+    sizes = [0] * (b + 1)
+    for v in points:
+        sizes[spec.degree(v)] += 1
+    assert [len(s) for s in enum.by_degree] == sizes
+    assert all(enum.contains(v) for v in points)
 
 
 def test_enumeration_cap_env(monkeypatch):
