@@ -240,12 +240,15 @@ def _rref(rows: list[list[Coef]], disc: int | None) -> tuple[tuple[Coef, ...], .
             continue
         mat[pivot_row], mat[sel] = mat[sel], mat[pivot_row]
         inv = mat[pivot_row][col]
-        mat[pivot_row] = [_c_div(v, inv, disc) for v in mat[pivot_row]]
+        # rows are sparse: zero entries are kept, not multiplied through
+        mat[pivot_row] = [
+            v if _c_is_zero(v) else _c_div(v, inv, disc) for v in mat[pivot_row]
+        ]
         for r in range(nrows):
             if r != pivot_row and not _c_is_zero(mat[r][col]):
                 factor = mat[r][col]
                 mat[r] = [
-                    _c_add(v, _c_neg(_c_mul(factor, w, disc)))
+                    v if _c_is_zero(w) else _c_add(v, _c_neg(_c_mul(factor, w, disc)))
                     for v, w in zip(mat[r], mat[pivot_row])
                 ]
         pivot_row += 1

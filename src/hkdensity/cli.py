@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
@@ -321,6 +322,7 @@ def _run_sample(ns: argparse.Namespace) -> str:
 # ------------------------------------------------------------ arg parsing
 
 
+@functools.cache  # built once per process; parsing leaves it unchanged
 def _build_parser() -> _Parser:
     parser = _Parser(
         prog="hkdensity",

@@ -18,12 +18,11 @@ from .exact import (
     PiecewisePoly,
     pw_integrate,
     pw_mul,
+    pw_negative_piece,
     pw_rescale_arg,
     pw_scale,
     pw_sub,
 )
-
-_GRID = 64
 
 
 @dataclass(frozen=True)
@@ -55,12 +54,11 @@ class DensityPair:
             raise ValidationError("density must be compactly supported")
         if not self.f.is_continuous():
             raise ValidationError("density must be continuous")
-        end = self.f.support_end
-        for k in range(_GRID + 1):
-            x = end * k / _GRID
-            if self.f(x) > self.F(x) or self.f(x) < 0:
+        # past support_end f = 0 and F is the positive monomial checked above
+        for g, side in ((self.f, "below 0"), (self.defect(), "above the envelope")):
+            if (piece := pw_negative_piece(g)) is not None:
                 raise ValidationError(
-                    f"density escapes [0, envelope] at x = {x}"
+                    f"density escapes [0, envelope] on [{piece[0]}, {piece[1]}): {side}"
                 )
 
     @property

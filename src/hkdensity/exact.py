@@ -18,14 +18,15 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm, prod
 from typing import Callable, Iterable, Sequence
 
 from .errors import DomainError, InputError, ValidationError
 
 Rat = Fraction
 
-# Sample count for the certified sup-distance fallback on pieces whose
-# derivative has irrational critical points.
+# Sample count for the certified sup-distance fallback on pieces where
+# |p| has no rational maximizer.
 _SUP_SAMPLES = 1024
 
 
@@ -346,7 +347,7 @@ def pw_rescale_arg(
 
 
 # ---------------------------------------------------------------------------
-# sup distance: exact where critical points are rational, certified otherwise
+# exact sign tests; sup distance, exact or certified
 
 
 def _poly_divmod(a: Polynomial, b: Polynomial) -> tuple[Polynomial, Polynomial]:
@@ -393,14 +394,50 @@ def _sign_variations(chain: list[Polynomial], x: Fraction) -> int:
 def count_real_roots(p: Polynomial, a: Fraction, b: Fraction) -> int:
     """Number of distinct real roots of p in (a, b], by Sturm's theorem.
 
-    Requires p(a) != 0 for the textbook statement to apply verbatim; callers
-    here only pass polynomials with no rational roots, so both endpoints are
-    automatically non-roots.
+    For squarefree p this holds with roots at the endpoints too: a root at
+    a is not counted and a root at b is.
     """
     if p.is_zero():
         raise DomainError("root count of the zero polynomial")
     chain = _sturm_chain(p)
     return _sign_variations(chain, a) - _sign_variations(chain, b)
+
+
+def _odd_part(p: Polynomial) -> Polynomial:
+    """a_1 * a_3 * ... from Yun's square-free decomposition p = c * a_1 *
+    a_2^2 * a_3^3 ...: its roots are the points where p changes sign."""
+    dp = p.derivative()
+    g = _poly_gcd(p, dp)
+    b, c = _poly_divmod(p, g)[0], _poly_divmod(dp, g)[0]
+    factors = []
+    while b.degree > 0:
+        d = c - b.derivative()
+        factors.append(_poly_gcd(b, d))
+        b, c = _poly_divmod(b, factors[-1])[0], _poly_divmod(d, factors[-1])[0]
+    return prod(factors[::2], start=P_ONE)
+
+
+def poly_nonnegative(p: Polynomial, a: Fraction, b: Fraction) -> bool:
+    """Whether p >= 0 on all of [a, b], decided exactly: the endpoint values
+    (enough for degree <= 1), then p changes sign in (a, b) iff its odd part
+    has a Sturm root there, else the sign at one non-root of deg + 1 points."""
+    if p(a) < 0 or p(b) < 0:
+        return False
+    if p.degree <= 1:
+        return True
+    odd = _odd_part(p)
+    if count_real_roots(odd, a, b) - (odd(b) == 0) > 0:
+        return False
+    n = p.degree + 2
+    return next(v for k in range(1, n) if (v := p(a + (b - a) * k / n))) > 0
+
+
+def pw_negative_piece(f: PiecewisePoly) -> tuple[Fraction, Fraction] | None:
+    """First finite piece [a, b) whose polynomial dips below 0 on [a, b], or None."""
+    for a, b, p in zip(f.breakpoints, f.breakpoints[1:], f.pieces):
+        if not poly_nonnegative(p, a, b):
+            return a, b
+    return None
 
 
 def _bounded_divisors(n: int, cap: int = 1_000_000) -> list[int] | None:
@@ -435,8 +472,6 @@ def rational_roots(p: Polynomial) -> list[Fraction] | None:
             coeffs.pop(0)
     if len(coeffs) <= 1:
         return roots
-    from math import lcm
-
     scale = lcm(*(c.denominator for c in coeffs))
     ints = [int(c * scale) for c in coeffs]
     lead, const = ints[-1], ints[0]
@@ -456,54 +491,38 @@ def rational_roots(p: Polynomial) -> list[Fraction] | None:
 
 
 def _poly_abs_sup(p: Polynomial, a: Fraction, b: Fraction) -> Fraction:
-    """sup of |p| over [a, b]: exact when every critical point in (a, b) is
-    rational, else a certified upper bound (dense sampling + Lipschitz pad).
+    """sup of |p| over [a, b]: exact when the maximum of |p| is at a rational
+    point, else a certified upper bound (dense sampling + Lipschitz pad).
 
-    Exactness is decided rigorously: deflate the rational roots out of p',
-    leaving a cofactor with no rational roots (hence nonzero at the rational
-    endpoints), and ask Sturm whether that cofactor has real roots in (a, b).
+    M, the largest |p| at the endpoints and rational critical points, is the
+    sup iff M - p >= 0 and M + p >= 0 on [a, b]; degree <= 1 needs no test,
+    nor does degree 2 once its vertex is found.
     """
     candidates = [a, b]
     if p.degree >= 2:
         dp = p.derivative()
         roots = rational_roots(dp)
-        exact = False
-        if roots is not None:
-            candidates.extend(r for r in roots if a < r < b)
-            if dp.degree >= 2:
-                cofactor = _poly_divmod(dp, _poly_gcd(dp, dp.derivative()))[0]
-            else:
-                cofactor = dp
-            for r in roots:
-                while cofactor(r) == 0:
-                    cofactor = _poly_divmod(cofactor, Polynomial.of(-r, 1))[0]
-            if cofactor.degree <= 0:
-                exact = True
-            else:
-                # no rational roots left, so cofactor(a) != 0 != cofactor(b)
-                exact = count_real_roots(cofactor, a, b) == 0
-        if not exact:
-            # certified fallback: sample max + L*h/2 with L >= sup|p'| on [a, b]
-            mx = max(abs(a), abs(b))
-            lip = sum(
-                abs(c) * (mx ** i) for i, c in enumerate(dp.coeffs)
-            )
-            h = (b - a) / _SUP_SAMPLES
-            sample_max = max(
-                abs(p(a + h * i)) for i in range(_SUP_SAMPLES + 1)
-            )
-            return max(
-                sample_max + lip * h / 2, *(abs(p(c)) for c in candidates)
-            )
-    return max(abs(p(c)) for c in candidates)
+        candidates.extend(r for r in roots or () if a < r < b)
+    top = max(abs(p(c)) for c in candidates)
+    if p.degree <= 1 or (p.degree == 2 and roots is not None):
+        return top
+    bound = Polynomial.of(top)
+    if poly_nonnegative(bound - p, a, b) and poly_nonnegative(bound + p, a, b):
+        return top
+    # certified fallback: sample max + L*h/2 with L >= sup|p'| on [a, b]
+    mx = max(abs(a), abs(b))
+    lip = sum(abs(c) * (mx ** i) for i, c in enumerate(dp.coeffs))
+    h = (b - a) / _SUP_SAMPLES
+    sample_max = max(abs(p(a + h * i)) for i in range(_SUP_SAMPLES + 1))
+    return max(sample_max + lip * h / 2, top)
 
 
 def pw_sup_distance(f: PiecewisePoly, g: PiecewisePoly) -> Fraction:
     """sup |f - g| over [0, oo).
 
-    Exact for pieces of degree <= 2 and whenever all critical points are
-    rational; otherwise returns a certified upper bound.  Raises if the
-    difference grows without bound.
+    Exact for pieces of degree <= 2 and whenever |f - g| attains its
+    maximum at a rational point; otherwise returns a certified upper bound.
+    Raises if the difference grows without bound.
     """
     diff = pw_sub(f, g)
     sup = Fraction(0)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InputError, ValidationError
-from .exact import PiecewisePoly, Polynomial, pw_sub, rat, rat_str
+from .exact import PiecewisePoly, Polynomial, pw_negative_piece, pw_sub, rat, rat_str
 
 
 @dataclass(frozen=True)
@@ -95,20 +95,16 @@ def hn_density(e: HNData) -> PiecewisePoly:
     out = PiecewisePoly.build(breakpoints, pieces, None)
     if not out.is_continuous():
         raise ValidationError("HN density came out discontinuous")
-    _check_nonnegative_linear(out, "HN density")
+    _check_nonnegative(out, "HN density")
     return out
 
 
-def _check_nonnegative_linear(f: PiecewisePoly, what: str) -> None:
-    # piecewise linear: endpoint values per piece decide the sign
-    bps = f.breakpoints
-    for i, piece in enumerate(f.pieces):
-        right = bps[i + 1]
-        if piece(bps[i]) < 0 or piece(right) < 0:
-            raise ValidationError(
-                f"{what} is negative near [{bps[i]}, {right}): "
-                "inconsistent input data"
-            )
+def _check_nonnegative(f: PiecewisePoly, what: str) -> None:
+    if (piece := pw_negative_piece(f)) is not None:
+        raise ValidationError(
+            f"{what} is negative near [{piece[0]}, {piece[1]}): "
+            "inconsistent input data"
+        )
 
 
 def dim2_pair_density(v: HNData, twist_degrees, d: int) -> PiecewisePoly:
@@ -128,5 +124,5 @@ def dim2_pair_density(v: HNData, twist_degrees, d: int) -> PiecewisePoly:
         raise ValidationError("pair density failed to be compactly supported")
     if not out.is_continuous():
         raise ValidationError("pair density came out discontinuous")
-    _check_nonnegative_linear(out, "pair density")
+    _check_nonnegative(out, "pair density")
     return out

@@ -38,16 +38,21 @@ _MAX_POINTS_ENV = "HKDL_MAX_POINTS"
 _CONTAINMENT_DEPTH_CAP = 64
 
 
-def enumeration_cap() -> int:
-    raw = os.environ.get(_MAX_POINTS_ENV)
-    if raw is None:
-        return DEFAULT_MAX_POINTS
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise ValidationError(f"{_MAX_POINTS_ENV} must be an integer, got {raw!r}")
+def enumeration_cap(cap: int | None = None) -> int:
+    """The point cap: ``cap`` when given, else $HKDL_MAX_POINTS, else the
+    default.  Whichever is used must be a positive integer."""
+    source = "enumeration cap"
+    if cap is None:
+        raw = os.environ.get(_MAX_POINTS_ENV)
+        if raw is None:
+            return DEFAULT_MAX_POINTS
+        try:
+            cap = int(raw)
+        except ValueError:
+            raise ValidationError(f"{_MAX_POINTS_ENV} must be an integer, got {raw!r}")
+        source = _MAX_POINTS_ENV
     if cap <= 0:
-        raise ValidationError(f"{_MAX_POINTS_ENV} must be positive, got {cap}")
+        raise ValidationError(f"{source} must be positive, got {cap}")
     return cap
 
 
@@ -277,7 +282,7 @@ def enumerate_semigroup(
 ) -> SemigroupEnumeration:
     if max_degree < 0:
         raise DomainError("max_degree must be >= 0")
-    return SemigroupEnumeration(spec, max_degree, cap or enumeration_cap())
+    return SemigroupEnumeration(spec, max_degree, enumeration_cap(cap))
 
 
 @dataclass(frozen=True)
@@ -319,7 +324,7 @@ class LatticePair:
     ):
         self.spec = spec
         self.ideal = ideal
-        self.cap = cap if cap is not None else enumeration_cap()
+        self.cap = enumeration_cap(cap)
         self._ell: int | None = None
         # every ideal generator must be a semigroup element
         probe = max(spec.degree(a) for a in ideal.generators)

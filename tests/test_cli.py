@@ -236,3 +236,17 @@ def test_exit_code_capacity(tmp_path, capsys):
     )
     assert code == 3 and out == ""
     assert json.loads(err)["error"] == "CapacityError"
+
+
+@pytest.mark.parametrize("cap", ["0", "-5"])
+def test_max_points_must_be_positive(tmp_path, capsys, cap):
+    inp = write(tmp_path, "a2.json", A2_INVARIANT_PAIR)
+    code, out, err = run_cli(
+        capsys,
+        ["density-empirical", "--in", inp, "--level", "1", "--max-points", cap],
+    )
+    assert code == 2 and out == ""
+    assert json.loads(err) == {
+        "error": "ValidationError",
+        "message": f"enumeration cap must be positive, got {cap}",
+    }

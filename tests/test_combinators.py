@@ -75,6 +75,35 @@ def test_density_pair_rejects_bad_density():
         DensityPair(env, tent(), 1)
 
 
+def test_density_pair_rejects_escape_between_grid_points():
+    # continuous, f <= F = x, but negative on (0, 1/100), inside the first
+    # cell of any 64-point grid over [0, 2]
+    env = PiecewisePoly.monomial_tail(F(1), 1)
+    dip = PiecewisePoly.build(
+        [0, F(1, 100), 1, 2],
+        [
+            Polynomial.of(0, -1),
+            Polynomial.of(F(-1, 66), F(17, 33)),
+            Polynomial.of(1, F(-1, 2)),
+        ],
+    )
+    assert dip.is_continuous() and dip(F(1, 100)) < 0
+    with pytest.raises(ValidationError, match=r"escapes \[0, envelope\] on \[0, 1/100\)"):
+        DensityPair(env, dip, 2)
+    # the mirror image: above F = x on (0, 1/100) only
+    bump = PiecewisePoly.build(
+        [0, F(1, 100), 1, 2],
+        [
+            Polynomial.of(0, 2),
+            Polynomial.of(F(1, 66), F(16, 33)),
+            Polynomial.of(1, F(-1, 2)),
+        ],
+    )
+    assert bump.is_continuous() and bump(F(1, 100)) > F(1, 100)
+    with pytest.raises(ValidationError, match="above the envelope"):
+        DensityPair(env, bump, 2)
+
+
 def test_segre_of_two_tents():
     out = segre(koszul_pair(), koszul_pair())
     assert out.d == 3

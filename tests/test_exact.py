@@ -3,7 +3,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hkdensity.errors import InputError, ValidationError
@@ -13,7 +13,10 @@ from hkdensity.exact import (
     P_ZERO,
     PiecewisePoly,
     Polynomial,
+    _poly_divmod,
+    _poly_gcd,
     count_real_roots,
+    poly_nonnegative,
     pw_add,
     pw_integrate,
     pw_mul,
@@ -195,6 +198,10 @@ def test_sturm_root_counts():
     # double root counts once
     sq = Polynomial.of(1, -2, 1)
     assert count_real_roots(sq, F(0), F(2)) == 1
+    # squarefree with endpoint roots: (a, b] counts b and not a
+    p01 = Polynomial.of(0, -1, 1)
+    assert count_real_roots(p01, F(0), F(1)) == 1
+    assert count_real_roots(p01, F(-1), F(0)) == 1
 
 
 def test_rational_roots():
@@ -237,3 +244,105 @@ def test_sup_distance_quadratic_interior_max():
     f = PiecewisePoly.build([F(0), F(2)], [Polynomial.of(0, 2, -1)], None)
     g = PiecewisePoly.zero()
     assert pw_sup_distance(f, g) == 1
+
+
+def test_sup_distance_exact_at_rational_max_beside_irrational_critical_point():
+    # x^4/4 - x^2 on [0, 3]: critical point sqrt(2) is irrational, but |p|
+    # peaks at the endpoint 3 with 45/4
+    p = Polynomial.of(0, 0, -1, 0, F(1, 4))
+    f = PiecewisePoly.build([F(0), F(3)], [p], None)
+    assert pw_sup_distance(f, PiecewisePoly.zero()) == F(45, 4)
+    # x^3 - 2x on [0, 1] peaks at the irrational sqrt(2/3), above both
+    # endpoint values: the sampled bound must still cover it
+    p = Polynomial.of(0, -2, 0, 1)
+    f = PiecewisePoly.build([F(0), F(1)], [p], None)
+    got = pw_sup_distance(f, PiecewisePoly.zero())
+    assert got > 1 and all(got >= abs(p(F(k, 1000))) for k in range(810, 823))
+
+
+small_rats = st.builds(F, st.integers(-12, 12), st.integers(1, 4))
+positive_rats = st.builds(F, st.integers(1, 12), st.integers(1, 4))
+
+
+@st.composite
+def factored_polys(draw, max_roots=3, max_mult=3, max_squares=2):
+    """(p, real roots) for p = c * prod (x - r)^m * prod (x^2 + s), s > 0."""
+    c = draw(positive_rats) * draw(st.sampled_from([1, -1]))
+    roots = draw(st.dictionaries(
+        small_rats, st.integers(1, max_mult), max_size=max_roots
+    ))
+    p = Polynomial.of(c)
+    for r, m in roots.items():
+        p = p * Polynomial.of(-r, 1) ** m
+    for s in draw(st.lists(positive_rats, max_size=max_squares)):
+        p = p * Polynomial.of(s, 0, 1)
+    return p, list(roots)
+
+
+def reference_nonnegative(p, roots, a, b):
+    # p has one sign between consecutive points of {a, b, roots in (a, b)}
+    pts = sorted({a, b, *(r for r in roots if a < r < b)})
+    mids = [(u + v) / 2 for u, v in zip(pts, pts[1:])]
+    return all(p(x) >= 0 for x in pts + mids)
+
+
+@settings(max_examples=200, deadline=None)
+@given(factored_polys(), small_rats, small_rats, st.data())
+# the first of deg + 1 interior points is a double root
+@example((Polynomial.of(F(1, 16), F(-1, 2), 1), [F(1, 4)]), F(0), F(1), None)
+# negative between two roots, positive at both endpoints
+@example((Polynomial.of(2, -3, 1), [F(1), F(2)]), F(0), F(3), None)
+def test_poly_nonnegative_matches_factored_reference(pr, a, b, data):
+    p, roots = pr
+    if data is not None and roots:
+        # endpoints at, or half a unit beside, the roots as well as random
+        near = roots + [r + d for r in roots for d in (F(-1, 2), F(1, 2))]
+        a = data.draw(st.sampled_from([a, *near]))
+        b = data.draw(st.sampled_from([b, *near]))
+    if a == b:
+        b = a + 1
+    a, b = min(a, b), max(a, b)
+    assert poly_nonnegative(p, a, b) == reference_nonnegative(p, roots, a, b)
+
+
+def deflation_abs_sup(p, a, b):
+    """(sup |p| on [a, b], exact?) by the rule pw_sup_distance used before
+    the shared sign test: rational critical points as candidates, exact iff
+    the cofactor of p' left after deflating them has no root in (a, b)."""
+    candidates = [a, b]
+    if p.degree < 2:
+        return max(abs(p(c)) for c in candidates), True
+    dp = p.derivative()
+    roots = rational_roots(dp)
+    if roots is None:
+        return None, False
+    candidates.extend(r for r in roots if a < r < b)
+    cofactor = dp
+    if dp.degree >= 2:
+        cofactor = _poly_divmod(dp, _poly_gcd(dp, dp.derivative()))[0]
+    for r in roots:
+        while cofactor(r) == 0:
+            cofactor = _poly_divmod(cofactor, Polynomial.of(-r, 1))[0]
+    exact = cofactor.degree <= 0 or count_real_roots(cofactor, a, b) == 0
+    return max(abs(p(c)) for c in candidates), exact
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(factored_polys(2, 2, 1), min_size=1, max_size=3),
+    st.lists(st.fractions(min_value=F(1, 4), max_value=2, max_denominator=4),
+             min_size=3, max_size=3),
+)
+def test_sup_distance_keeps_deflation_exact_values(prs, widths):
+    bps = [F(0)]
+    for w in widths[: len(prs)]:
+        bps.append(bps[-1] + w)
+    pieces = [p for p, _ in prs]
+    f = PiecewisePoly.build(bps, pieces, None)
+    got = pw_sup_distance(f, PiecewisePoly.zero())
+    old = [deflation_abs_sup(p, a, b) for a, b, p in zip(bps, bps[1:], pieces)]
+    if all(exact for _, exact in old):
+        assert got == max(v for v, _ in old)
+    # exact or not, the result bounds |f| from above
+    for a, b, p in zip(bps, bps[1:], pieces):
+        assert all(abs(p(a + (b - a) * k / 16)) <= got for k in range(17))

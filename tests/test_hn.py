@@ -88,7 +88,10 @@ def test_pair_density_negativity_guard():
     # twisting by (2,2) against a slope-0 line overshoots: f would dip
     # below zero near the support end
     v = HNData.build([(0, 1)], 1)
-    with pytest.raises(ValidationError):
+    with pytest.raises(
+        ValidationError,
+        match=r"pair density is negative near \[0, 1\): inconsistent input data",
+    ):
         dim2_pair_density(v, (2, 2), 1)
 
 
