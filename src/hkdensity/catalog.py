@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 
 from .bivariate import BivariatePoly, MinorMatchReport, match_generators
 from .combinators import DensityPair, rank_from_degrees, rescale_density
@@ -63,8 +64,6 @@ class AdeEntry:
 
     @property
     def l0(self) -> int:
-        from math import gcd
-
         return gcd(gcd(self.gen_degrees[0], self.gen_degrees[1]), self.gen_degrees[2])
 
     @property

@@ -25,10 +25,6 @@ from .errors import DomainError, InputError, ValidationError
 
 Rat = Fraction
 
-# Sample count for the certified sup-distance fallback on pieces where
-# |p| has no rational maximizer.
-_SUP_SAMPLES = 1024
-
 
 def rat(value: int | str | Fraction) -> Fraction:
     """Parse an exact rational from an int, Fraction, or 'num/den' string."""
@@ -440,89 +436,73 @@ def pw_negative_piece(f: PiecewisePoly) -> tuple[Fraction, Fraction] | None:
     return None
 
 
-def _bounded_divisors(n: int, cap: int = 1_000_000) -> list[int] | None:
-    """All positive divisors of |n|, or None when trial division would be slow."""
-    n = abs(n)
-    if n == 0:
-        return None
-    if n > cap * cap:
-        return None
-    divs = []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            divs.append(d)
-            if d != n // d:
-                divs.append(n // d)
-        d += 1
-        if d > cap:
-            return None
-    return sorted(divs)
-
-
-def rational_roots(p: Polynomial) -> list[Fraction] | None:
-    """Distinct rational roots of p, or None if the candidate search was capped."""
-    if p.is_zero():
-        raise DomainError("roots of the zero polynomial")
-    coeffs = list(p.coeffs)
-    roots = []
-    if coeffs and coeffs[0] == 0:
-        roots.append(Fraction(0))
-        while coeffs and coeffs[0] == 0:
-            coeffs.pop(0)
-    if len(coeffs) <= 1:
-        return roots
-    scale = lcm(*(c.denominator for c in coeffs))
-    ints = [int(c * scale) for c in coeffs]
-    lead, const = ints[-1], ints[0]
-    num_divs = _bounded_divisors(const)
-    den_divs = _bounded_divisors(lead)
-    if num_divs is None or den_divs is None:
-        return None
-    seen = set()
-    for num in num_divs:
-        for den in den_divs:
-            for cand in (Fraction(num, den), Fraction(-num, den)):
-                if cand not in seen:
-                    seen.add(cand)
-                    if p(cand) == 0:
-                        roots.append(cand)
-    return sorted(set(roots))
+def _isolate(
+    q: Polynomial, a: Fraction, b: Fraction, width: Fraction
+) -> list[tuple[Fraction, Fraction]]:
+    """Intervals (lo, hi] narrower than width, each holding exactly one of
+    the roots of the squarefree q in (a, b], by bisection on its Sturm chain."""
+    chain = _sturm_chain(q)
+    out = []
+    todo = [(a, b, _sign_variations(chain, a), _sign_variations(chain, b))]
+    while todo:
+        lo, hi, v_lo, v_hi = todo.pop()
+        if v_lo == v_hi:
+            continue
+        if v_lo - v_hi == 1 and hi - lo < width:
+            out.append((lo, hi))
+            continue
+        mid = (lo + hi) / 2
+        v_mid = _sign_variations(chain, mid)
+        todo += [(mid, hi, v_mid, v_hi), (lo, mid, v_lo, v_mid)]
+    return out
 
 
 def _poly_abs_sup(p: Polynomial, a: Fraction, b: Fraction) -> Fraction:
     """sup of |p| over [a, b]: exact when the maximum of |p| is at a rational
-    point, else a certified upper bound (dense sampling + Lipschitz pad).
+    point, else an upper bound within lip * (b - a) / 1024 of it, where lip
+    >= |p'| on [a, b].
 
-    M, the largest |p| at the endpoints and rational critical points, is the
-    sup iff M - p >= 0 and M + p >= 0 on [a, b]; degree <= 1 needs no test,
-    nor does degree 2 once its vertex is found.
+    The critical points are the roots of q, the squarefree part of p'.  With
+    L the common denominator of monic q, a rational root of q has a
+    denominator dividing L and two such lie at least 1/L^2 apart, so an
+    isolating interval narrower than 1/(2 L^2) holds no rational root but
+    its midpoint's ``limit_denominator(L)``.  M, the largest |p| at a, b and
+    the rational roots, is the sup when no interval with an irrational root
+    can exceed it or when M - p >= 0 and M + p >= 0 on [a, b].  Otherwise
+    each such (lo, hi] adds (|p(lo)| + |p(hi)| + lip * (hi - lo)) / 2.
     """
-    candidates = [a, b]
-    if p.degree >= 2:
-        dp = p.derivative()
-        roots = rational_roots(dp)
-        candidates.extend(r for r in roots or () if a < r < b)
-    top = max(abs(p(c)) for c in candidates)
-    if p.degree <= 1 or (p.degree == 2 and roots is not None):
+    top = max(abs(p(a)), abs(p(b)))
+    if p.degree <= 1:
         return top
-    bound = Polynomial.of(top)
-    if poly_nonnegative(bound - p, a, b) and poly_nonnegative(bound + p, a, b):
-        return top
-    # certified fallback: sample max + L*h/2 with L >= sup|p'| on [a, b]
+    dp = p.derivative()
+    q = _poly_divmod(dp, _poly_gcd(dp, dp.derivative()))[0]
+    den = lcm(*(c.denominator for c in q.scale(1 / q.coeffs[-1]).coeffs))
     mx = max(abs(a), abs(b))
     lip = sum(abs(c) * (mx ** i) for i, c in enumerate(dp.coeffs))
-    h = (b - a) / _SUP_SAMPLES
-    sample_max = max(abs(p(a + h * i)) for i in range(_SUP_SAMPLES + 1))
-    return max(sample_max + lip * h / 2, top)
+    pads = []
+    for lo, hi in _isolate(q, a, b, min((b - a) / 1024, Fraction(1, 2 * den * den))):
+        r = ((lo + hi) / 2).limit_denominator(den)
+        if lo < r <= hi and q(r) == 0:
+            top = max(top, abs(p(r)))
+        else:
+            pads.append((abs(p(lo)) + abs(p(hi)) + lip * (hi - lo)) / 2)
+    pad = max(pads, default=top)
+    bound = Polynomial.of(top)
+    if pad <= top or (
+        poly_nonnegative(bound - p, a, b) and poly_nonnegative(bound + p, a, b)
+    ):
+        return top
+    return pad
 
 
 def pw_sup_distance(f: PiecewisePoly, g: PiecewisePoly) -> Fraction:
     """sup |f - g| over [0, oo).
 
     Exact for pieces of degree <= 2 and whenever |f - g| attains its
-    maximum at a rational point; otherwise returns a certified upper bound.
-    Raises if the difference grows without bound.
+    maximum at a rational point; otherwise an upper bound that exceeds the
+    sup on its piece [a, b] by at most lip * (b - a) / 1024, lip >= sup of
+    the piece's slope (see ``_poly_abs_sup``).  Raises if the difference
+    grows without bound.
     """
     diff = pw_sub(f, g)
     sup = Fraction(0)

@@ -28,8 +28,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, gcd
 
-from .errors import CapacityError, DomainError, ValidationError
-from .exact import PiecewisePoly, Polynomial
+from .errors import (
+    CapacityError,
+    DomainError,
+    InputError,
+    InternalError,
+    ValidationError,
+)
+from .exact import PiecewisePoly, Polynomial, pw_integrate, pw_sup_distance
 
 Point = tuple[int, ...]
 
@@ -151,8 +157,6 @@ class SemigroupSpec:
                 data["rank"], data["gens"], data["weights"], data["p"]
             )
         except KeyError as exc:
-            from .errors import InputError
-
             raise InputError(f"semigroup JSON missing key {exc}") from None
 
 
@@ -176,8 +180,6 @@ class MonomialIdealSpec:
         try:
             return MonomialIdealSpec.build(data["gens"])
         except KeyError as exc:
-            from .errors import InputError
-
             raise InputError(f"ideal JSON missing key {exc}") from None
 
 
@@ -219,9 +221,9 @@ class SemigroupEnumeration:
     def __init__(self, spec: SemigroupSpec, max_degree: int, cap: int):
         self.spec = spec
         self.cap = cap
-        ceiling = _degree_ceiling(spec, cap)
+        self._ceiling = _degree_ceiling(spec, cap)
         self.radix = 1 + max(
-            ceiling * c // spec.degree(g) for g in spec.generators for c in g
+            self._ceiling * c // spec.degree(g) for g in spec.generators for c in g
         )
         self._gens = [(spec.degree(g), self.encode(g)) for g in spec.generators]
         self.by_degree: list[set[int]] = [{0}]
@@ -241,11 +243,13 @@ class SemigroupEnumeration:
     def extend(self, max_degree: int) -> None:
         """Build the missing buckets up to max_degree.
 
-        The exact count is checked after each degree, before the next one is
-        built.  A degree that would take it past the cap is not kept and
-        raises ``CapacityError``; by the choice of the ceiling this happens at
-        the ceiling at the latest.
+        A max_degree at or past the ceiling holds more than cap points, so it
+        raises ``CapacityError`` before any bucket is built.  Below it the
+        exact count is checked after each degree, before the next one is
+        built, and a degree that would take it past the cap is not kept.
         """
+        if max_degree >= self._ceiling:
+            raise self._capacity_error(max_degree)
         buckets = self.by_degree
         for m in range(len(buckets), max_degree + 1):
             bucket: set[int] = set()
@@ -253,13 +257,16 @@ class SemigroupEnumeration:
                 if gdeg <= m:
                     bucket.update(map(code.__add__, buckets[m - gdeg]))
             if self.count + len(bucket) > self.cap:
-                raise CapacityError(
-                    f"semigroup enumeration exceeded cap of {self.cap} points "
-                    f"(degree bound {max_degree}); raise {_MAX_POINTS_ENV} "
-                    "or lower the level"
-                )
+                raise self._capacity_error(max_degree)
             buckets.append(bucket)
             self.count += len(bucket)
+
+    def _capacity_error(self, max_degree: int) -> CapacityError:
+        return CapacityError(
+            f"semigroup enumeration exceeded cap of {self.cap} points "
+            f"(degree bound {max_degree}); raise {_MAX_POINTS_ENV} "
+            "or lower the level"
+        )
 
     def contains(self, v: Point) -> bool:
         """Exact membership for points of degree <= max_degree."""
@@ -294,8 +301,6 @@ class DensityApproximant:
 
     @property
     def integral(self) -> Fraction:
-        from .exact import pw_integrate
-
         return pw_integrate(self.f_step)
 
 
@@ -447,8 +452,6 @@ class LatticePair:
             for window in range(max_window + 1)
         ]
         if values[-1] != 0:
-            from .errors import InternalError
-
             raise InternalError(
                 f"window {max_window} at q={q} should vanish by the support "
                 f"bound {bound} but counted {values[-1]}"
@@ -477,8 +480,6 @@ class LatticePair:
         reference: PiecewisePoly | None = None,
     ) -> list[ConvergenceRow]:
         """Sup distances of g_n to the reference, or to g_{n+1} when absent."""
-        from .exact import pw_sup_distance
-
         levels = sorted(set(levels))
         if not levels:
             raise DomainError("need at least one level")

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from math import isqrt, lcm
 
 import pytest
 from hypothesis import example, given, settings
@@ -13,6 +14,7 @@ from hkdensity.exact import (
     P_ZERO,
     PiecewisePoly,
     Polynomial,
+    _poly_abs_sup,
     _poly_divmod,
     _poly_gcd,
     count_real_roots,
@@ -26,7 +28,6 @@ from hkdensity.exact import (
     pw_sup_distance,
     rat,
     rat_str,
-    rational_roots,
 )
 
 F = Fraction
@@ -204,25 +205,6 @@ def test_sturm_root_counts():
     assert count_real_roots(p01, F(-1), F(0)) == 1
 
 
-def test_rational_roots():
-    p = Polynomial.of(-6, 11, -6, 1)
-    assert rational_roots(p) == [F(1), F(2), F(3)]
-    assert rational_roots(Polynomial.of(2, 0, 1)) == []  # x^2 + 2
-    # x - 1/2
-    assert rational_roots(Polynomial.of(F(-1, 2), 1)) == [F(1, 2)]
-
-
-@given(st.lists(st.integers(min_value=-8, max_value=8), min_size=1, max_size=4, unique=True))
-def test_rational_roots_on_split_products(roots):
-    p = P_ONE
-    for r in roots:
-        p = p * Polynomial.of(-r, 1)
-    found = rational_roots(p)
-    assert found == sorted(F(r) for r in roots)
-    lo, hi = F(min(roots) - 1), F(max(roots) + 1)
-    assert count_real_roots(p, lo, hi) == len(roots)
-
-
 def test_sup_distance_exact_on_linear_pieces():
     f, g = tent(), PiecewisePoly.zero()
     assert pw_sup_distance(f, g) == 1
@@ -252,12 +234,29 @@ def test_sup_distance_exact_at_rational_max_beside_irrational_critical_point():
     p = Polynomial.of(0, 0, -1, 0, F(1, 4))
     f = PiecewisePoly.build([F(0), F(3)], [p], None)
     assert pw_sup_distance(f, PiecewisePoly.zero()) == F(45, 4)
-    # x^3 - 2x on [0, 1] peaks at the irrational sqrt(2/3), above both
-    # endpoint values: the sampled bound must still cover it
+    # x^3 - 2x on [0, 1] peaks at the irrational sqrt(2/3) with |p|^2 =
+    # 32/27, above both endpoint values: the bound covers it and exceeds it
+    # by at most lip * (b - a) / 1024 with lip = 5 >= |3x^2 - 2|
     p = Polynomial.of(0, -2, 0, 1)
     f = PiecewisePoly.build([F(0), F(1)], [p], None)
     got = pw_sup_distance(f, PiecewisePoly.zero())
-    assert got > 1 and all(got >= abs(p(F(k, 1000))) for k in range(810, 823))
+    assert F(32, 27) < got**2 and (got - F(5, 1024)) ** 2 <= F(32, 27)
+    # on [0, 1633/1000] the endpoint value exceeds that peak by less than
+    # the bound's slack, so only M - p >= 0 and M + p >= 0 make it exact
+    b = F(1633, 1000)
+    f = PiecewisePoly.build([F(0), b], [p], None)
+    assert pw_sup_distance(f, PiecewisePoly.zero()) == p(b)
+
+
+def test_sup_distance_exact_beyond_trial_division_range():
+    # p' = (x - 7/3)(x^2 - 999983 * 1000003): the constant term of p' has
+    # only prime factors near 10^6, and the critical point 7/3 is the only
+    # one in [0, 5]
+    n = 999983 * 1000003
+    p = (Polynomial.of(F(-7, 3), 1) * Polynomial.of(-n, 0, 1)).antiderivative()
+    f = PiecewisePoly.build([F(0), F(5)], [p], None)
+    got = pw_sup_distance(f, PiecewisePoly.zero())
+    assert got == abs(p(F(7, 3))) == F(2645962955862653, 972)
 
 
 small_rats = st.builds(F, st.integers(-12, 12), st.integers(1, 4))
@@ -305,6 +304,51 @@ def test_poly_nonnegative_matches_factored_reference(pr, a, b, data):
     assert poly_nonnegative(p, a, b) == reference_nonnegative(p, roots, a, b)
 
 
+@settings(max_examples=150, deadline=None)
+@given(factored_polys(max_squares=1), small_rats, small_rats, small_rats, st.data())
+# the maximum is at a root with denominator 1000: it is found only once its
+# interval is narrower than 1/(2 * 1000^2), far below (b - a)/1024
+@example(
+    (Polynomial.of(F(501, 1000), -1) * Polynomial.of(1, 0, 1), [F(501, 1000)]),
+    F(0), F(1), F(0), None,
+)
+def test_abs_sup_of_split_derivative_is_max_at_its_roots(pr, a, b, c0, data):
+    # p' = c * prod (x - r)^m * (x^2 + s): every critical point of p is some
+    # r, so the sup of |p| over [a, b] is taken at a, b or an r in (a, b)
+    dp, roots = pr
+    if roots:
+        assert count_real_roots(dp, min(roots) - 1, max(roots) + 1) == len(roots)
+    if data is not None and roots:
+        near = roots + [r + d for r in roots for d in (F(-1, 3), F(1, 3))]
+        a = data.draw(st.sampled_from([a, *near]))
+        b = data.draw(st.sampled_from([b, *near]))
+    if a == b:
+        b = a + 1
+    a, b = min(a, b), max(a, b)
+    p = dp.antiderivative() + Polynomial.of(c0)
+    expected = max(abs(p(x)) for x in [a, b, *(r for r in roots if a < r < b)])
+    assert _poly_abs_sup(p, a, b) == expected
+
+
+def trial_division_roots(p):
+    """Distinct rational roots of p: u/v with u dividing the lowest and v the
+    leading nonzero coefficient once p is scaled to integer coefficients."""
+    coeffs = list(p.coeffs)
+    roots = {F(0)} if coeffs[0] == 0 else set()
+    while coeffs[0] == 0:
+        coeffs.pop(0)
+    scale = lcm(*(c.denominator for c in coeffs))
+
+    def divisors(n):
+        small = [d for d in range(1, isqrt(n) + 1) if n % d == 0]
+        return small + [n // d for d in small]
+
+    for u in divisors(abs(int(coeffs[0] * scale))):
+        for v in divisors(abs(int(coeffs[-1] * scale))):
+            roots.update(r for r in (F(u, v), F(-u, v)) if p(r) == 0)
+    return sorted(roots)
+
+
 def deflation_abs_sup(p, a, b):
     """(sup |p| on [a, b], exact?) by the rule pw_sup_distance used before
     the shared sign test: rational critical points as candidates, exact iff
@@ -313,9 +357,7 @@ def deflation_abs_sup(p, a, b):
     if p.degree < 2:
         return max(abs(p(c)) for c in candidates), True
     dp = p.derivative()
-    roots = rational_roots(dp)
-    if roots is None:
-        return None, False
+    roots = trial_division_roots(dp)
     candidates.extend(r for r in roots if a < r < b)
     cofactor = dp
     if dp.degree >= 2:

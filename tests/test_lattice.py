@@ -15,6 +15,7 @@ from hkdensity.lattice import (
     MonomialIdealSpec,
     SemigroupEnumeration,
     SemigroupSpec,
+    _degree_ceiling,
     enumerate_semigroup,
     enumeration_cap,
 )
@@ -185,6 +186,18 @@ def test_capacity_boundary_per_degree():
         enum.extend(9)
     assert enum.max_degree == 5 and enum.count == 21
     assert [len(b) for b in enum.by_degree] == [m + 1 for m in range(6)]
+
+
+def test_capacity_fails_before_enumerating_to_the_ceiling():
+    # plane() holds more than 10^6 points up to its degree ceiling, so that
+    # extension is refused before any bucket is built
+    cap = 10**6
+    enum = enumerate_semigroup(plane(), 0, cap=cap)
+    ceiling = _degree_ceiling(plane(), cap)
+    message = rf"cap of {cap} points \(degree bound {ceiling}\)"
+    with pytest.raises(CapacityError, match=message):
+        enum.extend(ceiling)
+    assert enum.max_degree == 0 and enum.count == 1
 
 
 def test_convergence_report_enumerates_once(monkeypatch):
