@@ -24,7 +24,7 @@ class DomainError(ValidationError):
 
 
 class CapacityError(HKDError):
-    """A configured resource cap (enumeration size, search depth) was exceeded."""
+    """The configured enumeration point cap was exceeded."""
 
 
 class BettiIdentityError(ValidationError):

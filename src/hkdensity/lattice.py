@@ -26,7 +26,8 @@ import itertools
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, gcd
+from functools import cached_property
+from math import comb, factorial, gcd, prod
 
 from .errors import (
     CapacityError,
@@ -41,7 +42,6 @@ Point = tuple[int, ...]
 
 DEFAULT_MAX_POINTS = 50_000_000
 _MAX_POINTS_ENV = "HKDL_MAX_POINTS"
-_CONTAINMENT_DEPTH_CAP = 64
 
 
 def enumeration_cap(cap: int | None = None) -> int:
@@ -60,6 +60,27 @@ def enumeration_cap(cap: int | None = None) -> int:
     if cap <= 0:
         raise ValidationError(f"{source} must be positive, got {cap}")
     return cap
+
+
+def _eliminate(rows) -> tuple[list[int], Fraction]:
+    """Row-reduce an integer matrix over Q: the pivot columns, which keep the
+    rank of the rows, and the determinant if the matrix is square."""
+    rows = [[Fraction(c) for c in r] for r in rows]
+    pivots, det = [], Fraction(1)
+    for col in range(len(rows[0]) if rows else 0):
+        top = len(pivots)
+        r = next((r for r in range(top, len(rows)) if rows[r][col]), None)
+        if r is None:
+            continue
+        if r != top:
+            rows[top], rows[r] = rows[r], rows[top]
+            det = -det
+        det *= rows[top][col]
+        for r in range(top + 1, len(rows)):
+            f = rows[r][col] / rows[top][col]
+            rows[r] = [a - f * b for a, b in zip(rows[r], rows[top])]
+        pivots.append(col)
+    return pivots, det if len(pivots) == len(rows) else Fraction(0)
 
 
 def _is_prime(p: int) -> bool:
@@ -124,23 +145,62 @@ class SemigroupSpec:
     @property
     def dim(self) -> int:
         """Rank of the lattice spanned by the generators (Krull dimension)."""
-        rows = [[Fraction(c) for c in g] for g in self.generators]
-        rank = 0
-        for col in range(self.rank):
-            pivot = next(
-                (r for r in range(rank, len(rows)) if rows[r][col] != 0), None
-            )
-            if pivot is None:
-                continue
-            rows[rank], rows[pivot] = rows[pivot], rows[rank]
-            inv = 1 / rows[rank][col]
-            rows[rank] = [c * inv for c in rows[rank]]
-            for r in range(len(rows)):
-                if r != rank and rows[r][col] != 0:
-                    f = rows[r][col]
-                    rows[r] = [c - f * d for c, d in zip(rows[r], rows[rank])]
-            rank += 1
-        return rank
+        return len(_eliminate(self.generators)[0])
+
+    @cached_property
+    def cone(self) -> tuple[list[Point], list[set[frozenset[int]]]]:
+        """The cone R>=0 S: the generators projected onto d = dim coordinates
+        that keep their rank, and faces[k], its faces of rank k, each the set
+        of indices of the generators on it.  Facets are cut out by cofactor
+        normals of d - 1 generators; the faces of a face of rank k are its
+        intersections with facets that have rank k - 1."""
+        pivots, _ = _eliminate(self.generators)
+        gens = [tuple(g[c] for c in pivots) for g in self.generators]
+        d = len(pivots)
+        facets = set()
+        for sub in itertools.combinations(gens, d - 1):
+            normal = [
+                (-1) ** j * _eliminate([v[:j] + v[j + 1 :] for v in sub])[1]
+                for j in range(d)
+            ]
+            side = [sum(a * b for a, b in zip(normal, g)) for g in gens]
+            if any(normal) and (min(side) >= 0 or max(side) <= 0):
+                facets.add(frozenset(i for i, s in enumerate(side) if s == 0))
+        faces = [set() for _ in range(d)] + [{frozenset(range(len(gens)))}]
+        for k in range(d, 1, -1):
+            cuts = {face & facet for face in faces[k] for facet in facets}
+            faces[k - 1] = {
+                c for c in cuts if len(_eliminate([gens[i] for i in c])[0]) == k - 1
+            }
+        return gens, faces
+
+    def ehat(self) -> Fraction:
+        """The Hilbert function in degree M*n0 grows like ehat * M^(d-1).
+
+        ehat is the volume of the degree slice of the cone in the lattice ZS
+        (Bruns-Gubeladze, Polytopes, Rings, and K-Theory, ch. 6), the same
+        for S as for its normalization.  Over a pulling triangulation into
+        simplicial cones sigma of generators it is
+        n0^d / (d-1)! * sum |det sigma| / (index * prod deg g), with index
+        the gcd of the d x d minors (the covolume of ZS).
+        """
+        gens, faces = self.cone
+        d = len(gens[0])
+        degrees = [self.degree(g) for g in self.generators]
+
+        def simplices(face: frozenset[int], k: int) -> list[tuple[int, ...]]:
+            apex = min(face)
+            if k == 1:
+                return [(apex,)]
+            subs = [sub for sub in faces[k - 1] if sub <= face and apex not in sub]
+            return [s + (apex,) for sub in subs for s in simplices(sub, k - 1)]
+
+        volume = sum(
+            abs(_eliminate([gens[i] for i in s])[1]) / prod(degrees[i] for i in s)
+            for s in simplices(frozenset(range(len(gens))), d)
+        )
+        index = gcd(*(int(_eliminate(m)[1]) for m in itertools.combinations(gens, d)))
+        return self.n0 ** d * volume / (factorial(d - 1) * index)
 
     def to_json(self) -> dict:
         return {
@@ -313,12 +373,13 @@ class ConvergenceRow:
 
 
 class LatticePair:
-    """A semigroup ring together with a finite-colength monomial ideal.
+    """A semigroup ring together with a monomial ideal.
 
     The pair owns one ``SemigroupEnumeration``, built at construction to the
     largest ideal generator degree and extended in place, never rebuilt, when
     the containment search or a colength count needs a larger degree.  It
     also caches the containment exponent; every public count is exact.
+    Colengths by degree need no finite colength; the support bound does.
     """
 
     def __init__(
@@ -354,28 +415,32 @@ class LatticePair:
 
     def containment_exponent(self) -> int:
         """Least l with J^l contained in I, where J is the irrelevant ideal
-        generated by the semigroup generators.  Existence of such an l is
-        exactly the finite-colength condition; the search is capped."""
+        generated by the semigroup generators.
+
+        It exists iff I has finite colength, that is (the minimal primes of
+        a monomial ideal being face primes) iff every extremal ray of the
+        cone holds an ideal generator.  The search keeps the sums of l
+        generators outside I: a sum with a partial sum inside I is inside I.
+        """
         if self._ell is not None:
             return self._ell
-        m_mu = max(self.spec.degree(g) for g in self.spec.generators)
-        for ell in range(1, _CONTAINMENT_DEPTH_CAP + 1):
+        gens = self.spec.generators
+        _, faces = self.spec.cone
+        for g in sorted(gens[min(ray)] for ray in faces[1]):
+            if all(len(_eliminate([g, a])[0]) > 1 for a in self.ideal.generators):
+                raise ValidationError(
+                    f"no ideal generator lies on the extremal ray through {g}; "
+                    "the colength is infinite"
+                )
+        m_mu = max(self.spec.degree(g) for g in gens)
+        outside = {(0,) * self.spec.rank}
+        for ell in itertools.count(1):
             self._enum.extend(ell * m_mu)
-            ok = True
-            for combo in itertools.combinations_with_replacement(
-                self.spec.generators, ell
-            ):
-                v = tuple(map(sum, zip(*combo)))
-                if not self._in_ideal(v):
-                    ok = False
-                    break
-            if ok:
+            sums = {tuple(map(sum, zip(w, g))) for w in outside for g in gens}
+            outside = {v for v in sums if not self._in_ideal(v)}
+            if not outside:
                 self._ell = ell
                 return ell
-        raise ValidationError(
-            "no power of the irrelevant ideal lies inside the ideal up to depth "
-            f"{_CONTAINMENT_DEPTH_CAP}; colength is likely infinite"
-        )
 
     def support_bound(self) -> Fraction:
         """An x-axis bound valid for every level: all approximants vanish at

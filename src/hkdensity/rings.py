@@ -8,7 +8,9 @@ Veronese views of either.  All expose the same memoized oracle interface.
 ``hilbert_density`` returns the envelope F(x) = ehat * x^(d-1): the limit of
 the degree-windowed, q-normalized Hilbert function of the ring itself.  In
 window-index units, the sum of lengths over the n0 consecutive degrees of
-window M grows like ehat * M^(d-1).
+window M grows like ehat * M^(d-1).  ehat is exact: the Hilbert series gives
+it for complete intersections, a cone volume (``SemigroupSpec.ehat``) for
+semigroup rings, and a Veronese view scales the value of its base.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial, gcd, lcm, prod
+from math import factorial, gcd, prod
 
 from .errors import DomainError, InputError, ValidationError
 from .exact import PiecewisePoly
@@ -134,13 +136,10 @@ def _ci_extender(spec: CompleteIntersectionRing):
 
 def _semigroup_extender(spec: SemigroupSpec):
     def extend(values: list[int], upto: int) -> None:
-        # Each extension enumerates afresh and keeps only the bucket sizes.
-        # The HilbertFunction lives in the process-wide hilbert_function
-        # cache, so buckets kept for in-place extension would live as long as
-        # the process: on the closed-form benchmark workload (seed 1) that
-        # took peak RSS from 37.8 to 1371 MiB, while rebuilding per extension
-        # stays at 37.8 MiB.  The doubling in HilbertFunction.__call__ bounds
-        # the rebuild cost.
+        # Each extension enumerates afresh and keeps only the bucket sizes:
+        # the HilbertFunction lives in the process-wide hilbert_function
+        # cache, and buckets kept there would live as long as the process.
+        # The doubling in HilbertFunction.__call__ bounds the rebuild cost.
         enum = enumerate_semigroup(spec, upto)
         values[:] = [len(enum.by_degree[m]) for m in range(upto + 1)]
 
@@ -193,87 +192,23 @@ def _verify_gcd(h: HilbertFunction, n0: int, window: int) -> None:
         )
 
 
-def _degreewise_leading(spec: RingSpec) -> Fraction | None:
-    """C such that dim R_m ~ C * m^(d-1) along occupied degrees, when a
-    closed form is available (complete intersections and Veronese views of
-    them); None otherwise."""
+def _degreewise_leading(spec: RingSpec) -> Fraction:
+    """C such that dim R_m ~ C * m^(d-1) along occupied degrees."""
     if isinstance(spec, CompleteIntersectionRing):
         n0 = gcd(*spec.gen_degrees)
         num = prod(spec.rel_degrees) if spec.rel_degrees else 1
         return Fraction(n0 * num, factorial(spec.dim - 1) * prod(spec.gen_degrees))
-    if isinstance(spec, VeroneseRing):
-        c = _degreewise_leading(spec.base)
-        if c is None:
-            return None
-        return c * spec.factor ** (spec.dim - 1)
-    return None
-
-
-def _degree_period(spec: RingSpec) -> int:
-    """A period P: on each residue class mod P, the length function agrees
-    with a polynomial for all large degrees."""
-    if isinstance(spec, CompleteIntersectionRing):
-        return lcm(*spec.gen_degrees)
     if isinstance(spec, SemigroupRing):
-        return lcm(*(spec.spec.degree(g) for g in spec.spec.generators))
-    p = _degree_period(spec.base)
-    return p // gcd(p, spec.factor)
+        return spec.spec.ehat() / spec.spec.n0 ** (spec.dim - 1)
+    return _degreewise_leading(spec.base) * spec.factor ** (spec.dim - 1)
 
 
 def leading_coefficient(spec: RingSpec) -> Fraction:
     """ehat: window sums of the Hilbert function grow like ehat * M^(d-1)."""
     h = hilbert_function(spec)
-    d = h.dim
-    if d < 2:
+    if h.dim < 2:
         raise DomainError("density envelope needs dimension >= 2")
-    c = _degreewise_leading(spec)
-    if c is not None:
-        return c * h.n0 ** (d - 1)
-    # no closed form: extract the leading coefficient of the eventually
-    # quasi-polynomial window sum by (d-1)-th finite differences taken at
-    # period-aligned points, cross-checked at a shifted base point
-    p = _degree_period(spec)
-    step = p // gcd(p, h.n0)
-    denom = factorial(d - 1) * step ** (d - 1)
-
-    def alpha_at(base: int) -> Fraction:
-        vals = [h.window_sum(base + k * step) for k in range(d)]
-        diff = sum(
-            (-1) ** (d - 1 - k) * comb(d - 1, k) * v for k, v in enumerate(vals)
-        )
-        return Fraction(diff, denom)
-
-    base = step * max(2, -(-32 // step))
-    for _ in range(2):
-        a1 = alpha_at(base)
-        a2 = alpha_at(base + step)
-        if a1 == a2 and a1 > 0:
-            break
-        base *= 4
-    else:
-        raise ValidationError(
-            f"window sums not yet quasi-polynomial near index {base}: "
-            f"finite-difference slopes {a1} vs {a2}"
-        )
-    tol = Fraction(1, 50)
-    M = 2 * base
-    fit_prev = Fraction(h.window_sum(M), M ** (d - 1))
-    for _ in range(8):
-        M *= 2
-        fit = Fraction(h.window_sum(M), M ** (d - 1))
-        if fit > 0 and abs(fit_prev - fit) <= tol * fit:
-            break
-        fit_prev = fit
-    else:
-        raise ValidationError(
-            f"windowed density fits disagree beyond 2% up to index {M}: "
-            f"{fit_prev} vs {fit}"
-        )
-    if abs(fit - a1) > tol * a1:
-        raise ValidationError(
-            f"windowed fit {fit} disagrees with finite-difference slope {a1}"
-        )
-    return a1
+    return _degreewise_leading(spec) * h.n0 ** (h.dim - 1)
 
 
 def hilbert_density(spec: RingSpec) -> PiecewisePoly:

@@ -93,6 +93,44 @@ def test_density_empirical_level_one(tmp_path, capsys):
     assert g.is_continuous()
 
 
+def kxy_pair(ideal, rank=2, gens=((1, 0), (0, 1)), weights=(1, 1)) -> dict:
+    return {
+        "semigroup": {"rank": rank, "gens": [list(g) for g in gens], "weights": list(weights), "p": 2},
+        "ideal": [list(a) for a in ideal],
+    }
+
+
+def test_density_empirical_deep_containment(tmp_path, capsys):
+    # (x, y)^65 is the first power inside (x^33, y^33); the colength of the
+    # Frobenius square (x^66, y^66) is 66^2, so the integral is 66^2 / 4
+    inp = write(tmp_path, "deep.json", kxy_pair([(33, 0), (0, 33)]))
+    code, out, err = run_cli(capsys, ["density-empirical", "--in", inp, "--level", "1"])
+    assert code == 0 and err == ""
+    assert json.loads(out)["integral"] == "1089"
+
+
+SEGRE_GENS = [(1, 0, 0), (1, 1, 0), (1, 0, 1), (1, 1, 1)]
+
+
+@pytest.mark.parametrize(
+    "pair,ray",
+    [
+        (kxy_pair([(1, 0)]), "(0, 1)"),
+        (kxy_pair([(2, 0), (1, 1)]), "(0, 1)"),
+        # (2, 1, 1) lies inside the cone, off the ray through (1, 1, 1)
+        (kxy_pair([(1, 0, 0), (1, 1, 0), (1, 0, 1), (2, 1, 1)], 3, SEGRE_GENS, (1, 0, 0)), "(1, 1, 1)"),
+    ],
+)
+def test_infinite_colength_exits_2(tmp_path, capsys, pair, ray):
+    inp = write(tmp_path, "pair.json", pair)
+    for argv in (["density-empirical", "--in", inp, "--level", "1"], ["compare", "--spec", inp, "--levels", "1"]):
+        code, out, err = run_cli(capsys, argv)
+        assert code == 2 and out == ""
+        report = json.loads(err)
+        assert report["error"] == "ValidationError"
+        assert f"extremal ray through {ray}" in report["message"]
+
+
 def test_compare_csv_and_thread_byte_identity(tmp_path, capsys):
     inp = write(tmp_path, "a2.json", A2_INVARIANT_PAIR)
     argv = ["compare", "--spec", inp, "--levels", "1,2"]

@@ -1,13 +1,14 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from math import comb, factorial, gcd, lcm
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from hkdensity.errors import DomainError, InputError, ValidationError
-from hkdensity.lattice import SemigroupSpec
+from hkdensity.lattice import SemigroupEnumeration, SemigroupSpec, enumerate_semigroup
 from hkdensity.rings import (
     CompleteIntersectionRing,
     SemigroupRing,
@@ -94,13 +95,122 @@ def test_leading_coefficient_closed_form(gens, rels, want):
 
 
 def test_leading_coefficient_semigroup_matches_ci():
-    # generic finite-difference path on the toric model must agree with the
+    # the cone volume of the toric model must agree with the
     # complete-intersection closed form
     for n in (2, 3, 5):
         sg = SemigroupRing(
             SemigroupSpec.build(2, [(1, 1), (n, 0), (0, n)], (1, 1), 5)
         )
         assert leading_coefficient(sg) == leading_coefficient(a_inv(n)), n
+
+
+def finite_difference_ehat(spec: SemigroupSpec) -> Fraction:
+    """ehat read off the enumerated Hilbert function, as a reference for the
+    cone volume.  The window sums W(M) over the n0 degrees of window M are
+    eventually a quasi-polynomial whose period divides step and whose
+    leading coefficient is ehat, so the (d-1)-th finite difference with that
+    step, taken at period-aligned points, is exact there.  Two base points
+    must agree before a value is returned."""
+    d, n0 = spec.dim, spec.n0
+    period = lcm(*(spec.degree(g) for g in spec.generators))
+    step = period // gcd(period, n0)
+    base = step * max(2, -(-32 // step))
+    for _ in range(2):
+        top = base + d * step
+        enum = enumerate_semigroup(spec, top * n0 + n0 - 1)
+
+        def alpha_at(start: int) -> Fraction:
+            vals = [
+                sum(len(enum.by_degree[(start + k * step) * n0 + j]) for j in range(n0))
+                for k in range(d)
+            ]
+            diff = sum((-1) ** (d - 1 - k) * comb(d - 1, k) * v for k, v in enumerate(vals))
+            return Fraction(diff, factorial(d - 1) * step ** (d - 1))
+
+        a1, a2 = alpha_at(base), alpha_at(base + step)
+        if a1 == a2 and a1 > 0:
+            return a1
+        base *= 4
+    raise AssertionError(f"finite-difference slopes {a1} vs {a2} near window {base}")
+
+
+def quotient(n: int, p: int) -> SemigroupSpec:
+    """The invariants of (1/n)(1,1,1): all monomials of degree n in 3 variables."""
+    gens = [(a, b, n - a - b) for a in range(n + 1) for b in range(n + 1 - a)]
+    return SemigroupSpec.build(3, gens, (1, 1, 1), p)
+
+
+SEGRE_GENS = [(1, 0, 0), (1, 1, 0), (1, 0, 1), (1, 1, 1)]
+
+
+@pytest.mark.parametrize(
+    "spec,want",
+    [
+        *[(SemigroupSpec.build(2, [(1, 1), (n, 0), (0, n)], (1, 1), 5), F(2) if n == 2 else F(1, n))
+          for n in (2, 3, 5, 7)],
+        *[(SemigroupSpec.build(2, [(i, n - i) for i in range(n + 1)], (1, 1), 5), F(n))
+          for n in (3, 5, 7)],
+        (SemigroupSpec.build(3, SEGRE_GENS, (1, 0, 0), 2), F(1)),
+        (quotient(3, 2), F(9, 2)),
+        (quotient(2, 3), F(2)),
+        # not normal
+        (SemigroupSpec.build(3, [(1, 0, 0), (0, 1, 0), (1, 1, 3), (2, 0, 1)], (1, 2, 1), 2), F(11, 72)),
+        # rank 2 inside N^3
+        (SemigroupSpec.build(3, [(1, 1, 0), (0, 1, 1)], (1, 1, 1), 2), F(1)),
+        (SemigroupSpec.build(4, [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)], (1, 1, 1, 1), 2), F(1, 6)),
+    ],
+)
+def test_leading_coefficient_semigroup_pinned(spec, want):
+    assert leading_coefficient(SemigroupRing(spec)) == want
+
+
+def test_leading_coefficient_semigroup_veronese():
+    a3 = SemigroupRing(SemigroupSpec.build(2, [(1, 1), (3, 0), (0, 3)], (1, 1), 5))
+    assert leading_coefficient(VeroneseRing(a3, 2)) == F(2, 3)
+    assert leading_coefficient(VeroneseRing(a3, 2)) == leading_coefficient(VeroneseRing(a_inv(3), 2))
+
+
+def test_leading_coefficient_semigroup_enumerates_nothing(monkeypatch):
+    # a characteristic no other test uses, so no cached Hilbert function
+    # already holds the counts
+    built = []
+    init = SemigroupEnumeration.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(SemigroupEnumeration, "__init__", counting_init)
+    assert leading_coefficient(SemigroupRing(SemigroupSpec.build(3, SEGRE_GENS, (1, 0, 0), 13))) == 1
+    assert built == []
+
+
+@st.composite
+def small_semigroups(draw):
+    """Rank-2 and rank-3 semigroups, normal or not, with zero weights
+    allowed, and rank-2 semigroups embedded in N^3.  Generator degrees have
+    a small lcm, which keeps the reference enumeration small."""
+    kind = draw(st.sampled_from(["rank2", "rank3", "embedded"]))
+    size = 3 if kind == "rank3" else 2
+    top, max_weight, max_lcm = (3, 2, 12) if kind == "rank2" else (2, 1, 6)
+    vector = st.tuples(*[st.integers(0, top)] * size).filter(any)
+    gens = draw(st.lists(vector, min_size=size, max_size=size + 2, unique=True))
+    if kind == "embedded":
+        u, v = draw(st.integers(0, 1)), draw(st.integers(0, 1))
+        gens = [(a, b, u * a + v * b) for a, b in gens]
+    rank = len(gens[0])
+    weights = draw(st.lists(st.integers(0, max_weight), min_size=rank, max_size=rank))
+    degrees = [sum(w * c for w, c in zip(weights, g)) for g in gens]
+    assume(min(degrees) >= 1 and lcm(*degrees) <= max_lcm)
+    return SemigroupSpec.build(rank, gens, weights, 2)
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_semigroups())
+@example(SemigroupSpec.build(2, [(2, 0), (3, 0)], (1, 1), 2))  # d = 1, a gap at degree 1
+@example(SemigroupSpec.build(2, [(1, 1), (0, 2), (1, 2)], (0, 1), 2))  # a zero weight
+def test_ehat_matches_finite_differences(spec):
+    assert spec.ehat() == finite_difference_ehat(spec)
 
 
 def test_leading_coefficient_dim1_rejected():
