@@ -75,10 +75,11 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def _density_payload(f: PiecewisePoly) -> dict:
+    integral = pw_integrate(f)
     return {
         "density": f.to_json(),
-        "integral": rat_str(pw_integrate(f)),
-        "integral_decimal": _dec(pw_integrate(f)),
+        "integral": rat_str(integral),
+        "integral_decimal": _dec(integral),
         "support_end": rat_str(f.support_end),
     }
 
@@ -181,14 +182,15 @@ def _run_density_betti(ns: argparse.Namespace) -> str:
 def _run_density_empirical(ns: argparse.Namespace) -> str:
     pair = _load_lattice_pair(ns.infile, cap=ns.max_points)
     approx = pair.build_approximant(ns.level)
+    integral = approx.integral
     payload = {
         "command": "density-empirical",
         "level": approx.level,
         "q": approx.q,
         "f_step": approx.f_step.to_json(),
         "g_interp": approx.g_interp.to_json(),
-        "integral": rat_str(approx.integral),
-        "integral_decimal": _dec(approx.integral),
+        "integral": rat_str(integral),
+        "integral_decimal": _dec(integral),
     }
     return _json_text(payload)
 

@@ -14,10 +14,12 @@ S_m, so the colength in degree m is |S_m| minus the size of that union: an
 exact count, with no per-point membership probe.
 
 The degree-n approximants follow the defining limit of the density function:
-colengths of the q-th Frobenius power are counted degree by degree, bucketed
-into windows of n0 = gcd of occupied degrees consecutive degrees, and scaled
-by q^(d-1).  f_n is the resulting step function, constant on [M/q, (M+1)/q);
-g_n joins the window values at the grid points x = M/q by straight lines.
+colengths of the q-th Frobenius power are counted degree by degree and summed
+into windows of n0 = gcd of occupied degrees consecutive degrees.  They stay
+integers over the one denominator q^(d-1): f_n is windows[M] / q^(d-1) on
+[M/q, (M+1)/q), g_n joins those values at the grid points x = M/q by
+straight lines, and Fractions are made only for output pieces and the
+integral.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from .errors import (
     InternalError,
     ValidationError,
 )
-from .exact import PiecewisePoly, Polynomial, pw_integrate, pw_sup_distance
+from .exact import PiecewisePoly, Polynomial, pw_sup_distance
 
 Point = tuple[int, ...]
 
@@ -63,10 +65,12 @@ def enumeration_cap(cap: int | None = None) -> int:
 
 
 def _eliminate(rows) -> tuple[list[int], Fraction]:
-    """Row-reduce an integer matrix over Q: the pivot columns, which keep the
-    rank of the rows, and the determinant if the matrix is square."""
-    rows = [[Fraction(c) for c in r] for r in rows]
-    pivots, det = [], Fraction(1)
+    """Row-reduce an integer matrix fraction-free (Bareiss, Math. Comp. 22,
+    1968): the pivot columns, which keep the rank of the rows, and the
+    determinant if the matrix is square.  Each division by the previous
+    pivot is exact, since every entry it makes is a minor of the input."""
+    rows = [list(r) for r in rows]
+    pivots, sign, prev = [], 1, 1
     for col in range(len(rows[0]) if rows else 0):
         top = len(pivots)
         r = next((r for r in range(top, len(rows)) if rows[r][col]), None)
@@ -74,13 +78,14 @@ def _eliminate(rows) -> tuple[list[int], Fraction]:
             continue
         if r != top:
             rows[top], rows[r] = rows[r], rows[top]
-            det = -det
-        det *= rows[top][col]
+            sign = -sign
+        pivot = rows[top][col]
         for r in range(top + 1, len(rows)):
-            f = rows[r][col] / rows[top][col]
-            rows[r] = [a - f * b for a, b in zip(rows[r], rows[top])]
+            f = rows[r][col]
+            rows[r] = [(pivot * a - f * b) // prev for a, b in zip(rows[r], rows[top])]
+        prev = pivot
         pivots.append(col)
-    return pivots, det if len(pivots) == len(rows) else Fraction(0)
+    return pivots, Fraction(sign * prev if len(pivots) == len(rows) else 0)
 
 
 def _is_prime(p: int) -> bool:
@@ -142,7 +147,7 @@ class SemigroupSpec:
             out = gcd(out, self.degree(g))
         return out
 
-    @property
+    @cached_property
     def dim(self) -> int:
         """Rank of the lattice spanned by the generators (Krull dimension)."""
         return len(_eliminate(self.generators)[0])
@@ -354,14 +359,41 @@ def enumerate_semigroup(
 
 @dataclass(frozen=True)
 class DensityApproximant:
+    """f_n and g_n at level n from integer window counts over one
+    denominator: windows[M] is the colength summed over window M, f_n is
+    windows[M] / den on [M/q, (M+1)/q), and g_n joins the points
+    (M/q, windows[M] / den).  The last window is 0."""
+
     level: int
     q: int
-    f_step: PiecewisePoly
-    g_interp: PiecewisePoly
+    den: int
+    windows: tuple[int, ...]
 
-    @property
+    def _pieces(self, keys) -> PiecewisePoly:
+        """keys[M] / den are the coefficients of the piece on [M/q, (M+1)/q);
+        runs of equal keys are merged before any Fraction is made."""
+        breakpoints, pieces, end = [0], [], 0
+        for key, run in itertools.groupby(keys):
+            end += sum(1 for _ in run)
+            breakpoints.append(Fraction(end, self.q))
+            pieces.append(Polynomial.of(*(Fraction(c, self.den) for c in key)))
+        return PiecewisePoly.build(breakpoints, pieces)
+
+    @cached_property
+    def f_step(self) -> PiecewisePoly:
+        return self._pieces((c,) for c in self.windows)
+
+    @cached_property
+    def g_interp(self) -> PiecewisePoly:
+        # through (M/q, c_M/den) and ((M+1)/q, c_{M+1}/den)
+        return self._pieces(
+            (c0 * (m + 1) - c1 * m, (c1 - c0) * self.q)
+            for m, (c0, c1) in enumerate(itertools.pairwise(self.windows))
+        )
+
+    @cached_property
     def integral(self) -> Fraction:
-        return pw_integrate(self.f_step)
+        return Fraction(sum(self.windows), self.den * self.q)
 
 
 @dataclass(frozen=True)
@@ -506,38 +538,18 @@ class LatticePair:
             raise DomainError("level must be >= 1")
         q = self.spec.p ** level
         n0 = self.spec.n0
-        d = self.spec.dim
         bound = self.support_bound()
         max_window = int(bound * q)  # windows max_window.. are all zero
         max_degree = (max_window + 1) * n0 - 1
         counts = self.colengths_up_to(q, max_degree)
-        scale = Fraction(1, q ** (d - 1)) if d > 1 else Fraction(1)
-        values = [
-            sum(counts[window * n0 + j] for j in range(n0)) * scale
-            for window in range(max_window + 1)
-        ]
-        if values[-1] != 0:
+        windows = tuple(sum(counts[i : i + n0]) for i in range(0, len(counts), n0))
+        den = q ** (self.spec.dim - 1)
+        if windows[-1]:
             raise InternalError(
                 f"window {max_window} at q={q} should vanish by the support "
-                f"bound {bound} but counted {values[-1]}"
+                f"bound {bound} but counted {Fraction(windows[-1], den)}"
             )
-        step = Fraction(1, q)
-        f_step = PiecewisePoly.build(
-            [step * i for i in range(len(values) + 1)],
-            [Polynomial.of(v) for v in values],
-        )
-        # piecewise-linear interpolant through (M/q, f_n(M/q)), ending at 0
-        values_ext = values + [Fraction(0)]
-        g_pieces = []
-        for i in range(len(values_ext) - 1):
-            x0 = step * i
-            y0, y1 = values_ext[i], values_ext[i + 1]
-            slope = (y1 - y0) * q
-            g_pieces.append(Polynomial.of(y0 - slope * x0, slope))
-        g_interp = PiecewisePoly.build(
-            [step * i for i in range(len(values_ext))], g_pieces
-        )
-        return DensityApproximant(level, q, f_step, g_interp)
+        return DensityApproximant(level, q, den, windows)
 
     def convergence_report(
         self,

@@ -167,18 +167,22 @@ def hilbert_function(spec: RingSpec) -> HilbertFunction:
             values[:] = [base(m * spec.factor) for m in range(upto + 1)]
 
         h = HilbertFunction(extend, base.dim, n0)
-        _verify_gcd(h, n0, _gcd_window(spec))
+        # over a semigroup ring n0 is exact: the occupied degrees are a
+        # submonoid of N holding every large multiple of its gcd
+        bottom = spec.base
+        while isinstance(bottom, VeroneseRing):
+            bottom = bottom.base
+        if not isinstance(bottom, SemigroupRing):
+            _verify_gcd(h, n0, _gcd_window(spec))
         return h
     raise InputError(f"unknown ring spec {type(spec).__name__}")
 
 
-def _gcd_window(spec: RingSpec) -> int:
-    if isinstance(spec, CompleteIntersectionRing):
-        mx = max(spec.gen_degrees)
-        return max(2 * mx * mx, 2 * (sum(spec.gen_degrees) + sum(spec.rel_degrees)), 64)
+def _gcd_window(spec: CompleteIntersectionRing | VeroneseRing) -> int:
     if isinstance(spec, VeroneseRing):
         return max(1, _gcd_window(spec.base) // spec.factor + 2)
-    return 64
+    mx = max(spec.gen_degrees)
+    return max(2 * mx * mx, 2 * (sum(spec.gen_degrees) + sum(spec.rel_degrees)), 64)
 
 
 def _verify_gcd(h: HilbertFunction, n0: int, window: int) -> None:

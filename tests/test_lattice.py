@@ -16,6 +16,7 @@ from hkdensity.lattice import (
     SemigroupEnumeration,
     SemigroupSpec,
     _degree_ceiling,
+    _eliminate,
     enumerate_semigroup,
     enumeration_cap,
 )
@@ -325,6 +326,125 @@ def test_small_cap_radix_and_boundary(spec, b, cap):
         sizes[spec.degree(v)] += 1
     assert [len(s) for s in enum.by_degree] == sizes
     assert all(enum.contains(v) for v in points)
+
+
+# -- integer approximants and fraction-free elimination against the Fraction
+# code they replace --------------------------------------------------------
+
+
+def reference_approximant(pair: LatticePair, level: int) -> tuple[PiecewisePoly, PiecewisePoly]:
+    """f_n and g_n built piece by piece in Fractions from the colengths."""
+    q = pair.spec.p ** level
+    n0 = pair.spec.n0
+    d = pair.spec.dim
+    max_window = int(pair.support_bound() * q)
+    counts = pair.colengths_up_to(q, (max_window + 1) * n0 - 1)
+    scale = Fraction(1, q ** (d - 1)) if d > 1 else Fraction(1)
+    values = [
+        sum(counts[window * n0 + j] for j in range(n0)) * scale
+        for window in range(max_window + 1)
+    ]
+    step = Fraction(1, q)
+    f_step = PiecewisePoly.build(
+        [step * i for i in range(len(values) + 1)],
+        [Polynomial.of(v) for v in values],
+    )
+    values_ext = values + [Fraction(0)]
+    g_pieces = []
+    for i in range(len(values_ext) - 1):
+        x0 = step * i
+        y0, y1 = values_ext[i], values_ext[i + 1]
+        slope = (y1 - y0) * q
+        g_pieces.append(Polynomial.of(y0 - slope * x0, slope))
+    g_interp = PiecewisePoly.build([step * i for i in range(len(values_ext))], g_pieces)
+    return f_step, g_interp
+
+
+def assert_matches_reference(pair: LatticePair, level: int) -> None:
+    approx = pair.build_approximant(level)
+    f_step, g_interp = reference_approximant(pair, level)
+    assert approx.f_step == f_step
+    assert approx.g_interp == g_interp
+    assert approx.integral == pw_integrate(approx.f_step)
+
+
+@st.composite
+def staircase_levels(draw):
+    """A staircase ideal of k[x,y], x^a_i y^b_i with the a_i falling to 0
+    and the b_i rising from 0, under one of three gradings, with a level
+    whose enumeration stays small: q times the support bound is at most 600
+    unless the level is 1."""
+    k = draw(st.integers(1, 3))
+    exponents = st.lists(st.integers(1, 3), min_size=k, max_size=k, unique=True)
+    a, b = sorted(draw(exponents), reverse=True), sorted(draw(exponents))
+    weights = draw(st.sampled_from([(1, 1), (1, 2), (2, 2)]))
+    p = draw(st.sampled_from([2, 3, 5]))
+    pair = LatticePair(
+        SemigroupSpec.build(2, [(1, 0), (0, 1)], weights, p),
+        MonomialIdealSpec.build(zip(a + [0], [0] + b)),
+    )
+    bound = pair.support_bound()
+    return pair, draw(st.sampled_from([n for n in (1, 2, 3) if n == 1 or p**n * bound <= 600]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(staircase_levels())
+def test_approximant_matches_fraction_reference(pair_level):
+    assert_matches_reference(*pair_level)
+
+
+@pytest.mark.parametrize("level", [1, 2])
+def test_segre_approximant_matches_fraction_reference(level):
+    assert_matches_reference(LatticePair(SEGRE, MonomialIdealSpec.build(SEGRE.generators)), level)
+
+
+def reference_eliminate(rows) -> tuple[list[int], Fraction]:
+    """Row reduction over Q: pivot columns and the determinant if square."""
+    rows = [[Fraction(c) for c in r] for r in rows]
+    pivots, det = [], Fraction(1)
+    for col in range(len(rows[0]) if rows else 0):
+        top = len(pivots)
+        r = next((r for r in range(top, len(rows)) if rows[r][col]), None)
+        if r is None:
+            continue
+        if r != top:
+            rows[top], rows[r] = rows[r], rows[top]
+            det = -det
+        det *= rows[top][col]
+        for r in range(top + 1, len(rows)):
+            f = rows[r][col] / rows[top][col]
+            rows[r] = [a - f * b for a, b in zip(rows[r], rows[top])]
+        pivots.append(col)
+    return pivots, det if len(pivots) == len(rows) else Fraction(0)
+
+
+@st.composite
+def integer_matrices(draw):
+    """0-5 rows of 1-5 integers, square half the time; a row is drawn at
+    random, zero, or an integer combination of the rows before it."""
+    cols = draw(st.integers(1, 5))
+    rows = []
+    for _ in range(draw(st.one_of(st.just(cols), st.integers(0, 5)))):
+        kind = draw(st.sampled_from(["random", "random", "random", "zero", "dependent"]))
+        if kind == "zero":
+            rows.append([0] * cols)
+        elif kind == "dependent" and rows:
+            mult = draw(st.lists(st.integers(-2, 2), min_size=len(rows), max_size=len(rows)))
+            rows.append([sum(k * r[j] for k, r in zip(mult, rows)) for j in range(cols)])
+        else:
+            rows.append(draw(st.lists(st.integers(-4, 4), min_size=cols, max_size=cols)))
+    return rows
+
+
+@settings(max_examples=200, deadline=None)
+@given(integer_matrices())
+@example([])
+@example([[0, 1], [1, 0]])
+@example([[2, 1, 0], [1, 3, 1], [0, 1, 4]])
+def test_eliminate_matches_fraction_reference(rows):
+    pivots, det = _eliminate(rows)
+    assert (pivots, det) == reference_eliminate(rows)
+    assert type(det) is Fraction
 
 
 def test_enumeration_cap_env(monkeypatch):

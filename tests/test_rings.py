@@ -168,11 +168,18 @@ def test_leading_coefficient_semigroup_veronese():
     a3 = SemigroupRing(SemigroupSpec.build(2, [(1, 1), (3, 0), (0, 3)], (1, 1), 5))
     assert leading_coefficient(VeroneseRing(a3, 2)) == F(2, 3)
     assert leading_coefficient(VeroneseRing(a3, 2)) == leading_coefficient(VeroneseRing(a_inv(3), 2))
+    # no degree below 70 is occupied, so a gcd check over a window of the
+    # first 66 degrees would reject this ring
+    wide = SemigroupRing(SemigroupSpec.build(2, [(1, 0), (0, 1)], (70, 71), 2))
+    assert leading_coefficient(VeroneseRing(wide, 1)) == F(1, 4970)
 
 
-def test_leading_coefficient_semigroup_enumerates_nothing(monkeypatch):
-    # a characteristic no other test uses, so no cached Hilbert function
-    # already holds the counts
+@pytest.fixture
+def enumerations(monkeypatch) -> list:
+    """The arguments of every SemigroupEnumeration built during the test.
+
+    The rings below use characteristics no other test uses, so no cached
+    Hilbert function already holds their counts."""
     built = []
     init = SemigroupEnumeration.__init__
 
@@ -181,8 +188,20 @@ def test_leading_coefficient_semigroup_enumerates_nothing(monkeypatch):
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(SemigroupEnumeration, "__init__", counting_init)
+    return built
+
+
+def test_leading_coefficient_semigroup_enumerates_nothing(enumerations):
     assert leading_coefficient(SemigroupRing(SemigroupSpec.build(3, SEGRE_GENS, (1, 0, 0), 13))) == 1
-    assert built == []
+    assert enumerations == []
+
+
+def test_leading_coefficient_semigroup_veronese_enumerates_nothing(enumerations):
+    # n0 of a Veronese view of a semigroup ring is exact, so no window of
+    # the base is enumerated to check it
+    a3 = SemigroupRing(SemigroupSpec.build(2, [(1, 1), (3, 0), (0, 3)], (1, 1), 17))
+    assert leading_coefficient(VeroneseRing(a3, 2)) == F(2, 3)
+    assert enumerations == []
 
 
 @st.composite
