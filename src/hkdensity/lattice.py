@@ -13,6 +13,13 @@ translates S_{m - q deg a} + q a over the ideal generators a, which all lie in
 S_m, so the colength in degree m is |S_m| minus the size of that union: an
 exact count, with no per-point membership probe.
 
+Counting stops at the first run of m_mu consecutive degrees with colength 0,
+m_mu the largest generator degree, and every later degree has colength 0 too:
+a point x of degree D >= m0 + m_mu is y + g for a generator g with
+m0 <= deg y < D, so by induction on D, zero colength on [m0, m0 + m_mu)
+puts every point of degree >= m0 in I^[q].  The semigroup is enumerated only
+as far as the counting reaches.
+
 The degree-n approximants follow the defining limit of the density function:
 colengths of the q-th Frobenius power are counted degree by degree and summed
 into windows of n0 = gcd of occupied degrees consecutive degrees.  They stay
@@ -30,6 +37,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import comb, factorial, gcd, prod
+from typing import Iterator
 
 from .errors import (
     CapacityError,
@@ -146,6 +154,11 @@ class SemigroupSpec:
         for g in self.generators:
             out = gcd(out, self.degree(g))
         return out
+
+    @cached_property
+    def m_mu(self) -> int:
+        """The largest generator degree."""
+        return max(self.degree(g) for g in self.generators)
 
     @cached_property
     def dim(self) -> int:
@@ -265,7 +278,7 @@ def _degree_ceiling(spec: SemigroupSpec, cap: int) -> int:
             hi = mid
         else:
             lo = mid + 1
-    return lo * max(spec.degree(g) for g in spec.generators)
+    return lo * spec.m_mu
 
 
 class SemigroupEnumeration:
@@ -305,32 +318,43 @@ class SemigroupEnumeration:
             code = code * self.radix + c
         return code
 
-    def extend(self, max_degree: int) -> None:
-        """Build the missing buckets up to max_degree.
+    def degrees(self, max_degree: int) -> Iterator[int]:
+        """Yield the degrees 0..max_degree, building each missing bucket just
+        before its degree is yielded, so a caller that stops early enumerates
+        no further.
 
         A max_degree at or past the ceiling holds more than cap points, so it
         raises ``CapacityError`` before any bucket is built.  Below it the
         exact count is checked after each degree, before the next one is
         built, and a degree that would take it past the cap is not kept.
+        Either error names max_degree, the bound asked for.
         """
         if max_degree >= self._ceiling:
             raise self._capacity_error(max_degree)
         buckets = self.by_degree
-        for m in range(len(buckets), max_degree + 1):
-            bucket: set[int] = set()
-            for gdeg, code in self._gens:
-                if gdeg <= m:
-                    bucket.update(map(code.__add__, buckets[m - gdeg]))
-            if self.count + len(bucket) > self.cap:
-                raise self._capacity_error(max_degree)
-            buckets.append(bucket)
-            self.count += len(bucket)
+        for m in range(max_degree + 1):
+            if m == len(buckets):
+                bucket: set[int] = set()
+                for gdeg, code in self._gens:
+                    if gdeg <= m:
+                        bucket.update(map(code.__add__, buckets[m - gdeg]))
+                if self.count + len(bucket) > self.cap:
+                    raise self._capacity_error(max_degree)
+                buckets.append(bucket)
+                self.count += len(bucket)
+            yield m
+
+    def extend(self, max_degree: int) -> None:
+        """Build the missing buckets up to max_degree (see ``degrees``)."""
+        for _ in self.degrees(max_degree):
+            pass
 
     def _capacity_error(self, max_degree: int) -> CapacityError:
         return CapacityError(
             f"semigroup enumeration exceeded cap of {self.cap} points "
             f"(degree bound {max_degree}); raise {_MAX_POINTS_ENV} "
-            "or lower the level"
+            f"or lower the level; every degree bound from {self._ceiling} "
+            "up exceeds this cap"
         )
 
     def contains(self, v: Point) -> bool:
@@ -464,10 +488,9 @@ class LatticePair:
                     f"no ideal generator lies on the extremal ray through {g}; "
                     "the colength is infinite"
                 )
-        m_mu = max(self.spec.degree(g) for g in gens)
         outside = {(0,) * self.spec.rank}
         for ell in itertools.count(1):
-            self._enum.extend(ell * m_mu)
+            self._enum.extend(ell * self.spec.m_mu)
             sums = {tuple(map(sum, zip(w, g))) for w in outside for g in gens}
             outside = {v for v in sums if not self._in_ideal(v)}
             if not outside:
@@ -479,12 +502,15 @@ class LatticePair:
         and beyond it.  With m_mu the largest generator degree, s the number
         of ideal generators and l the containment exponent, colengths vanish
         in all ambient degrees >= m_mu*l*s*q, hence the window index bound
-        ceil(m_mu*l*s / n0) works for every q simultaneously."""
-        m_mu = max(self.spec.degree(g) for g in self.spec.generators)
+        ceil(m_mu*l*s / n0) works for every q simultaneously.
+
+        The bound is a priori and often s times too far.  It is the loop
+        limit of the colength count and the self-check on its last window,
+        not the range counted: counting stops at the first run of m_mu zero
+        degrees (see ``colengths_up_to``)."""
         s = len(self.ideal.generators)
         ell = self.containment_exponent()
-        n0 = self.spec.n0
-        return Fraction(-(-m_mu * ell * s // n0))
+        return Fraction(-(-self.spec.m_mu * ell * s // self.spec.n0))
 
     # -- colengths ---------------------------------------------------------
 
@@ -526,10 +552,23 @@ class LatticePair:
         return self._colength(q, m)
 
     def colengths_up_to(self, q: int, max_m: int) -> list[int]:
-        """Colength of the q-th Frobenius power in each degree 0..max_m."""
+        """Colength of the q-th Frobenius power in each degree 0..max_m.
+
+        Counting stops after the first run of m_mu consecutive degrees with
+        colength 0, and the degrees after it are 0: a point of degree
+        D >= m0 + m_mu is y + g for a generator g with m0 <= deg y < D, so
+        zero colength on [m0, m0 + m_mu) gives zero colength in every degree
+        >= m0, by induction on D.  The enumeration is extended only as far as
+        the count goes, but a max_m at or past the degree ceiling still fails
+        before any bucket is built."""
         self._check_q(q)
-        self._enum.extend(max_m)
-        return [self._colength(q, m) for m in range(max_m + 1)]
+        counts, zeros = [], 0
+        for m in self._enum.degrees(max_m):
+            counts.append(self._colength(q, m))
+            zeros = 0 if counts[m] else zeros + 1
+            if zeros == self.spec.m_mu:
+                break
+        return counts + [0] * (max_m + 1 - len(counts))
 
     # -- approximants ------------------------------------------------------
 

@@ -7,6 +7,7 @@ import pytest
 
 from hkdensity.cli import main
 from hkdensity.exact import PiecewisePoly, Polynomial, rat
+from hkdensity.lattice import SemigroupEnumeration
 
 F = Fraction
 
@@ -274,6 +275,37 @@ def test_exit_code_capacity(tmp_path, capsys):
     )
     assert code == 3 and out == ""
     assert json.loads(err)["error"] == "CapacityError"
+
+
+def test_capacity_fails_before_enumerating(tmp_path, capsys, monkeypatch):
+    # level 30 on k[x,y] with ideal (x, y) needs degree 2^31, far past the
+    # degree ceiling 9999 of the default cap
+    monkeypatch.delenv("HKDL_MAX_POINTS", raising=False)
+    built = []
+    original = SemigroupEnumeration.__init__
+
+    def recording(self, *args, **kwargs):
+        built.append(self)
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(SemigroupEnumeration, "__init__", recording)
+    plane = {
+        "semigroup": {"rank": 2, "gens": [[1, 0], [0, 1]], "weights": [1, 1], "p": 2},
+        "ideal": [[1, 0], [0, 1]],
+    }
+    inp = write(tmp_path, "plane.json", plane)
+    target = tmp_path / "out.json"
+    code, out, err = run_cli(
+        capsys,
+        ["density-empirical", "--in", inp, "--level", "30", "--out", str(target)],
+    )
+    assert code == 3 and out == "" and not target.exists()
+    report = json.loads(err)
+    assert report["error"] == "CapacityError"
+    assert "(degree bound 2147483648)" in report["message"]
+    assert "every degree bound from 9999 up" in report["message"]
+    # the one enumeration holds 1, x and y: the ideal generators' degree
+    assert [e.count for e in built] == [3]
 
 
 @pytest.mark.parametrize("cap", ["0", "-5"])

@@ -201,6 +201,30 @@ def test_capacity_fails_before_enumerating_to_the_ceiling():
     assert enum.max_degree == 0 and enum.count == 1
 
 
+def test_capacity_error_names_the_ceiling():
+    # C(10001, 2) = 50,005,000 is the first C(k + 2, 2) past the default cap
+    assert _degree_ceiling(plane(), DEFAULT_MAX_POINTS) == 9999
+    enum = enumerate_semigroup(plane(), 0, cap=DEFAULT_MAX_POINTS)
+    with pytest.raises(CapacityError, match=r"every degree bound from 9999 up exceeds"):
+        enum.extend(2**31)
+    assert enum.count == 1
+
+
+def test_capacity_error_midway_names_the_requested_bound():
+    # k[xy, x^2, y^2] holds m + 1 points in each even degree m: 100 up to
+    # degree 18, 121 up to degree 20, below the ceiling 26 of cap 100.
+    # At q = 16 every degree below 32 has positive colength, so the count
+    # runs into the cap at degree 20 and reports the bound asked for.
+    pair = LatticePair(
+        a_spec(2, 2), MonomialIdealSpec.build([(1, 1), (2, 0), (0, 2)]), cap=100
+    )
+    assert _degree_ceiling(pair.spec, 100) == 26
+    message = r"cap of 100 points \(degree bound 24\).* from 26 up"
+    with pytest.raises(CapacityError, match=message):
+        pair.colengths_up_to(16, 24)
+    assert pair._enum.max_degree == 19 and pair._enum.count == 100
+
+
 def test_convergence_report_enumerates_once(monkeypatch):
     built = []
     original = SemigroupEnumeration.__init__
@@ -328,6 +352,66 @@ def test_small_cap_radix_and_boundary(spec, b, cap):
     assert all(enum.contains(v) for v in points)
 
 
+# -- the colength stop rule against per-degree reference counts ------------
+
+
+@st.composite
+def staircase_pairs(draw, weights):
+    """A staircase ideal of k[x,y], x^a_i y^b_i with the a_i falling to 0
+    and the b_i rising from 0, under one of the given gradings."""
+    k = draw(st.integers(1, 3))
+    exponents = st.lists(st.integers(1, 3), min_size=k, max_size=k, unique=True)
+    a, b = sorted(draw(exponents), reverse=True), sorted(draw(exponents))
+    weights = draw(st.sampled_from(weights))
+    p = draw(st.sampled_from([2, 3, 5]))
+    return LatticePair(
+        SemigroupSpec.build(2, [(1, 0), (0, 1)], weights, p),
+        MonomialIdealSpec.build(zip(a + [0], [0] + b)),
+    )
+
+
+@settings(max_examples=80, deadline=None)
+@given(staircase_pairs([(1, 1), (2, 2), (2, 3), (1, 4)]), st.integers(1, 2), st.integers(0, 120))
+@example(
+    LatticePair(
+        SemigroupSpec.build(2, [(1, 0), (0, 1)], (1, 4), 2),
+        MonomialIdealSpec.build([(2, 0), (1, 1), (0, 3)]),
+    ),
+    2,
+    120,
+)
+def test_stopped_colengths_match_per_degree_reference(pair, e, max_m):
+    """Counting stops after the first m_mu zero degrees and pads with zeros.
+
+    With n0 > 1 or m_mu > 1 the zero run can hold degrees where the
+    semigroup is empty; the enumeration reaches no further than the stop."""
+    spec, q, m_mu = pair.spec, pair.spec.p**e, pair.spec.m_mu
+    probe = pair._enum.max_degree
+    want = reference_colengths(spec, pair.ideal, q, max_m)
+    assert pair.colengths_up_to(q, max_m) == want
+    stop = next(
+        (m for m in range(m_mu - 1, max_m + 1) if not any(want[m - m_mu + 1 : m + 1])),
+        max_m,
+    )
+    assert pair._enum.max_degree == max(probe, stop)
+
+
+def test_quotient_111_level_4_within_cap():
+    # (1/3)(1,1,1): the ten degree-3 monomials of k[x,y,z] and the ideal
+    # they generate.  The support bound needs degree 482 and over 10^6
+    # points; counting stops at degree 78.
+    gens = [g for g in itertools.product(range(4), repeat=3) if sum(g) == 3]
+    spec = SemigroupSpec.build(3, gens, (1, 1, 1), 2)
+    pair = LatticePair(spec, MonomialIdealSpec.build(gens), cap=10**6)
+    assert pair.build_approximant(4).integral == F(13651, 4096)
+
+
+def test_segre_level_5_within_cap():
+    # the support bound needs degree 128, 723,905 points
+    pair = LatticePair(SEGRE, MonomialIdealSpec.build(SEGRE.generators), cap=500_000)
+    assert pair.build_approximant(5).integral == F(1365, 1024)
+
+
 # -- integer approximants and fraction-free elimination against the Fraction
 # code they replace --------------------------------------------------------
 
@@ -374,16 +458,8 @@ def staircase_levels(draw):
     and the b_i rising from 0, under one of three gradings, with a level
     whose enumeration stays small: q times the support bound is at most 600
     unless the level is 1."""
-    k = draw(st.integers(1, 3))
-    exponents = st.lists(st.integers(1, 3), min_size=k, max_size=k, unique=True)
-    a, b = sorted(draw(exponents), reverse=True), sorted(draw(exponents))
-    weights = draw(st.sampled_from([(1, 1), (1, 2), (2, 2)]))
-    p = draw(st.sampled_from([2, 3, 5]))
-    pair = LatticePair(
-        SemigroupSpec.build(2, [(1, 0), (0, 1)], weights, p),
-        MonomialIdealSpec.build(zip(a + [0], [0] + b)),
-    )
-    bound = pair.support_bound()
+    pair = draw(staircase_pairs([(1, 1), (1, 2), (2, 2)]))
+    p, bound = pair.spec.p, pair.support_bound()
     return pair, draw(st.sampled_from([n for n in (1, 2, 3) if n == 1 or p**n * bound <= 600]))
 
 
