@@ -5,8 +5,16 @@ pairs (r, s) meaning r + s*sqrt(disc).  disc is attached to the polynomial;
 None means plain rationals.  A 2x3 presentation matrix determines an ideal
 through its signed 2x2 minors; ``match_generators`` compares those minors
 against a claimed generating set in two tiers: per-generator proportionality
-under a degree-compatible permutation, then exact graded ideal equality via
-row reduction of the graded pieces.
+under a degree-compatible permutation, then exact graded ideal equality at
+the generator degrees.
+
+The graded pieces are compared by a sparse integer echelon.  Each row, a
+shifted copy of a generator, is a dict of its nonzero integer entries after
+clearing denominators; elimination is fraction-free, each step dividing the
+new row by the gcd of its entries.  Over Q(sqrt(disc)) the Q-linear embedding
+r + s*u -> (r | s) turns a K-subspace into a Q-subspace: each K-row v
+contributes the two Q-rows v and u*v, so ranks double and no quadratic-field
+arithmetic enters the elimination.
 """
 
 from __future__ import annotations
@@ -14,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
-from math import isqrt
+from math import gcd, isqrt, lcm
 
 from .errors import InputError, ValidationError
 
@@ -118,7 +126,10 @@ class BivariatePoly:
         return not self.terms
 
     def with_disc(self, disc: int | None) -> "BivariatePoly":
-        return BivariatePoly.build(self.terms, _merge_disc(self.disc, disc))
+        merged = _merge_disc(self.disc, disc)
+        if merged == self.disc:
+            return self
+        return BivariatePoly.build(self.terms, merged)
 
     def __add__(self, other: "BivariatePoly") -> "BivariatePoly":
         disc = _merge_disc(self.disc, other.disc)
@@ -226,54 +237,74 @@ def proportional(p: BivariatePoly, q: BivariatePoly) -> Coef | None:
     return None
 
 
-def _rref(rows: list[list[Coef]], disc: int | None) -> tuple[tuple[Coef, ...], ...]:
-    mat = [list(r) for r in rows]
-    nrows = len(mat)
-    ncols = len(mat[0]) if mat else 0
-    pivot_row = 0
-    for col in range(ncols):
-        sel = next(
-            (r for r in range(pivot_row, nrows) if not _c_is_zero(mat[r][col])),
-            None,
-        )
-        if sel is None:
-            continue
-        mat[pivot_row], mat[sel] = mat[sel], mat[pivot_row]
-        inv = mat[pivot_row][col]
-        # rows are sparse: zero entries are kept, not multiplied through
-        mat[pivot_row] = [
-            v if _c_is_zero(v) else _c_div(v, inv, disc) for v in mat[pivot_row]
-        ]
-        for r in range(nrows):
-            if r != pivot_row and not _c_is_zero(mat[r][col]):
-                factor = mat[r][col]
-                mat[r] = [
-                    v if _c_is_zero(w) else _c_add(v, _c_neg(_c_mul(factor, w, disc)))
-                    for v, w in zip(mat[r], mat[pivot_row])
-                ]
-        pivot_row += 1
-        if pivot_row == nrows:
-            break
-    out = [tuple(r) for r in mat if any(not _c_is_zero(v) for v in r)]
-    return tuple(sorted(out, reverse=True))
+def _int_rows(g: BivariatePoly, disc: int | None) -> list[dict[int, int]]:
+    """Primitive integer rows whose Q-span is the K-line through g.
+
+    Over Q the column key of a term is its x1 exponent a.  Over
+    K = Q(sqrt(disc)) a coefficient r + s*u (u^2 = disc) sits at keys 2a (r)
+    and 2a + 1 (s), and the K-line through g is spanned over Q by g and u*g,
+    whose coefficients are disc*s + r*u.  So every rank over Q is twice the
+    rank over K.
+    """
+    den = lcm(*(x.denominator for _, _, c in g.terms for x in c))
+    if disc is None:
+        return [_primitive({a: int(r * den) for a, _, (r, _) in g.terms})]
+    row: dict[int, int] = {}
+    u_row: dict[int, int] = {}
+    for a, _, (r, s) in g.terms:
+        r, s = int(r * den), int(s * den)
+        for out, key, v in (
+            (row, 2 * a, r),
+            (row, 2 * a + 1, s),
+            (u_row, 2 * a, disc * s),
+            (u_row, 2 * a + 1, r),
+        ):
+            if v:
+                out[key] = v
+    return [_primitive(row), _primitive(u_row)]
 
 
-def _graded_piece(gens: list[BivariatePoly], m: int, disc: int | None):
-    """Row space basis of the degree-m piece of the ideal the gens generate."""
-    rows = []
-    for g in gens:
-        dg = g.degree()
-        if g.is_zero() or dg > m:
-            continue
-        for i in range(m - dg + 1):
-            shifted = g * BivariatePoly.mono(i, m - dg - i)
-            vec = [C_ZERO] * (m + 1)
-            for a, _, c in shifted.with_disc(disc).terms:
-                vec[a] = c
-            rows.append(vec)
-    if not rows:
-        return tuple()
-    return _rref(rows, disc)
+def _primitive(row: dict[int, int]) -> dict[int, int]:
+    c = gcd(*row.values())
+    return row if c == 1 else {k: v // c for k, v in row.items()}
+
+
+def _reduce(row: dict[int, int], pivots: dict[int, dict[int, int]]) -> dict[int, int]:
+    """Reduce row by the echelon rows whose leading key it meets; an empty
+    result means row lies in their span.  Fraction-free: each step forms
+    a*row - b*pivot with a/b the reduced ratio of the two leading entries,
+    then divides by the gcd of the entries."""
+    while row:
+        lead = min(row)
+        piv = pivots.get(lead)
+        if piv is None:
+            return row
+        a, b = piv[lead], row[lead]
+        g = gcd(a, b)
+        a, b = a // g, b // g
+        out = {k: a * v for k, v in row.items()}
+        for k, v in piv.items():
+            x = out.get(k, 0) - b * v
+            if x:
+                out[k] = x
+            else:
+                del out[k]
+        row = _primitive(out)
+    return row
+
+
+def _echelon(gens, m: int, width: int) -> dict[int, dict[int, int]]:
+    """Echelon rows of the degree-m piece, keyed by leading key.  gens holds
+    (degree, integer rows) per generator; the multiple x1^i x2^(m-d-i) of a
+    row shifts its keys by width*i."""
+    pivots: dict[int, dict[int, int]] = {}
+    for d, rows in gens:
+        for i in range(m - d + 1):
+            for base in rows:
+                row = _reduce({k + width * i: v for k, v in base.items()}, pivots)
+                if row:
+                    pivots[min(row)] = row
+    return pivots
 
 
 def graded_ideal_equal(
@@ -283,16 +314,26 @@ def graded_ideal_equal(
 
     Only the generator degrees of both sets are compared, in ascending
     order.  Equal pieces there put each generator of one set in the other
-    ideal, so both containments hold; unequal pieces refute equality.
+    ideal, so both containments hold; unequal pieces refute equality.  Two
+    pieces are equal iff their ranks agree and every echelon row of one
+    reduces to zero against the echelon of the other.
     """
     disc = None
     for g in [*gens_a, *gens_b]:
         if not g.is_homogeneous():
             raise ValidationError("ideal comparison needs homogeneous generators")
         disc = _merge_disc(disc, g.disc)
-    degrees = sorted({g.degree() for g in [*gens_a, *gens_b] if not g.is_zero()})
+    width = 1 if disc is None else 2
+    sides = [
+        [(g.degree(), _int_rows(g, disc)) for g in gens if not g.is_zero()]
+        for gens in (gens_a, gens_b)
+    ]
+    degrees = sorted({d for side in sides for d, _ in side})
     for m in degrees:
-        if _graded_piece(gens_a, m, disc) != _graded_piece(gens_b, m, disc):
+        piece_a, piece_b = (_echelon(side, m, width) for side in sides)
+        if len(piece_a) != len(piece_b) or any(
+            _reduce(row, piece_b) for row in piece_a.values()
+        ):
             return False
     return True
 
@@ -315,28 +356,20 @@ def match_generators(matrix, gens) -> MinorMatchReport:
     deg_ok, notes = matrix_degree_report(matrix)
     notes = list(notes)
 
-    best_perm = None
-    best_hits = -1
-    for perm in permutations(range(3)):
-        hits = sum(
-            1 for i in range(3) if proportional(minors[perm[i]], gens[i]) is not None
-        )
-        if hits > best_hits:
-            best_hits = hits
-            best_perm = perm
-    matched = [
-        "proportional"
-        if proportional(minors[best_perm[i]], gens[i]) is not None
-        else "unmatched"
-        for i in range(3)
-    ]
-    for i in range(3):
-        if matched[i] == "proportional":
-            c = proportional(minors[best_perm[i]], gens[i])
+    table = [[proportional(minors[j], gens[i]) for i in range(3)] for j in range(3)]
+    # first maximal permutation in permutations() order
+    best_perm = max(
+        permutations(range(3)),
+        key=lambda perm: sum(table[perm[i]][i] is not None for i in range(3)),
+    )
+    scalars = [table[best_perm[i]][i] for i in range(3)]
+    matched = ["unmatched" if c is None else "proportional" for c in scalars]
+    for i, c in enumerate(scalars):
+        if c is not None:
             notes.append(
                 f"minor {best_perm[i] + 1} = {_c_str(c)} * generator {i + 1}"
             )
-    if best_hits == 3:
+    if None not in scalars:
         return MinorMatchReport(minors, deg_ok, tuple(matched), "ok", tuple(notes))
 
     if graded_ideal_equal(list(minors), gens):

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import prod
 
 from .errors import DomainError, ValidationError
@@ -65,7 +66,7 @@ class DensityPair:
     def ehat(self) -> Fraction:
         return self.F.tail.coeffs[-1]
 
-    @property
+    @cached_property
     def ehk(self) -> Fraction:
         return pw_integrate(self.f)
 

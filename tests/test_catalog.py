@@ -166,12 +166,14 @@ def test_e8_verdict_clean():
 
 
 def test_minor_checks():
-    assert catalog_minor_check(catalog_entry("A", 2)).verdict == "ok"
-    a5 = catalog_minor_check(catalog_entry("A", 5))
-    assert a5.per_generator == ("proportional",) * 3
-    d4 = catalog_minor_check(catalog_entry("D", 4))
-    assert d4.verdict == "mismatch"
-    assert d4.per_generator == ("proportional", "unmatched", "unmatched")
+    for n in range(2, 51):
+        a = catalog_minor_check(catalog_entry("A", n))
+        assert (a.verdict, a.per_generator) == ("ok", ("proportional",) * 3), n
+        d = catalog_minor_check(catalog_entry("D", n))
+        assert (d.verdict, d.per_generator) == (
+            "mismatch",
+            ("proportional", "unmatched", "unmatched"),
+        ), n
     assert catalog_minor_check(catalog_entry("E6")).per_generator == (
         "proportional",
     ) * 3
