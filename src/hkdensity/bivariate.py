@@ -29,7 +29,6 @@ from .errors import InputError, ValidationError
 Coef = tuple[Fraction, Fraction]
 
 C_ZERO: Coef = (Fraction(0), Fraction(0))
-C_ONE: Coef = (Fraction(1), Fraction(0))
 
 
 def _coerce_coef(c) -> Coef:

@@ -23,7 +23,7 @@ from fractions import Fraction
 from .catalog import catalog_density, catalog_entry, catalog_minor_check
 from .combinators import DensityPair, rescale_density, segre
 from .errors import CapacityError, HKDError, InputError, ValidationError
-from .exact import PiecewisePoly, pw_integrate, rat, rat_str
+from .exact import PiecewisePoly, json_int, pw_integrate, rat, rat_str
 from .hn import HNData, dim2_pair_density, hn_density
 from .lattice import LatticePair, MonomialIdealSpec, SemigroupSpec
 from .resolution import BettiTable, closed_form_density, ehk_closed_form
@@ -74,8 +74,7 @@ def _emit(text: str, out: str | None) -> None:
             fh.write(text)
 
 
-def _density_payload(f: PiecewisePoly) -> dict:
-    integral = pw_integrate(f)
+def _density_payload(f: PiecewisePoly, integral: Fraction) -> dict:
     return {
         "density": f.to_json(),
         "integral": rat_str(integral),
@@ -97,7 +96,7 @@ def _load_pair(path: str) -> DensityPair:
         return DensityPair(
             PiecewisePoly.from_json(data["F"]),
             PiecewisePoly.from_json(data["f"]),
-            int(data["d"]),
+            json_int(data["d"], f"{path}: density pair 'd'"),
         )
     except (KeyError, TypeError) as exc:
         raise InputError(f"{path}: density pair JSON needs F, f, d ({exc})") from None
@@ -164,9 +163,11 @@ def _run_density_betti(ns: argparse.Namespace) -> str:
             ehat = rat(data["ehat"])
         except KeyError:
             raise InputError("input needs either a 'ring' or an explicit 'ehat'") from None
-        n0 = int(data.get("n0", 1))
+        n0 = json_int(data.get("n0", 1), "'n0'")
     f = closed_form_density(betti, ehat, n0)
-    ehk = ehk_closed_form(betti, ehat, n0)
+    # the formula value, checked equal to the integral of f, so it is also
+    # the payload's integral
+    ehk = ehk_closed_form(f, betti, ehat, n0)
     payload = {
         "command": "density-betti",
         "d": betti.d,
@@ -174,7 +175,7 @@ def _run_density_betti(ns: argparse.Namespace) -> str:
         "ehat": rat_str(ehat),
         "ehk": rat_str(ehk),
         "ehk_decimal": _dec(ehk),
-        **_density_payload(f),
+        **_density_payload(f, ehk),
     }
     return _json_text(payload)
 
@@ -234,7 +235,7 @@ def _run_rescale(ns: argparse.Namespace) -> str:
         raise InputError("l0 and rank must be >= 1")
     f = _load_density(ns.infile)
     out = rescale_density(f, ns.l0, ns.rank)
-    return _json_text({"command": "rescale", **_density_payload(out)})
+    return _json_text({"command": "rescale", **_density_payload(out, pw_integrate(out))})
 
 
 def _run_catalog(ns: argparse.Namespace) -> str:
@@ -292,7 +293,7 @@ def _run_hn2(ns: argparse.Namespace) -> str:
         f = hn_density(v)
     else:
         f = dim2_pair_density(v, twists, v.d)
-    return _json_text({"command": "hn2", **_density_payload(f)})
+    return _json_text({"command": "hn2", **_density_payload(f, pw_integrate(f))})
 
 
 def _run_integrate(ns: argparse.Namespace) -> str:

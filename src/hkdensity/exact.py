@@ -40,6 +40,13 @@ def rat(value: int | str | Fraction) -> Fraction:
     raise InputError(f"cannot interpret {type(value).__name__} as a rational")
 
 
+def json_int(value, what: str) -> int:
+    """A JSON integer (bool excluded); anything else is an InputError."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise InputError(f"{what} must be a JSON integer, got {value!r}")
+
+
 def rat_str(x: Fraction) -> str:
     """Canonical 'num/den' form; integers print without a denominator."""
     return str(x)

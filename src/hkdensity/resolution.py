@@ -10,7 +10,17 @@ twist degrees (in window units, j / n0).
 
 The alternating sums must satisfy sum_j B(j) (x - j)^(d-1) == 0 identically;
 this is exactly what makes the density compactly supported, and it fails
-for tables that do not resolve a finite-colength quotient.
+for tables that do not resolve a finite-colength quotient.  Expanding the
+binomials, the identity is the integer moment conditions
+sum_j B(j) j^k == 0 for every k < d.
+
+Everything is computed from those moments.  The prefix power sums
+S_k(t) = sum_{j <= j_t} B(j) j^k (k < d) are plain ints, updated once per
+twist, and the density on [j_t/n0, j_{t+1}/n0) is
+ehat * sum_k C(d-1, k) (-1)^k S_k(t) / n0^k * x^(d-1-k).  The last prefix
+is the full moment vector: the residual of the vanishing identity is read
+from it, and it is zero exactly when the density closes up to compact
+support.
 """
 
 from __future__ import annotations
@@ -18,9 +28,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from math import comb
 
 from .errors import BettiIdentityError, InputError, InternalError, ValidationError
-from .exact import P_ZERO, PiecewisePoly, Polynomial, pw_integrate
+from .exact import PiecewisePoly, Polynomial, json_int, pw_integrate
 
 
 @dataclass(frozen=True)
@@ -72,18 +83,44 @@ class BettiTable:
     @staticmethod
     def from_json(data: dict) -> "BettiTable":
         try:
-            entries = [(row["i"], row["j"], row["b"]) for row in data["betti"]]
-            return BettiTable.build(data["d"], entries)
+            entries = [
+                tuple(json_int(row[key], f"Betti entry {key!r}") for key in "ijb")
+                for row in data["betti"]
+            ]
+            return BettiTable.build(json_int(data["d"], "Betti table 'd'"), entries)
         except (KeyError, TypeError) as exc:
             raise InputError(f"malformed Betti table JSON: {exc}") from None
 
 
-def betti_residual(betti: BettiTable) -> Polynomial:
-    """sum_j B(j) (x - j)^(d-1); identically zero for valid tables."""
-    acc = P_ZERO
+def _prefix_power_sums(betti: BettiTable) -> list[list[int]]:
+    """[S_0(t), ..., S_{d-1}(t)] after each twist j_t, S_k(t) the sum of
+    B(j) j^k over j <= j_t; the last entry is the full moment vector."""
+    sums = [0] * betti.d
+    out = []
     for j, bj in betti.b_numbers().items():
-        acc = acc + (Polynomial.of(-j, 1) ** (betti.d - 1)).scale(Fraction(bj))
-    return acc
+        term = bj
+        for k in range(betti.d):
+            sums[k] += term
+            term *= j
+        out.append(list(sums))
+    return out
+
+
+def _shift_weights(d: int, ehat: Fraction, n0: int) -> list[Fraction]:
+    """ehat C(d-1, k) (-1)^k / n0^k: the x^(d-1-k) coefficient of
+    ehat (x - j/n0)^(d-1) is this weight times j^k."""
+    return [ehat * Fraction((-1) ** k * comb(d - 1, k), n0**k) for k in range(d)]
+
+
+def _piece(sums: list[int], weights: list[Fraction]) -> Polynomial:
+    """sum_k weights[k] S_k x^(d-1-k), constant term first."""
+    return Polynomial.of(*(w * s for w, s in zip(reversed(weights), reversed(sums))))
+
+
+def betti_residual(betti: BettiTable) -> Polynomial:
+    """sum_j B(j) (x - j)^(d-1) from the moments; identically zero for valid
+    tables."""
+    return _piece(_prefix_power_sums(betti)[-1], _shift_weights(betti.d, Fraction(1), 1))
 
 
 def validate_betti(betti: BettiTable) -> None:
@@ -114,7 +151,7 @@ def closed_form_density(
     betti: BettiTable, ehat: Fraction, n0: int = 1
 ) -> PiecewisePoly:
     """Limit density: on [j_t/n0, j_{t+1}/n0), ehat * sum over activated
-    twists of B(j) (x - j/n0)^(d-1)."""
+    twists of B(j) (x - j/n0)^(d-1), built from the prefix power sums."""
     validate_betti(betti)
     if betti.d < 2:
         raise ValidationError("closed-form density needs dimension >= 2")
@@ -122,39 +159,34 @@ def closed_form_density(
         raise ValidationError(f"n0 = {n0} must be >= 1")
     if ehat <= 0:
         raise ValidationError(f"ehat = {ehat} must be positive")
-    bn = betti.b_numbers()
-    twists = sorted(bn)
-    breakpoints = [Fraction(j, n0) for j in twists]
-    pieces = []
-    acc = P_ZERO
-    for j in twists:
-        shift = Polynomial.of(Fraction(-j, n0), 1) ** (betti.d - 1)
-        acc = acc + shift.scale(Fraction(bn[j]) * ehat)
-        pieces.append(acc)
-    # the final cumulative piece is the full vanishing sum, drop it
-    out = PiecewisePoly.build(breakpoints, pieces[:-1], None)
-    if not pieces[-1].is_zero() or out.tail is not None:
+    prefixes = _prefix_power_sums(betti)
+    # the final prefix is the full moment vector: the piece beyond the last
+    # twist, which must vanish
+    if any(prefixes[-1]):
         raise InternalError("density did not close up to compact support")
+    weights = _shift_weights(betti.d, ehat, n0)
+    out = PiecewisePoly.build(
+        [Fraction(j, n0) for j in betti.b_numbers()],
+        [_piece(sums, weights) for sums in prefixes[:-1]],
+        None,
+    )
     if not out.is_continuous():
         raise InternalError("closed-form density is discontinuous")
     return out
 
 
-def ehk_closed_form(betti: BettiTable, ehat: Fraction, n0: int = 1) -> Fraction:
-    """(ehat / d) * sum_j B(j) ((l - j)/n0)^d with l the last twist; checked
-    against direct integration of the density."""
-    density = closed_form_density(betti, ehat, n0)
+def ehk_closed_form(
+    density: PiecewisePoly, betti: BettiTable, ehat: Fraction, n0: int = 1
+) -> Fraction:
+    """(ehat / d) * sum_j B(j) ((l - j)/n0)^d with l the last twist, checked
+    against the integral of ``density``, the table's closed-form density."""
     bn = betti.b_numbers()
     l = max(bn)
-    total = sum(
-        (Fraction(bj) * Fraction(l - j, n0) ** betti.d for j, bj in bn.items()),
-        Fraction(0),
-    )
-    value = ehat * total / betti.d
-    if value != pw_integrate(density):
-        raise InternalError(
-            f"multiplicity formula {value} != integral {pw_integrate(density)}"
-        )
+    total = sum(bj * (l - j) ** betti.d for j, bj in bn.items())
+    value = ehat * Fraction(total, n0**betti.d) / betti.d
+    integral = pw_integrate(density)
+    if value != integral:
+        raise InternalError(f"multiplicity formula {value} != integral {integral}")
     return value
 
 

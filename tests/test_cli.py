@@ -249,6 +249,41 @@ def test_exit_code_parse_errors(tmp_path, capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("n0", ["abc", 1.5, True, "2"])
+def test_density_betti_n0_must_be_json_integer(tmp_path, capsys, n0):
+    inp = write(
+        tmp_path, "n0.json", {"betti": KOSZUL_BETTI["betti"], "ehat": "1", "n0": n0}
+    )
+    code, out, err = run_cli(capsys, ["density-betti", "--in", inp])
+    assert code == 1 and out == ""
+    report = json.loads(err)
+    assert report["error"] == "InputError"
+    assert "n0" in report["message"]
+
+
+@pytest.mark.parametrize("key, value", [("i", "x"), ("j", 1.5), ("b", None), ("d", "two")])
+def test_betti_table_json_needs_integers(tmp_path, capsys, key, value):
+    table = json.loads(json.dumps(KOSZUL_BETTI))
+    if key == "d":
+        table["betti"]["d"] = value
+    else:
+        table["betti"]["betti"][0][key] = value
+    code, out, err = run_cli(
+        capsys, ["density-betti", "--in", write(tmp_path, "t.json", table)]
+    )
+    assert code == 1 and out == ""
+    assert json.loads(err)["error"] == "InputError"
+
+
+@pytest.mark.parametrize("d", ["two", 2.0, False])
+def test_segre_pair_d_must_be_json_integer(tmp_path, capsys, d):
+    a = write(tmp_path, "a.json", TENT_PAIR)
+    b = write(tmp_path, "b.json", {**TENT_PAIR, "d": d})
+    code, out, err = run_cli(capsys, ["segre", "--a", a, "--b", b])
+    assert code == 1 and out == ""
+    assert json.loads(err)["error"] == "InputError"
+
+
 def test_exit_code_validation_with_residual(tmp_path, capsys):
     broken = {
         "betti": {

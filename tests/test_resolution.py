@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hkdensity.errors import BettiIdentityError, ValidationError
-from hkdensity.exact import Polynomial, pw_integrate
+from hkdensity.errors import BettiIdentityError, InternalError, ValidationError
+from hkdensity.exact import P_ZERO, PiecewisePoly, Polynomial, pw_integrate
 from hkdensity.resolution import (
     BettiTable,
     betti_residual,
@@ -103,7 +103,7 @@ def test_closed_form_koszul_tent():
     assert f.breakpoints == (F(0), F(1), F(2))
     assert f.pieces == (Polynomial.of(0, 1), Polynomial.of(2, -1))
     assert pw_integrate(f) == 1
-    assert ehk_closed_form(koszul2(), F(1), 1) == 1
+    assert ehk_closed_form(f, koszul2(), F(1), 1) == 1
 
 
 def test_closed_form_a2_ambient():
@@ -120,13 +120,21 @@ def test_closed_form_divides_breaks_by_n0():
     f = closed_form_density(t, F(2), 2)
     assert f.breakpoints == (F(0), F(1), F(2))
     assert pw_integrate(f) == 2
-    assert ehk_closed_form(t, F(2), 2) == 2
+    assert ehk_closed_form(f, t, F(2), 2) == 2
+
+
+def test_ehk_checks_formula_against_given_density():
+    # the tent integrates to 1; the A_2 table's formula gives 3
+    tent = closed_form_density(koszul2(), F(1), 1)
+    with pytest.raises(InternalError):
+        ehk_closed_form(tent, a_table(2), F(1), 1)
 
 
 def test_ehk_matches_integral():
     for n in (2, 3, 7):
         t = a_table(n)
-        assert ehk_closed_form(t, F(1), 1) == pw_integrate(closed_form_density(t, F(1), 1))
+        f = closed_form_density(t, F(1), 1)
+        assert ehk_closed_form(f, t, F(1), 1) == pw_integrate(f)
 
 
 def test_koszul_betti_shape():
@@ -168,3 +176,75 @@ def test_single_entry_perturbation_detected(t, data):
     with pytest.raises(BettiIdentityError) as exc:
         validate_betti(bad)
     assert not exc.value.residual.is_zero()
+
+
+# ---------------------------------------------------------------------------
+# the power-sum kernel against the binomial-power construction it replaced
+
+
+def reference_residual(betti: BettiTable) -> Polynomial:
+    """sum_j B(j) (x - j)^(d-1) by expanding each power."""
+    acc = P_ZERO
+    for j, bj in betti.b_numbers().items():
+        acc = acc + (Polynomial.of(-j, 1) ** (betti.d - 1)).scale(Fraction(bj))
+    return acc
+
+
+def reference_density(betti: BettiTable, ehat: Fraction, n0: int) -> PiecewisePoly:
+    """Cumulative sums of ehat B(j) (x - j/n0)^(d-1), one power per twist."""
+    bn = betti.b_numbers()
+    pieces = []
+    acc = P_ZERO
+    for j in bn:
+        shift = Polynomial.of(Fraction(-j, n0), 1) ** (betti.d - 1)
+        acc = acc + shift.scale(Fraction(bn[j]) * ehat)
+        pieces.append(acc)
+    assert pieces[-1].is_zero()
+    return PiecewisePoly.build([Fraction(j, n0) for j in bn], pieces[:-1], None)
+
+
+@st.composite
+def koszul_wide(draw):
+    d = draw(st.integers(min_value=2, max_value=5))
+    k = draw(st.integers(min_value=d, max_value=d + 2))
+    degrees = draw(
+        st.lists(st.integers(min_value=1, max_value=5), min_size=k, max_size=k)
+    )
+    return koszul_betti(d, degrees)
+
+
+@st.composite
+def perturbed_koszul(draw):
+    """A Koszul table with one entry's multiplicity moved by +-1 or its twist
+    moved up by one; either breaks a moment condition."""
+    t = draw(koszul_wide())
+    entries = list(t.entries)
+    idx = draw(st.integers(min_value=0, max_value=len(entries) - 1))
+    i, j, b = entries[idx]
+    entries[idx] = draw(st.sampled_from([(i, j, b + 1), (i, j, b - 1), (i, j + 1, b)]))
+    return BettiTable.build(t.d, entries)
+
+
+positive_rationals = st.builds(
+    Fraction, st.integers(min_value=1, max_value=60), st.integers(min_value=1, max_value=12)
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(koszul_wide(), positive_rationals, st.integers(min_value=1, max_value=4))
+def test_closed_form_matches_power_reference(t, ehat, n0):
+    f = closed_form_density(t, ehat, n0)
+    assert f == reference_density(t, ehat, n0)
+    assert betti_residual(t) == reference_residual(t) == P_ZERO
+    assert ehk_closed_form(f, t, ehat, n0) == pw_integrate(f)
+
+
+@settings(max_examples=60, deadline=None)
+@given(perturbed_koszul(), positive_rationals, st.integers(min_value=1, max_value=4))
+def test_residual_matches_power_reference_on_perturbations(bad, ehat, n0):
+    expected = reference_residual(bad)
+    assert not expected.is_zero()
+    assert betti_residual(bad) == expected
+    with pytest.raises(BettiIdentityError) as exc:
+        closed_form_density(bad, ehat, n0)
+    assert exc.value.residual == expected
