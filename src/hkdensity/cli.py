@@ -23,7 +23,7 @@ from fractions import Fraction
 from .catalog import catalog_density, catalog_entry, catalog_minor_check
 from .combinators import DensityPair, rescale_density, segre
 from .errors import CapacityError, HKDError, InputError, ValidationError
-from .exact import PiecewisePoly, json_int, pw_integrate, rat, rat_str
+from .exact import PiecewisePoly, json_get, json_int, pw_integrate, rat, rat_str
 from .hn import HNData, dim2_pair_density, hn_density
 from .lattice import LatticePair, MonomialIdealSpec, SemigroupSpec
 from .resolution import BettiTable, closed_form_density, ehk_closed_form
@@ -42,7 +42,8 @@ def _read_json(path: str):
             return json.load(fh)
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # bad JSON, non-UTF-8 bytes, an int past the digit limit, or too deep nesting
         raise InputError(f"{path} is not valid JSON: {exc}") from None
 
 
@@ -69,9 +70,12 @@ def _dec(x) -> str:
 def _emit(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(out, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise InputError(f"cannot write {out}: {exc}") from None
 
 
 def _density_payload(f: PiecewisePoly, integral: Fraction) -> dict:
@@ -85,21 +89,17 @@ def _density_payload(f: PiecewisePoly, integral: Fraction) -> dict:
 
 def _load_density(path: str) -> PiecewisePoly:
     data = _read_json(path)
-    if isinstance(data, dict) and "density" in data:
-        data = data["density"]
-    return PiecewisePoly.from_json(data)
+    return PiecewisePoly.from_json(json_get(data, "density", "density JSON", data))
 
 
 def _load_pair(path: str) -> DensityPair:
     data = _read_json(path)
-    try:
-        return DensityPair(
-            PiecewisePoly.from_json(data["F"]),
-            PiecewisePoly.from_json(data["f"]),
-            json_int(data["d"], f"{path}: density pair 'd'"),
-        )
-    except (KeyError, TypeError) as exc:
-        raise InputError(f"{path}: density pair JSON needs F, f, d ({exc})") from None
+    what = f"{path}: density pair"
+    return DensityPair(
+        PiecewisePoly.from_json(json_get(data, "F", what), f"{what} 'F'"),
+        PiecewisePoly.from_json(json_get(data, "f", what), f"{what} 'f'"),
+        json_int(json_get(data, "d", what), f"{what} 'd'"),
+    )
 
 
 def _pair_payload(pair: DensityPair) -> dict:
@@ -115,33 +115,20 @@ def _pair_payload(pair: DensityPair) -> dict:
 
 def _load_lattice_pair(path: str, cap: int | None = None) -> LatticePair:
     data = _read_json(path)
-    try:
-        spec = SemigroupSpec.from_json(data["semigroup"])
-        ideal_data = data["ideal"]
-    except KeyError as exc:
-        raise InputError(f"{path}: pair JSON missing key {exc}") from None
-    if isinstance(ideal_data, dict):
-        ideal = MonomialIdealSpec.from_json(ideal_data)
-    else:
-        ideal = MonomialIdealSpec.build(ideal_data)
-    return LatticePair(spec, ideal, cap=cap)
+    what = f"{path}: pair JSON"
+    return LatticePair(
+        SemigroupSpec.from_json(json_get(data, "semigroup", what)),
+        MonomialIdealSpec.from_json(json_get(data, "ideal", what)),
+        cap=cap,
+    )
 
 
-def _parse_levels(text: str) -> list[int]:
+def _parse_ints(text: str, what: str) -> list[int]:
+    """The integers of a comma-separated flag value; ``what`` names the flag."""
     try:
-        levels = [int(part) for part in text.split(",") if part.strip()]
+        return [int(part) for part in text.split(",") if part.strip()]
     except ValueError:
-        raise InputError(f"levels must be comma-separated integers, got {text!r}") from None
-    if not levels or any(n < 1 for n in levels):
-        raise InputError(f"levels must be >= 1, got {text!r}")
-    return levels
-
-
-def _parse_twists(text: str) -> list[int]:
-    try:
-        return [int(t) for t in text.split(",") if t.strip()]
-    except ValueError:
-        raise InputError(f"twists must be comma-separated integers, got {text!r}") from None
+        raise InputError(f"{what} must be comma-separated integers, got {text!r}") from None
 
 
 # ---------------------------------------------------------------- handlers
@@ -151,19 +138,14 @@ def _parse_twists(text: str) -> list[int]:
 
 def _run_density_betti(ns: argparse.Namespace) -> str:
     data = _read_json(ns.infile)
-    if "betti" not in data:
-        raise InputError("input needs a 'betti' table")
-    betti = BettiTable.from_json(data["betti"])
+    betti = BettiTable.from_json(json_get(data, "betti", "input"))
     if "ring" in data:
         ring = parse_ring_json(data["ring"])
         ehat = leading_coefficient(ring)
         n0 = hilbert_function(ring).n0
     else:
-        try:
-            ehat = rat(data["ehat"])
-        except KeyError:
-            raise InputError("input needs either a 'ring' or an explicit 'ehat'") from None
-        n0 = json_int(data.get("n0", 1), "'n0'")
+        ehat = rat(json_get(data, "ehat", "input without a 'ring'"), "'ehat'")
+        n0 = json_int(json_get(data, "n0", "input", 1), "'n0'")
     f = closed_form_density(betti, ehat, n0)
     # the formula value, checked equal to the integral of f, so it is also
     # the payload's integral
@@ -197,7 +179,9 @@ def _run_density_empirical(ns: argparse.Namespace) -> str:
 
 
 def _run_compare(ns: argparse.Namespace) -> str:
-    levels = _parse_levels(ns.levels)
+    levels = _parse_ints(ns.levels, "levels")
+    if not levels or any(n < 1 for n in levels):
+        raise InputError(f"levels must be >= 1, got {ns.levels!r}")
     pair = _load_lattice_pair(ns.spec, cap=ns.max_points)
     reference = None
     if ns.reference is not None:
@@ -287,12 +271,9 @@ def _run_catalog(ns: argparse.Namespace) -> str:
 
 
 def _run_hn2(ns: argparse.Namespace) -> str:
-    twists = None if ns.twists is None else _parse_twists(ns.twists)
+    twists = None if ns.twists is None else _parse_ints(ns.twists, "twists")
     v = HNData.from_json(_read_json(ns.infile))
-    if twists is None:
-        f = hn_density(v)
-    else:
-        f = dim2_pair_density(v, twists, v.d)
+    f = hn_density(v) if twists is None else dim2_pair_density(v, twists, v.d)
     return _json_text({"command": "hn2", **_density_payload(f, pw_integrate(f))})
 
 

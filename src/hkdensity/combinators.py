@@ -112,8 +112,8 @@ def module_density(f: PiecewisePoly, rank: int) -> PiecewisePoly:
 def rank_from_degrees(gen_degrees, rel_degrees) -> Fraction:
     """prod(gen degrees) / prod(relation degrees); the module rank implied
     by the degree data of an invariant presentation."""
-    num = prod(int(e) for e in gen_degrees)
-    den = prod(int(c) for c in rel_degrees) if rel_degrees else 1
+    num = prod(gen_degrees)
+    den = prod(rel_degrees)
     if num <= 0 or den <= 0:
         raise ValidationError("degrees must be positive")
     return Fraction(num, den)

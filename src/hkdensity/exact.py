@@ -19,25 +19,24 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm, prod
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable
 
 from .errors import DomainError, InputError, ValidationError
 
-Rat = Fraction
 
-
-def rat(value: int | str | Fraction) -> Fraction:
-    """Parse an exact rational from an int, Fraction, or 'num/den' string."""
+def rat(value: int | str | Fraction, what: str = "rational") -> Fraction:
+    """Parse an exact rational from an int, Fraction, or 'num/den' string.
+    Floats and bools (JSON true/false) are refused; ``what`` names the field."""
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
+    if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     if isinstance(value, str):
         try:
             return Fraction(value)
         except (ValueError, ZeroDivisionError) as exc:
-            raise InputError(f"bad rational literal {value!r}: {exc}") from None
-    raise InputError(f"cannot interpret {type(value).__name__} as a rational")
+            raise InputError(f"{what}: bad rational literal {value!r}: {exc}") from None
+    raise InputError(f"{what} must be an integer or a 'num/den' string, got {value!r}")
 
 
 def json_int(value, what: str) -> int:
@@ -45,6 +44,29 @@ def json_int(value, what: str) -> int:
     if isinstance(value, int) and not isinstance(value, bool):
         return value
     raise InputError(f"{what} must be a JSON integer, got {value!r}")
+
+
+def json_get(obj, key: str, what: str, *default):
+    """``obj[key]`` of the JSON object ``what`` names, or else the default if given."""
+    if not isinstance(obj, dict):
+        raise InputError(f"{what} must be a JSON object, got {type(obj).__name__}")
+    if key in obj:
+        return obj[key]
+    if default:
+        return default[0]
+    raise InputError(f"{what} needs key {key!r}")
+
+
+def json_list(value, what: str) -> list:
+    """A JSON list; anything else is an InputError."""
+    if isinstance(value, list):
+        return value
+    raise InputError(f"{what} must be a JSON list, got {type(value).__name__}")
+
+
+def json_ints(value, what: str) -> tuple[int, ...]:
+    """A JSON list of integers, as a tuple."""
+    return tuple(json_int(v, f"{what}[{i}]") for i, v in enumerate(json_list(value, what)))
 
 
 def rat_str(x: Fraction) -> str:
@@ -147,10 +169,9 @@ class Polynomial:
         return [rat_str(c) for c in self.coeffs]
 
     @staticmethod
-    def from_json(data: Sequence[int | str]) -> "Polynomial":
-        if not isinstance(data, (list, tuple)):
-            raise InputError("polynomial JSON must be a list of rationals")
-        return Polynomial.of(*data)
+    def from_json(data: list[int | str]) -> "Polynomial":
+        coeffs = json_list(data, "polynomial")
+        return Polynomial.of(*(rat(c, "polynomial coefficient") for c in coeffs))
 
     def __str__(self) -> str:
         if self.is_zero():
@@ -265,18 +286,13 @@ class PiecewisePoly:
         }
 
     @staticmethod
-    def from_json(data: dict) -> "PiecewisePoly":
-        if not isinstance(data, dict):
-            raise InputError("piecewise JSON must be an object")
-        try:
-            bps = data["breakpoints"]
-            pcs = data["pieces"]
-        except KeyError as exc:
-            raise InputError(f"piecewise JSON missing key {exc}") from None
-        tail = data.get("tail")
+    def from_json(data: dict, what: str = "density") -> "PiecewisePoly":
+        breakpoints = json_list(json_get(data, "breakpoints", what), f"{what} 'breakpoints'")
+        pieces = json_list(json_get(data, "pieces", what), f"{what} 'pieces'")
+        tail = json_get(data, "tail", what, None)
         return PiecewisePoly.build(
-            [rat(b) for b in bps],
-            [Polynomial.from_json(p) for p in pcs],
+            [rat(b, f"{what} breakpoint") for b in breakpoints],
+            [Polynomial.from_json(p) for p in pieces],
             None if tail is None else Polynomial.from_json(tail),
         )
 

@@ -17,8 +17,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import InputError, ValidationError
-from .exact import PiecewisePoly, Polynomial, pw_negative_piece, pw_sub, rat, rat_str
+from .errors import ValidationError
+from .exact import (
+    PiecewisePoly,
+    Polynomial,
+    json_get,
+    json_int,
+    json_list,
+    pw_negative_piece,
+    pw_sub,
+    rat,
+    rat_str,
+)
 
 
 @dataclass(frozen=True)
@@ -45,9 +55,7 @@ class HNData:
 
     @staticmethod
     def build(pairs, d: int) -> "HNData":
-        return HNData(
-            tuple(HNComponent(Fraction(s), int(r)) for s, r in pairs), int(d)
-        )
+        return HNData(tuple(HNComponent(Fraction(s), r) for s, r in pairs), d)
 
     def to_json(self) -> dict:
         return {
@@ -60,13 +68,12 @@ class HNData:
 
     @staticmethod
     def from_json(data: dict) -> "HNData":
-        try:
-            return HNData.build(
-                [(rat(c["slope"]), c["rank"]) for c in data["components"]],
-                data["d"],
-            )
-        except (KeyError, TypeError) as exc:
-            raise InputError(f"malformed HN JSON: {exc}") from None
+        pairs = [
+            (rat(json_get(c, "slope", "HN component"), "HN component 'slope'"),
+             json_int(json_get(c, "rank", "HN component"), "HN component 'rank'"))
+            for c in json_list(json_get(data, "components", "HN JSON"), "HN 'components'")
+        ]
+        return HNData.build(pairs, json_int(json_get(data, "d", "HN JSON"), "HN 'd'"))
 
 
 def hn_density(e: HNData) -> PiecewisePoly:
@@ -110,11 +117,11 @@ def _check_nonnegative(f: PiecewisePoly, what: str) -> None:
 def dim2_pair_density(v: HNData, twist_degrees, d: int) -> PiecewisePoly:
     """f_V minus the density of the twisted line-bundle sum of the syzygy
     sequence; the result is the HK density of the underlying graded pair."""
-    if int(d) != v.d:
+    if d != v.d:
         raise ValidationError(f"deg O(1) mismatch: pair d = {d}, V carries {v.d}")
     slope_ranks: dict[Fraction, int] = {}
     for deg in twist_degrees:
-        slope = Fraction((1 - int(deg)) * v.d)
+        slope = Fraction((1 - deg) * v.d)
         slope_ranks[slope] = slope_ranks.get(slope, 0) + 1
     summand = HNData.build(
         sorted(slope_ranks.items(), key=lambda kv: kv[0], reverse=True), v.d

@@ -39,14 +39,16 @@ from functools import cached_property
 from math import comb, factorial, gcd, prod
 from typing import Iterator
 
-from .errors import (
-    CapacityError,
-    DomainError,
-    InputError,
-    InternalError,
-    ValidationError,
+from .errors import CapacityError, DomainError, InternalError, ValidationError
+from .exact import (
+    PiecewisePoly,
+    Polynomial,
+    json_get,
+    json_int,
+    json_ints,
+    json_list,
+    pw_sup_distance,
 )
-from .exact import PiecewisePoly, Polynomial, pw_sup_distance
 
 Point = tuple[int, ...]
 
@@ -230,12 +232,13 @@ class SemigroupSpec:
 
     @staticmethod
     def from_json(data: dict) -> "SemigroupSpec":
-        try:
-            return SemigroupSpec.build(
-                data["rank"], data["gens"], data["weights"], data["p"]
-            )
-        except KeyError as exc:
-            raise InputError(f"semigroup JSON missing key {exc}") from None
+        gens = json_list(json_get(data, "gens", "semigroup"), "semigroup 'gens'")
+        return SemigroupSpec(
+            json_int(json_get(data, "rank", "semigroup"), "semigroup 'rank'"),
+            tuple(json_ints(g, f"semigroup 'gens'[{i}]") for i, g in enumerate(gens)),
+            json_ints(json_get(data, "weights", "semigroup"), "semigroup 'weights'"),
+            json_int(json_get(data, "p", "semigroup"), "semigroup 'p'"),
+        )
 
 
 @dataclass(frozen=True)
@@ -254,11 +257,14 @@ class MonomialIdealSpec:
         return {"gens": [list(g) for g in self.generators]}
 
     @staticmethod
-    def from_json(data: dict) -> "MonomialIdealSpec":
-        try:
-            return MonomialIdealSpec.build(data["gens"])
-        except KeyError as exc:
-            raise InputError(f"ideal JSON missing key {exc}") from None
+    def from_json(data: dict | list) -> "MonomialIdealSpec":
+        """``{"gens": [...]}``, or the bare list of generators."""
+        if not isinstance(data, list):
+            data = json_get(data, "gens", "ideal")
+        gens = json_list(data, "ideal 'gens'")
+        return MonomialIdealSpec(
+            tuple(json_ints(g, f"ideal 'gens'[{i}]") for i, g in enumerate(gens))
+        )
 
 
 def _degree_ceiling(spec: SemigroupSpec, cap: int) -> int:
@@ -359,7 +365,7 @@ class SemigroupEnumeration:
 
     def contains(self, v: Point) -> bool:
         """Exact membership for points of degree <= max_degree."""
-        if any(c < 0 for c in v):
+        if len(v) != self.spec.rank or any(c < 0 for c in v):
             return False
         degree = self.spec.degree(v)
         if degree > self.max_degree:

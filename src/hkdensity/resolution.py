@@ -30,8 +30,8 @@ from fractions import Fraction
 from itertools import combinations
 from math import comb
 
-from .errors import BettiIdentityError, InputError, InternalError, ValidationError
-from .exact import PiecewisePoly, Polynomial, json_int, pw_integrate
+from .errors import BettiIdentityError, InternalError, ValidationError
+from .exact import PiecewisePoly, Polynomial, json_get, json_int, json_list, pw_integrate
 
 
 @dataclass(frozen=True)
@@ -58,7 +58,7 @@ class BettiTable:
     def build(d: int, entries) -> "BettiTable":
         merged: dict[tuple[int, int], int] = {}
         for i, j, b in entries:
-            merged[(int(i), int(j))] = merged.get((int(i), int(j)), 0) + int(b)
+            merged[(i, j)] = merged.get((i, j), 0) + b
         canon = tuple(
             (i, j, b) for (i, j), b in sorted(merged.items()) if b != 0
         )
@@ -82,14 +82,13 @@ class BettiTable:
 
     @staticmethod
     def from_json(data: dict) -> "BettiTable":
-        try:
-            entries = [
-                tuple(json_int(row[key], f"Betti entry {key!r}") for key in "ijb")
-                for row in data["betti"]
-            ]
-            return BettiTable.build(json_int(data["d"], "Betti table 'd'"), entries)
-        except (KeyError, TypeError) as exc:
-            raise InputError(f"malformed Betti table JSON: {exc}") from None
+        rows = json_list(json_get(data, "betti", "Betti table"), "Betti table 'betti'")
+        entries = [
+            tuple(json_int(json_get(row, k, "Betti entry"), f"Betti entry {k!r}") for k in "ijb")
+            for row in rows
+        ]
+        d = json_int(json_get(data, "d", "Betti table"), "Betti table 'd'")
+        return BettiTable.build(d, entries)
 
 
 def _prefix_power_sums(betti: BettiTable) -> list[list[int]]:
@@ -192,7 +191,6 @@ def ehk_closed_form(
 
 def koszul_betti(d: int, degrees) -> BettiTable:
     """Betti table of the Koszul complex on forms of the given degrees."""
-    degrees = tuple(int(a) for a in degrees)
     if any(a < 1 for a in degrees):
         raise ValidationError("Koszul input degrees must be positive")
     entries = []

@@ -21,7 +21,7 @@ from functools import lru_cache
 from math import factorial, gcd, prod
 
 from .errors import DomainError, InputError, ValidationError
-from .exact import PiecewisePoly
+from .exact import PiecewisePoly, json_get, json_int, json_ints
 from .lattice import SemigroupSpec, enumerate_semigroup
 
 
@@ -105,10 +105,6 @@ class HilbertFunction:
         if m >= len(self._values):
             self._extend(self._values, max(m, 2 * len(self._values) + 16))
         return self._values[m]
-
-    def window_sum(self, window: int) -> int:
-        """Sum of lengths over the n0 degrees of the given window index."""
-        return sum(self(window * self.n0 + j) for j in range(self.n0))
 
 
 def _ci_extender(spec: CompleteIntersectionRing):
@@ -222,23 +218,18 @@ def hilbert_density(spec: RingSpec) -> PiecewisePoly:
 
 
 def parse_ring_json(data: dict) -> RingSpec:
-    if not isinstance(data, dict):
-        raise InputError("ring JSON must be an object")
-    body = data.get("ring", data)
-    kind = body.get("type")
+    body = json_get(data, "ring", "ring JSON", data)
+    kind = json_get(body, "type", "ring JSON")
     if kind == "ci":
-        try:
-            return CompleteIntersectionRing.build(body["gens"], body.get("rels", []))
-        except KeyError as exc:
-            raise InputError(f"ci ring JSON missing key {exc}") from None
+        return CompleteIntersectionRing(
+            json_ints(json_get(body, "gens", "ci ring"), "ci ring 'gens'"),
+            json_ints(json_get(body, "rels", "ci ring", []), "ci ring 'rels'"),
+        )
     if kind == "semigroup":
-        sg = body.get("semigroup")
-        if sg is None:
-            raise InputError("semigroup ring JSON needs an inline 'semigroup' object")
-        return SemigroupRing(SemigroupSpec.from_json(sg))
+        return SemigroupRing(SemigroupSpec.from_json(json_get(body, "semigroup", "semigroup ring")))
     if kind == "veronese":
-        try:
-            return VeroneseRing(parse_ring_json(body["base"]), body["factor"])
-        except KeyError as exc:
-            raise InputError(f"veronese ring JSON missing key {exc}") from None
+        return VeroneseRing(
+            parse_ring_json(json_get(body, "base", "veronese ring")),
+            json_int(json_get(body, "factor", "veronese ring"), "veronese ring 'factor'"),
+        )
     raise InputError(f"unknown ring type {kind!r}")

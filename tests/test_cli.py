@@ -1,9 +1,15 @@
 from __future__ import annotations
 
+import contextlib
+import io
 import json
+import os
+import tempfile
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hkdensity.cli import main
 from hkdensity.exact import PiecewisePoly, Polynomial, rat
@@ -355,3 +361,251 @@ def test_max_points_must_be_positive(tmp_path, capsys, cap):
         "error": "ValidationError",
         "message": f"enumeration cap must be positive, got {cap}",
     }
+
+
+@pytest.mark.parametrize(
+    "raw",
+    [
+        b'{"d": 1, "components": [{"slope": "-1", "rank": 1}], "x": "\xe9"}',  # Latin-1
+        b'{"d": 1' + b"1" * 5000 + b', "components": []}',  # past the int digit limit
+        b"[" * 100_000 + b"]" * 100_000,  # past the recursion limit
+    ],
+    ids=["not-utf8", "huge-int", "deep"],
+)
+def test_unreadable_json_is_an_input_error(tmp_path, capsys, raw):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(raw)
+    code, out, err = run_cli(capsys, ["hn2", "--in", str(bad)])
+    assert code == 1 and out == ""
+    report = json.loads(err)
+    assert report["error"] == "InputError"
+    assert str(bad) in report["message"]
+
+
+@pytest.mark.parametrize("dest", ["missing-dir/out.json", "."])
+def test_unwritable_out_path_is_an_input_error(tmp_path, capsys, dest):
+    inp = write(tmp_path, "tent.json", TENT_JSON)
+    target = str(tmp_path / dest)
+    code, out, err = run_cli(capsys, ["integrate", "--in", inp, "--out", target])
+    assert code == 1 and out == ""
+    report = json.loads(err)
+    assert report["error"] == "InputError"
+    assert target in report["message"]
+
+
+@pytest.mark.parametrize("gen", [[0], [], [1, 1, 1]])
+def test_ideal_generator_of_wrong_length_exits_2(tmp_path, capsys, gen):
+    pair = {**A2_INVARIANT_PAIR, "ideal": [[1, 1], gen]}
+    code, out, err = run_cli(
+        capsys, ["density-empirical", "--level", "1", "--in", write(tmp_path, "p.json", pair)]
+    )
+    assert code == 2 and out == ""
+    assert json.loads(err) == {
+        "error": "ValidationError",
+        "message": f"ideal generator {tuple(gen)} is not a semigroup element",
+    }
+
+
+# ------------------------------------------------ strict JSON input fields
+# Every JSON field of every input format: which command reads it, the valid
+# document it sits in, its path there, its kind, and the word the InputError
+# report must contain, in any case, to name it.  Integers are JSON integers;
+# rationals are integers or "num/den" strings; no field takes a float or a
+# bool.
+
+MISSING = object()
+BAD_VALUES = {
+    "int": [1.5, "2", True, None, MISSING, [1]],
+    # a numeric string is a valid rational, so a rational gets a word
+    "rat": [1.5, "two", True, None, MISSING, [1]],
+    "list": [1.5, "2", True, None, MISSING, {}],
+    "object": [1.5, "2", True, None, MISSING, []],
+    # the ideal is a list of generators or an object holding one
+    "ideal": [1.5, "2", True, None, MISSING],
+    # a ring type is one of a few fixed strings
+    "tag": [1.5, "2", True, None, MISSING, ["ci"]],
+}
+
+OBJECT_IDEAL_PAIR = {**A2_INVARIANT_PAIR, "ideal": {"gens": [[2, 0], [0, 2]]}}
+CI_BETTI = {
+    "betti": KOSZUL_BETTI["betti"],
+    "ring": {"type": "ci", "gens": [1, 1, 1], "rels": [1]},
+}
+VERONESE_BETTI = {
+    "betti": KOSZUL_BETTI["betti"],
+    "ring": {"type": "veronese", "factor": 2, "base": {"type": "ci", "gens": [1, 1]}},
+}
+SEMIGROUP_RING_BETTI = {
+    "betti": KOSZUL_BETTI["betti"],
+    "ring": {"type": "semigroup", "semigroup": A2_INVARIANT_PAIR["semigroup"]},
+}
+EHAT_BETTI = {"betti": KOSZUL_BETTI["betti"], "ehat": "1/2", "n0": 2}
+DENSITY = {"breakpoints": ["0", "1", "2"], "pieces": [["0", "1"], ["2", "-1"]], "tail": ["0"]}
+HN = {"d": 3, "components": [{"slope": "-1/2", "rank": 1}, {"slope": -3, "rank": 2}]}
+
+EMPIRICAL = ["density-empirical", "--level", "1", "--in", "IN"]
+BETTI = ["density-betti", "--in", "IN"]
+FORMATS = {
+    "semigroup": (EMPIRICAL, A2_INVARIANT_PAIR, [
+        (("semigroup",), "object", "semigroup"),
+        (("semigroup", "rank"), "int", "'rank'"),
+        (("semigroup", "gens"), "list", "'gens'"),
+        (("semigroup", "gens", 1), "list", "'gens'[1]"),
+        (("semigroup", "gens", 1, 0), "int", "'gens'[1][0]"),
+        (("semigroup", "weights"), "list", "'weights'"),
+        (("semigroup", "weights", 1), "int", "'weights'[1]"),
+        (("semigroup", "p"), "int", "'p'"),
+    ]),
+    "ideal list": (EMPIRICAL, A2_INVARIANT_PAIR, [
+        (("ideal",), "ideal", "ideal"),
+        (("ideal", 1), "list", "'gens'[1]"),
+        (("ideal", 1, 0), "int", "'gens'[1][0]"),
+    ]),
+    "ideal object": (EMPIRICAL, OBJECT_IDEAL_PAIR, [
+        (("ideal", "gens"), "list", "'gens'"),
+        (("ideal", "gens", 0), "list", "'gens'[0]"),
+        (("ideal", "gens", 0, 1), "int", "'gens'[0][1]"),
+    ]),
+    "ci": (BETTI, CI_BETTI, [
+        (("ring",), "object", "ring"),
+        (("ring", "type"), "tag", "type"),
+        (("ring", "gens"), "list", "'gens'"),
+        (("ring", "gens", 0), "int", "'gens'[0]"),
+        (("ring", "rels"), "list", "'rels'"),
+        (("ring", "rels", 0), "int", "'rels'[0]"),
+    ]),
+    "veronese": (BETTI, VERONESE_BETTI, [
+        (("ring", "factor"), "int", "'factor'"),
+        (("ring", "base"), "object", "ring"),
+    ]),
+    "semigroup ring": (BETTI, SEMIGROUP_RING_BETTI, [
+        (("ring", "semigroup"), "object", "semigroup"),
+        (("ring", "semigroup", "gens", 0, 0), "int", "'gens'[0][0]"),
+    ]),
+    "betti": (BETTI, EHAT_BETTI, [
+        (("betti",), "object", "betti"),
+        (("betti", "d"), "int", "'d'"),
+        (("betti", "betti"), "list", "'betti'"),
+        (("betti", "betti", 0), "object", "Betti entry"),
+        (("betti", "betti", 0, "i"), "int", "'i'"),
+        (("betti", "betti", 0, "j"), "int", "'j'"),
+        (("betti", "betti", 1, "b"), "int", "'b'"),
+        (("n0",), "int", "'n0'"),
+        (("ehat",), "rat", "'ehat'"),
+    ]),
+    "density pair": (["segre", "--a", "IN", "--b", "IN"], TENT_PAIR, [
+        (("F",), "object", "'F'"),
+        (("f",), "object", "'f'"),
+        (("d",), "int", "'d'"),
+        (("f", "breakpoints", 1), "rat", "'f' breakpoint"),
+    ]),
+    "hn": (["hn2", "--in", "IN"], HN, [
+        (("d",), "int", "'d'"),
+        (("components",), "list", "'components'"),
+        (("components", 1), "object", "HN component"),
+        (("components", 0, "slope"), "rat", "'slope'"),
+        (("components", 1, "rank"), "int", "'rank'"),
+    ]),
+    "density": (["integrate", "--in", "IN"], DENSITY, [
+        (("breakpoints",), "list", "'breakpoints'"),
+        (("breakpoints", 1), "rat", "breakpoint"),
+        (("pieces",), "list", "'pieces'"),
+        (("pieces", 1), "list", "polynomial"),
+        (("pieces", 1, 0), "rat", "coefficient"),
+        (("tail",), "list", "polynomial"),
+        (("tail", 0), "rat", "coefficient"),
+    ]),
+}
+# fields whose absence is valid: n0 defaults to 1, rels to none, tail to 0
+OPTIONAL = {("n0",), ("ring", "rels"), ("tail",)}
+
+
+def with_input(argv, path):
+    return [path if a == "IN" else a for a in argv]
+
+
+def mutated(doc, path, value):
+    """A deep copy of ``doc`` with the field at ``path`` set to ``value``,
+    or removed for MISSING."""
+    doc = json.loads(json.dumps(doc))
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    if value is MISSING:
+        del node[path[-1]]
+    else:
+        node[path[-1]] = value
+    return doc
+
+
+def field_cases():
+    for fmt, (argv, doc, fields) in FORMATS.items():
+        for path, kind, name in fields:
+            for value in BAD_VALUES[kind]:
+                if value is MISSING and (path in OPTIONAL or isinstance(path[-1], int)):
+                    continue
+                if value is None and path == ("tail",):
+                    continue  # a null tail is the zero tail
+                label = "missing" if value is MISSING else json.dumps(value)
+                yield pytest.param(
+                    argv, doc, path, value, name, id=f"{fmt}:{'.'.join(map(str, path))}={label}"
+                )
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+def test_input_format_fixtures_are_valid(tmp_path, capsys, fmt):
+    argv, doc, _ = FORMATS[fmt]
+    code, out, err = run_cli(capsys, with_input(argv, write(tmp_path, "in.json", doc)))
+    assert code == 0 and err == "", err
+
+
+@pytest.mark.parametrize("argv, doc, path, value, name", list(field_cases()))
+def test_every_json_field_is_strict(tmp_path, capsys, argv, doc, path, value, name):
+    inp = write(tmp_path, "in.json", mutated(doc, path, value))
+    code, out, err = run_cli(capsys, with_input(argv, inp))
+    assert code == 1 and out == "", err
+    assert "Traceback" not in err
+    report = json.loads(err)
+    assert report["error"] == "InputError"
+    assert name.lower() in report["message"].lower()
+
+
+def json_paths(node, prefix=()):
+    """The path of every field and list element below ``node``."""
+    if isinstance(node, dict):
+        children = node.items()
+    elif isinstance(node, list):
+        children = enumerate(node)
+    else:
+        return
+    for key, child in children:
+        yield prefix + (key,)
+        yield from json_paths(child, prefix + (key,))
+
+
+MUTATIONS = [1.5, -0.0, "2", "two", True, False, None, MISSING, [], {}]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_mutated_inputs_exit_with_a_report(data):
+    # one field of a valid document replaced or removed: the run may still
+    # succeed (an optional key dropped, a numeric string for a rational), and
+    # otherwise exits 1 or 2 with a one-object JSON report; no format has a
+    # field that takes a float or a bool, so those always exit 1
+    argv, doc, _ = FORMATS[data.draw(st.sampled_from(sorted(FORMATS)))]
+    path = data.draw(st.sampled_from(list(json_paths(doc))))
+    value = data.draw(st.sampled_from(MUTATIONS))
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        inp = os.path.join(tmp, "in.json")
+        with open(inp, "w", encoding="utf-8") as fh:
+            json.dump(mutated(doc, path, value), fh)
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(with_input(argv, inp))
+    if isinstance(value, (bool, float)):
+        assert code == 1, err.getvalue()
+    if code != 0:
+        assert code in (1, 2) and out.getvalue() == ""
+        report = json.loads(err.getvalue())
+        assert isinstance(report["error"], str) and isinstance(report["message"], str)

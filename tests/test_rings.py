@@ -70,13 +70,6 @@ def test_a3_invariant_hilbert_matches_semigroup_count():
     assert ci.n0 == sg.n0 == 1
 
 
-def test_window_sum():
-    h = hilbert_function(a_inv(2))
-    # window M: degrees M*n0 .. M*n0 + n0 - 1; here only the even slot counts
-    assert h.window_sum(0) == h(0)
-    assert h.window_sum(3) == h(6) + h(7)
-
-
 @pytest.mark.parametrize(
     "gens,rels,want",
     [
