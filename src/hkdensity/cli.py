@@ -23,7 +23,7 @@ from fractions import Fraction
 from .catalog import catalog_density, catalog_entry, catalog_minor_check
 from .combinators import DensityPair, rescale_density, segre
 from .errors import CapacityError, HKDError, InputError, ValidationError
-from .exact import PiecewisePoly, json_get, json_int, pw_integrate, rat, rat_str
+from .exact import PiecewisePoly, json_get, json_int, json_keys, pw_integrate, rat, rat_str
 from .hn import HNData, dim2_pair_density, hn_density
 from .lattice import LatticePair, MonomialIdealSpec, SemigroupSpec
 from .resolution import BettiTable, closed_form_density, ehk_closed_form
@@ -114,8 +114,8 @@ def _pair_payload(pair: DensityPair) -> dict:
 
 
 def _load_lattice_pair(path: str, cap: int | None = None) -> LatticePair:
-    data = _read_json(path)
     what = f"{path}: pair JSON"
+    data = json_keys(_read_json(path), what, "semigroup ideal")
     return LatticePair(
         SemigroupSpec.from_json(json_get(data, "semigroup", what)),
         MonomialIdealSpec.from_json(json_get(data, "ideal", what)),
@@ -137,12 +137,14 @@ def _parse_ints(text: str, what: str) -> list[int]:
 
 
 def _run_density_betti(ns: argparse.Namespace) -> str:
-    data = _read_json(ns.infile)
+    data = json_keys(_read_json(ns.infile), "input", "betti ring ehat n0")
     betti = BettiTable.from_json(json_get(data, "betti", "input"))
     if "ring" in data:
-        ring = parse_ring_json(data["ring"])
-        ehat = leading_coefficient(ring)
-        n0 = hilbert_function(ring).n0
+        ring = parse_ring_json(json_keys(data, "input with a 'ring'", "betti ring")["ring"])
+        h = hilbert_function(ring)
+        if betti.d != h.dim:
+            raise ValidationError(f"Betti table d = {betti.d} but the ring has dimension {h.dim}")
+        ehat, n0 = leading_coefficient(ring), h.n0
     else:
         ehat = rat(json_get(data, "ehat", "input without a 'ring'"), "'ehat'")
         n0 = json_int(json_get(data, "n0", "input", 1), "'n0'")

@@ -1,6 +1,9 @@
 """Exact kernel: rationals, dense univariate polynomials, piecewise polynomials.
 
-Everything here is immutable and exact over Q.  A ``PiecewisePoly`` models a
+Everything here is immutable and exact over Q, and computed in integers: a
+``Polynomial`` is integer numerators over one denominator, the sign tests run
+Sturm chains and Yun's odd part on integer polynomials, and Fractions are made
+only for values (evaluations, breakpoints, JSON).  A ``PiecewisePoly`` models a
 function on [0, oo): finitely many half-open pieces [b_{i-1}, b_i) between
 strictly increasing rational breakpoints (b_0 = 0), then an optional
 polynomial tail on [b_k, oo); a missing tail means the function is 0 beyond
@@ -18,7 +21,9 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm, prod
+from functools import cached_property, reduce
+from itertools import zip_longest
+from math import gcd, lcm
 from typing import Callable, Iterable
 
 from .errors import DomainError, InputError, ValidationError
@@ -57,6 +62,15 @@ def json_get(obj, key: str, what: str, *default):
     raise InputError(f"{what} needs key {key!r}")
 
 
+def json_keys(obj, what: str, keys: str) -> dict:
+    """The JSON object ``what`` names; a key outside the space-separated ``keys`` is refused."""
+    if not isinstance(obj, dict):
+        raise InputError(f"{what} must be a JSON object, got {type(obj).__name__}")
+    if unknown := sorted(set(obj) - set(keys.split())):
+        raise InputError(f"{what} has unknown keys {unknown}; allowed: {keys}")
+    return obj
+
+
 def json_list(value, what: str) -> list:
     """A JSON list; anything else is an InputError."""
     if isinstance(value, list):
@@ -75,95 +89,189 @@ def rat_str(x: Fraction) -> str:
 
 
 # ---------------------------------------------------------------------------
-# polynomials
+# polynomials; the kernel works on integer lists, constant term first
+
+
+def _trim(a: list[int]) -> list[int]:
+    while a and not a[-1]:
+        a.pop()
+    return a
+
+
+def _horner(nums, u: int, v: int) -> int:
+    """v^k * p(u/v) for p = sum nums[i] x^i of degree k: for v > 0 an
+    integer with the sign of p(u/v)."""
+    acc, w = 0, 1
+    for n in reversed(nums):
+        acc = acc * u + n * w
+        w *= v
+    return acc
+
+
+def _mul(a, b) -> list[int]:
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return out
+
+
+def _derivative(a) -> list[int]:
+    return [i * n for i, n in enumerate(a)][1:]
+
+
+def _primitive(a) -> list[int]:
+    """a without trailing zeros, divided by its content; signs are kept."""
+    a = _trim(list(a))
+    g = gcd(*a) or 1
+    return [n // g for n in a]
+
+
+def _prem(a, b) -> list[int]:
+    """|lc b|^(deg a - deg b + 1) * (a mod b): the remainder of a by b
+    times a positive integer, so its signs are the remainder's."""
+    if b[-1] < 0:
+        b = [-n for n in b]
+    r = list(a)
+    for shift in reversed(range(len(a) - len(b) + 1)):
+        c = r.pop()
+        r = [b[-1] * n for n in r]
+        for i, n in enumerate(b[:-1]):
+            r[shift + i] -= c * n
+    return r
+
+
+def _gcd(a, b) -> list[int]:
+    """Primitive gcd with positive leading coefficient, by the primitive
+    remainder sequence (Collins, J. ACM 14, 1967); a is nonzero."""
+    a, b = _primitive(a), _primitive(b)
+    while b:
+        a, b = b, _primitive(_prem(a, b))
+    return a if a[-1] > 0 else [-n for n in a]
+
+
+def _exact_div(a, b) -> list[int]:
+    """a / b where b divides a in Z[x], as a primitive b dividing a over Q does."""
+    r, q = list(a), []
+    for shift in reversed(range(len(a) - len(b) + 1)):
+        q.append(r.pop() // b[-1])
+        for i, n in enumerate(b[:-1]):
+            r[shift + i] -= q[-1] * n
+    return q[::-1]
+
+
+def _odd_part(p) -> list[int]:
+    """a_1 * a_3 * ... from Yun's square-free decomposition p = c * a_1 *
+    a_2^2 * a_3^3 ... (Yun, SYMSAC 1976), over Z: its roots are the points
+    where the nonconstant p changes sign."""
+    g = _gcd(p, _derivative(p))
+    b, c = _exact_div(p, g), _exact_div(_derivative(p), g)
+    odd, k = [1], 1
+    while len(b) > 1:
+        d = _trim([x - y for x, y in zip(c, _derivative(b))])
+        factor = _gcd(b, d)
+        if k % 2:
+            odd = _mul(odd, factor)
+        b, c, k = _exact_div(b, factor), _exact_div(d, factor), k + 1
+    return odd
+
+
+def _sturm_chain(p) -> list[list[int]]:
+    """Sturm sequence of the nonzero p: p, p', then each negated remainder
+    as a positive multiple (``_prem``) made primitive."""
+    chain = [p, _derivative(p)]
+    while len(chain[-1]) > 1 and (rem := _primitive(_prem(chain[-2], chain[-1]))):
+        chain.append([-n for n in rem])
+    return [q for q in chain if q]
+
+
+def _variations(chain, x: int | Fraction) -> int:
+    signs = [v > 0 for q in chain if (v := _horner(q, x.numerator, x.denominator))]
+    return sum(1 for s, t in zip(signs, signs[1:]) if s != t)
 
 
 @dataclass(frozen=True)
 class Polynomial:
-    """Dense univariate polynomial over Q, coefficients constant-first.
+    """Dense univariate polynomial over Q: integer numerators ``nums``,
+    constant first, over one denominator ``den`` > 0, in lowest terms
+    (gcd(den, *nums) = 1) and with a nonzero leading numerator: degree ==
+    len(nums) - 1, and structural equality is value equality."""
 
-    The zero polynomial is the empty tuple; otherwise the leading coefficient
-    is nonzero, so degree == len(coeffs) - 1.
-    """
+    nums: tuple[int, ...]
+    den: int = 1
 
-    coeffs: tuple[Fraction, ...]
+    @staticmethod
+    def over(nums: list[int], den: int) -> "Polynomial":
+        """The polynomial with numerators ``nums`` (a list it may trim) over
+        the denominator den > 0, in canonical form."""
+        g = gcd(den, *_trim(nums))
+        return Polynomial(tuple(n // g for n in nums), den // g)
 
     @staticmethod
     def of(*coeffs: int | str | Fraction) -> "Polynomial":
         cs = [rat(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        return Polynomial(tuple(cs))
+        den = lcm(*(c.denominator for c in cs))
+        return Polynomial.over([c.numerator * (den // c.denominator) for c in cs], den)
+
+    @cached_property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(n, self.den) for n in self.nums)
 
     @property
     def degree(self) -> int:
-        return len(self.coeffs) - 1
+        return len(self.nums) - 1
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.nums
 
-    def __call__(self, x: Fraction) -> Fraction:
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+    def __call__(self, x: int | Fraction) -> Fraction:
+        v = x.denominator
+        return Fraction(_horner(self.nums, x.numerator, v), self.den * v ** max(self.degree, 0))
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
-        n = max(len(self.coeffs), len(other.coeffs))
-        return Polynomial.of(
-            *(self._coef(i) + other._coef(i) for i in range(n))
-        )
+        den = lcm(self.den, other.den)
+        a, b = den // self.den, den // other.den
+        pairs = zip_longest(self.nums, other.nums, fillvalue=0)
+        return Polynomial.over([a * x + b * y for x, y in pairs], den)
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
         return self + (-other)
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial(tuple(-c for c in self.coeffs))
+        return Polynomial(tuple(-n for n in self.nums), self.den)
 
     def __mul__(self, other: "Polynomial") -> "Polynomial":
-        if self.is_zero() or other.is_zero():
-            return Polynomial(())
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] += a * b
-        return Polynomial.of(*out)
+        return Polynomial.over(_mul(self.nums, other.nums), self.den * other.den)
 
     def __pow__(self, n: int) -> "Polynomial":
         if n < 0:
             raise DomainError("negative polynomial power")
-        result = Polynomial.of(1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return Polynomial.over(reduce(_mul, [self.nums] * n, [1]), self.den**n)
 
     def scale(self, k: int | str | Fraction) -> "Polynomial":
         k = rat(k)
-        return Polynomial.of(*(c * k for c in self.coeffs))
+        return Polynomial.over([n * k.numerator for n in self.nums], self.den * k.denominator)
 
-    def compose_linear(self, a: Fraction, b: Fraction) -> "Polynomial":
-        """p(a*x + b), exactly."""
-        lin = Polynomial.of(b, a)
-        acc = Polynomial(())
-        for c in reversed(self.coeffs):
-            acc = acc * lin + Polynomial.of(c)
-        return acc
+    def compose_linear(self, a: int | Fraction, b: int | Fraction) -> "Polynomial":
+        """p(a*x + b), exactly: with a*x + b = (A*x + B)/C, Horner on
+        sum n_i (A*x + B)^i C^(k+1-i) over den * C^(k+1), k the degree."""
+        big_a, big_b = a.numerator * b.denominator, b.numerator * a.denominator
+        c = a.denominator * b.denominator
+        acc, w = [], 1
+        for n in reversed(self.nums):
+            acc = [big_b * x + big_a * y for x, y in zip(acc + [0], [0] + acc)]
+            w *= c
+            acc[0] += n * w
+        return Polynomial.over(acc, self.den * w)
 
     def derivative(self) -> "Polynomial":
-        return Polynomial.of(*(i * c for i, c in enumerate(self.coeffs) if i))
+        return Polynomial.over(_derivative(self.nums), self.den)
 
     def antiderivative(self) -> "Polynomial":
-        return Polynomial.of(
-            0, *(c / (i + 1) for i, c in enumerate(self.coeffs))
-        )
-
-    def _coef(self, i: int) -> Fraction:
-        return self.coeffs[i] if i < len(self.coeffs) else Fraction(0)
+        m = lcm(*range(1, len(self.nums) + 1))
+        nums = [0] + [n * (m // (i + 1)) for i, n in enumerate(self.nums)]
+        return Polynomial.over(nums, self.den * m)
 
     def to_json(self) -> list[str]:
         return [rat_str(c) for c in self.coeffs]
@@ -269,7 +377,8 @@ class PiecewisePoly:
         return self.pieces[idx]
 
     def __call__(self, x: int | str | Fraction) -> Fraction:
-        return self.piece_at(rat(x))(rat(x))
+        x = rat(x)
+        return self.piece_at(x)(x)
 
     def is_continuous(self) -> bool:
         segs = list(self.pieces) + [self.tail if self.tail is not None else P_ZERO]
@@ -369,47 +478,6 @@ def pw_rescale_arg(
 # exact sign tests; sup distance, exact or certified
 
 
-def _poly_divmod(a: Polynomial, b: Polynomial) -> tuple[Polynomial, Polynomial]:
-    if b.is_zero():
-        raise ZeroDivisionError("polynomial division by zero")
-    rem = list(a.coeffs)
-    quot = [Fraction(0)] * max(0, len(rem) - len(b.coeffs) + 1)
-    while len(rem) >= len(b.coeffs) and any(rem):
-        if rem[-1] == 0:
-            rem.pop()
-            continue
-        shift = len(rem) - len(b.coeffs)
-        factor = rem[-1] / b.coeffs[-1]
-        quot[shift] = factor
-        for i, c in enumerate(b.coeffs):
-            rem[shift + i] -= factor * c
-        rem.pop()
-    return Polynomial.of(*quot), Polynomial.of(*rem)
-
-
-def _poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
-    while not b.is_zero():
-        _, rem = _poly_divmod(a, b)
-        a, b = b, rem
-    if a.is_zero():
-        return a
-    return a.scale(1 / a.coeffs[-1])
-
-
-def _sturm_chain(p: Polynomial) -> list[Polynomial]:
-    chain = [p, p.derivative()]
-    while not chain[-1].is_zero() and chain[-1].degree > 0:
-        _, rem = _poly_divmod(chain[-2], chain[-1])
-        if rem.is_zero():
-            break
-        chain.append(-rem)
-    return [q for q in chain if not q.is_zero()]
-
-def _sign_variations(chain: list[Polynomial], x: Fraction) -> int:
-    signs = [v for q in chain if (v := q(x)) != 0]
-    return sum(1 for a, b in zip(signs, signs[1:]) if (a > 0) != (b > 0))
-
-
 def count_real_roots(p: Polynomial, a: Fraction, b: Fraction) -> int:
     """Number of distinct real roots of p in (a, b], by Sturm's theorem.
 
@@ -418,37 +486,25 @@ def count_real_roots(p: Polynomial, a: Fraction, b: Fraction) -> int:
     """
     if p.is_zero():
         raise DomainError("root count of the zero polynomial")
-    chain = _sturm_chain(p)
-    return _sign_variations(chain, a) - _sign_variations(chain, b)
-
-
-def _odd_part(p: Polynomial) -> Polynomial:
-    """a_1 * a_3 * ... from Yun's square-free decomposition p = c * a_1 *
-    a_2^2 * a_3^3 ...: its roots are the points where p changes sign."""
-    dp = p.derivative()
-    g = _poly_gcd(p, dp)
-    b, c = _poly_divmod(p, g)[0], _poly_divmod(dp, g)[0]
-    factors = []
-    while b.degree > 0:
-        d = c - b.derivative()
-        factors.append(_poly_gcd(b, d))
-        b, c = _poly_divmod(b, factors[-1])[0], _poly_divmod(d, factors[-1])[0]
-    return prod(factors[::2], start=P_ONE)
+    chain = _sturm_chain(p.nums)
+    return _variations(chain, a) - _variations(chain, b)
 
 
 def poly_nonnegative(p: Polynomial, a: Fraction, b: Fraction) -> bool:
-    """Whether p >= 0 on all of [a, b], decided exactly: the endpoint values
-    (enough for degree <= 1), then p changes sign in (a, b) iff its odd part
-    has a Sturm root there, else the sign at one non-root of deg + 1 points."""
-    if p(a) < 0 or p(b) < 0:
+    """Whether p >= 0 on all of [a, b], decided exactly on the integer
+    numerators q of t |-> p(a + (b - a) t) on [0, 1]: the values q(0) and
+    q(1) (enough for degree <= 1), then q changes sign in (0, 1) iff its odd
+    part has a Sturm root there, else the sign at one of k / (deg + 2)."""
+    q = _primitive(p.compose_linear(b - a, a).nums)
+    if q and (q[0] < 0 or sum(q) < 0):
         return False
-    if p.degree <= 1:
+    if len(q) <= 2:
         return True
-    odd = _odd_part(p)
-    if count_real_roots(odd, a, b) - (odd(b) == 0) > 0:
+    chain = _sturm_chain(_odd_part(q))
+    if _variations(chain, 0) - _variations(chain, 1) - (sum(chain[0]) == 0) > 0:
         return False
-    n = p.degree + 2
-    return next(v for k in range(1, n) if (v := p(a + (b - a) * k / n))) > 0
+    n = len(q) + 1
+    return next(v for k in range(1, n) if (v := _horner(q, k, n))) > 0
 
 
 def pw_negative_piece(f: PiecewisePoly) -> tuple[Fraction, Fraction] | None:
@@ -460,13 +516,13 @@ def pw_negative_piece(f: PiecewisePoly) -> tuple[Fraction, Fraction] | None:
 
 
 def _isolate(
-    q: Polynomial, a: Fraction, b: Fraction, width: Fraction
+    q: list[int], a: Fraction, b: Fraction, width: Fraction
 ) -> list[tuple[Fraction, Fraction]]:
     """Intervals (lo, hi] narrower than width, each holding exactly one of
     the roots of the squarefree q in (a, b], by bisection on its Sturm chain."""
     chain = _sturm_chain(q)
     out = []
-    todo = [(a, b, _sign_variations(chain, a), _sign_variations(chain, b))]
+    todo = [(a, b, _variations(chain, a), _variations(chain, b))]
     while todo:
         lo, hi, v_lo, v_hi = todo.pop()
         if v_lo == v_hi:
@@ -475,7 +531,7 @@ def _isolate(
             out.append((lo, hi))
             continue
         mid = (lo + hi) / 2
-        v_mid = _sign_variations(chain, mid)
+        v_mid = _variations(chain, mid)
         todo += [(mid, hi, v_mid, v_hi), (lo, mid, v_lo, v_mid)]
     return out
 
@@ -498,14 +554,13 @@ def _poly_abs_sup(p: Polynomial, a: Fraction, b: Fraction) -> Fraction:
     if p.degree <= 1:
         return top
     dp = p.derivative()
-    q = _poly_divmod(dp, _poly_gcd(dp, dp.derivative()))[0]
-    den = lcm(*(c.denominator for c in q.scale(1 / q.coeffs[-1]).coeffs))
-    mx = max(abs(a), abs(b))
-    lip = sum(abs(c) * (mx ** i) for i, c in enumerate(dp.coeffs))
+    q = _exact_div(_primitive(dp.nums), _gcd(dp.nums, _derivative(dp.nums)))
+    den = abs(q[-1])  # the common denominator of monic q, as q is primitive
+    lip = Polynomial(tuple(abs(n) for n in dp.nums), dp.den)(max(abs(a), abs(b)))
     pads = []
     for lo, hi in _isolate(q, a, b, min((b - a) / 1024, Fraction(1, 2 * den * den))):
         r = ((lo + hi) / 2).limit_denominator(den)
-        if lo < r <= hi and q(r) == 0:
+        if lo < r <= hi and _horner(q, r.numerator, r.denominator) == 0:
             top = max(top, abs(p(r)))
         else:
             pads.append((abs(p(lo)) + abs(p(hi)) + lip * (hi - lo)) / 2)

@@ -23,6 +23,7 @@ from .exact import (
     Polynomial,
     json_get,
     json_int,
+    json_keys,
     json_list,
     pw_negative_piece,
     pw_sub,
@@ -68,10 +69,12 @@ class HNData:
 
     @staticmethod
     def from_json(data: dict) -> "HNData":
+        json_keys(data, "HN JSON", "d components")
+        comps = json_list(json_get(data, "components", "HN JSON"), "HN 'components'")
         pairs = [
             (rat(json_get(c, "slope", "HN component"), "HN component 'slope'"),
              json_int(json_get(c, "rank", "HN component"), "HN component 'rank'"))
-            for c in json_list(json_get(data, "components", "HN JSON"), "HN 'components'")
+            for c in (json_keys(x, "HN component", "slope rank") for x in comps)
         ]
         return HNData.build(pairs, json_int(json_get(data, "d", "HN JSON"), "HN 'd'"))
 

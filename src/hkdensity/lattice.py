@@ -36,7 +36,7 @@ import os
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import comb, factorial, gcd, prod
+from math import comb, factorial, gcd, lcm, prod
 from typing import Iterator
 
 from .errors import CapacityError, DomainError, InternalError, ValidationError
@@ -46,6 +46,7 @@ from .exact import (
     json_get,
     json_int,
     json_ints,
+    json_keys,
     json_list,
     pw_sup_distance,
 )
@@ -74,7 +75,7 @@ def enumeration_cap(cap: int | None = None) -> int:
     return cap
 
 
-def _eliminate(rows) -> tuple[list[int], Fraction]:
+def _eliminate(rows) -> tuple[list[int], int]:
     """Row-reduce an integer matrix fraction-free (Bareiss, Math. Comp. 22,
     1968): the pivot columns, which keep the rank of the rows, and the
     determinant if the matrix is square.  Each division by the previous
@@ -95,7 +96,7 @@ def _eliminate(rows) -> tuple[list[int], Fraction]:
             rows[r] = [(pivot * a - f * b) // prev for a, b in zip(rows[r], rows[top])]
         prev = pivot
         pivots.append(col)
-    return pivots, Fraction(sign * prev if len(pivots) == len(rows) else 0)
+    return pivots, sign * prev if len(pivots) == len(rows) else 0
 
 
 def _is_prime(p: int) -> bool:
@@ -215,12 +216,13 @@ class SemigroupSpec:
             subs = [sub for sub in faces[k - 1] if sub <= face and apex not in sub]
             return [s + (apex,) for sub in subs for s in simplices(sub, k - 1)]
 
+        den = lcm(*degrees) ** d  # a multiple of every prod deg g below
         volume = sum(
-            abs(_eliminate([gens[i] for i in s])[1]) / prod(degrees[i] for i in s)
+            abs(_eliminate([gens[i] for i in s])[1]) * den // prod(degrees[i] for i in s)
             for s in simplices(frozenset(range(len(gens))), d)
         )
-        index = gcd(*(int(_eliminate(m)[1]) for m in itertools.combinations(gens, d)))
-        return self.n0 ** d * volume / (factorial(d - 1) * index)
+        index = gcd(*(_eliminate(m)[1] for m in itertools.combinations(gens, d)))
+        return Fraction(self.n0 ** d * volume, factorial(d - 1) * index * den)
 
     def to_json(self) -> dict:
         return {
@@ -232,6 +234,7 @@ class SemigroupSpec:
 
     @staticmethod
     def from_json(data: dict) -> "SemigroupSpec":
+        json_keys(data, "semigroup", "rank gens weights p")
         gens = json_list(json_get(data, "gens", "semigroup"), "semigroup 'gens'")
         return SemigroupSpec(
             json_int(json_get(data, "rank", "semigroup"), "semigroup 'rank'"),
@@ -260,7 +263,7 @@ class MonomialIdealSpec:
     def from_json(data: dict | list) -> "MonomialIdealSpec":
         """``{"gens": [...]}``, or the bare list of generators."""
         if not isinstance(data, list):
-            data = json_get(data, "gens", "ideal")
+            data = json_get(json_keys(data, "ideal", "gens"), "gens", "ideal")
         gens = json_list(data, "ideal 'gens'")
         return MonomialIdealSpec(
             tuple(json_ints(g, f"ideal 'gens'[{i}]") for i, g in enumerate(gens))
@@ -401,12 +404,12 @@ class DensityApproximant:
 
     def _pieces(self, keys) -> PiecewisePoly:
         """keys[M] / den are the coefficients of the piece on [M/q, (M+1)/q);
-        runs of equal keys are merged before any Fraction is made."""
+        runs of equal keys are merged, and pieces stay integers over den."""
         breakpoints, pieces, end = [0], [], 0
         for key, run in itertools.groupby(keys):
             end += sum(1 for _ in run)
             breakpoints.append(Fraction(end, self.q))
-            pieces.append(Polynomial.of(*(Fraction(c, self.den) for c in key)))
+            pieces.append(Polynomial.over(list(key), self.den))
         return PiecewisePoly.build(breakpoints, pieces)
 
     @cached_property

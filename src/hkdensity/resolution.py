@@ -31,7 +31,7 @@ from itertools import combinations
 from math import comb
 
 from .errors import BettiIdentityError, InternalError, ValidationError
-from .exact import PiecewisePoly, Polynomial, json_get, json_int, json_list, pw_integrate
+from .exact import PiecewisePoly, Polynomial, json_get, json_int, json_keys, json_list, pw_integrate
 
 
 @dataclass(frozen=True)
@@ -82,10 +82,11 @@ class BettiTable:
 
     @staticmethod
     def from_json(data: dict) -> "BettiTable":
+        json_keys(data, "Betti table", "d betti")
         rows = json_list(json_get(data, "betti", "Betti table"), "Betti table 'betti'")
         entries = [
             tuple(json_int(json_get(row, k, "Betti entry"), f"Betti entry {k!r}") for k in "ijb")
-            for row in rows
+            for row in (json_keys(r, "Betti entry", "i j b") for r in rows)
         ]
         d = json_int(json_get(data, "d", "Betti table"), "Betti table 'd'")
         return BettiTable.build(d, entries)

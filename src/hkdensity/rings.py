@@ -21,7 +21,7 @@ from functools import lru_cache
 from math import factorial, gcd, prod
 
 from .errors import DomainError, InputError, ValidationError
-from .exact import PiecewisePoly, json_get, json_int, json_ints
+from .exact import PiecewisePoly, json_get, json_int, json_ints, json_keys
 from .lattice import SemigroupSpec, enumerate_semigroup
 
 
@@ -219,15 +219,20 @@ def hilbert_density(spec: RingSpec) -> PiecewisePoly:
 
 def parse_ring_json(data: dict) -> RingSpec:
     body = json_get(data, "ring", "ring JSON", data)
+    if body is not data:  # the {"ring": {...}} wrapper holds nothing else
+        json_keys(data, "ring JSON", "ring")
     kind = json_get(body, "type", "ring JSON")
     if kind == "ci":
+        json_keys(body, "ci ring", "type gens rels")
         return CompleteIntersectionRing(
             json_ints(json_get(body, "gens", "ci ring"), "ci ring 'gens'"),
             json_ints(json_get(body, "rels", "ci ring", []), "ci ring 'rels'"),
         )
     if kind == "semigroup":
+        json_keys(body, "semigroup ring", "type semigroup")
         return SemigroupRing(SemigroupSpec.from_json(json_get(body, "semigroup", "semigroup ring")))
     if kind == "veronese":
+        json_keys(body, "veronese ring", "type base factor")
         return VeroneseRing(
             parse_ring_json(json_get(body, "base", "veronese ring")),
             json_int(json_get(body, "factor", "veronese ring"), "veronese ring 'factor'"),

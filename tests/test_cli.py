@@ -609,3 +609,72 @@ def test_mutated_inputs_exit_with_a_report(data):
         assert code in (1, 2) and out.getvalue() == ""
         report = json.loads(err.getvalue())
         assert isinstance(report["error"], str) and isinstance(report["message"], str)
+
+
+# ------------------------------------------------ unknown JSON keys
+# Each JSON object of the input formats, by format and path, with a key it
+# does not take.  Densities and density pairs take extra keys, because
+# command outputs (density-betti, segre) are read back as inputs.
+UNKNOWN_KEYS = [
+    ("semigroup", (), "N0"),
+    ("semigroup", ("semigroup",), "N0"),
+    ("ideal object", ("ideal",), "N0"),
+    ("ci", (), "N0"),
+    ("ci", ("ring",), "rel"),
+    ("ci", (), "n0"),  # n0 and ehat come from the ring when there is one
+    ("ci", (), "ehat"),
+    ("veronese", ("ring",), "N0"),
+    ("veronese", ("ring", "base"), "N0"),
+    ("semigroup ring", ("ring",), "N0"),
+    ("semigroup ring", ("ring", "semigroup"), "N0"),
+    ("betti", (), "N0"),
+    ("betti", ("betti",), "N0"),
+    ("betti", ("betti", "betti", 0), "N0"),
+    ("hn", (), "N0"),
+    ("hn", ("components", 1), "N0"),
+]
+
+
+@pytest.mark.parametrize("fmt, path, key", UNKNOWN_KEYS, ids=[
+    f"{fmt}:{'.'.join(map(str, path)) or 'top'}+{key}" for fmt, path, key in UNKNOWN_KEYS
+])
+def test_unknown_keys_are_input_errors(tmp_path, capsys, fmt, path, key):
+    argv, doc, _ = FORMATS[fmt]
+    inp = write(tmp_path, "in.json", mutated(doc, path + (key,), 2))
+    code, out, err = run_cli(capsys, with_input(argv, inp))
+    assert code == 1 and out == "", err
+    report = json.loads(err)
+    assert report["error"] == "InputError"
+    assert repr(key) in report["message"]
+
+
+@pytest.mark.parametrize("extra, code", [({}, 0), ({"N0": 2}, 1)])
+def test_ring_wrapper_is_strict(tmp_path, capsys, extra, code):
+    doc = {**KOSZUL_BETTI, "ring": {"ring": KOSZUL_BETTI["ring"], **extra}}
+    got, out, err = run_cli(capsys, ["density-betti", "--in", write(tmp_path, "in.json", doc)])
+    assert got == code, err
+    if code:
+        assert "'N0'" in json.loads(err)["message"]
+    else:
+        plain = write(tmp_path, "plain.json", KOSZUL_BETTI)
+        assert out == run_cli(capsys, ["density-betti", "--in", plain])[1]
+
+
+@pytest.mark.parametrize("fmt, path", [
+    ("density", ()), ("density pair", ()), ("density pair", ("F",)), ("density pair", ("f",)),
+])
+def test_densities_take_extra_keys(tmp_path, capsys, fmt, path):
+    argv, doc, _ = FORMATS[fmt]
+    plain = run_cli(capsys, with_input(argv, write(tmp_path, "a.json", doc)))
+    extra = mutated(doc, path + ("command",), "density-betti")
+    assert run_cli(capsys, with_input(argv, write(tmp_path, "b.json", extra))) == plain
+
+
+def test_density_betti_table_dimension_must_match_ring(tmp_path, capsys):
+    # a d = 2 table over the dimension-3 ring k[x, y, z]
+    doc = {**KOSZUL_BETTI, "ring": {"type": "ci", "gens": [1, 1, 1]}}
+    code, out, err = run_cli(capsys, ["density-betti", "--in", write(tmp_path, "in.json", doc)])
+    assert code == 2 and out == ""
+    report = json.loads(err)
+    assert report["error"] == "ValidationError"
+    assert "d = 2" in report["message"] and "dimension 3" in report["message"]

@@ -1,7 +1,8 @@
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt, lcm
+from math import gcd, isqrt, lcm
 
 import pytest
 from hypothesis import example, given, settings
@@ -14,9 +15,8 @@ from hkdensity.exact import (
     P_ZERO,
     PiecewisePoly,
     Polynomial,
+    _odd_part,
     _poly_abs_sup,
-    _poly_divmod,
-    _poly_gcd,
     count_real_roots,
     poly_nonnegative,
     pw_add,
@@ -35,6 +35,147 @@ F = Fraction
 rationals = st.fractions(
     min_value=-50, max_value=50, max_denominator=12
 )
+
+
+@dataclass(frozen=True)
+class FractionPoly:
+    """A polynomial as one Fraction per coefficient, with Fraction Euclid,
+    Sturm and Yun below: the reference for the integer kernel of
+    ``Polynomial``."""
+
+    coeffs: tuple[Fraction, ...]
+
+    @staticmethod
+    def of(*coeffs) -> "FractionPoly":
+        cs = [Fraction(c) for c in coeffs]
+        while cs and cs[-1] == 0:
+            cs.pop()
+        return FractionPoly(tuple(cs))
+
+    @property
+    def degree(self) -> int:
+        return len(self.coeffs) - 1
+
+    def is_zero(self) -> bool:
+        return not self.coeffs
+
+    def __call__(self, x):
+        acc = Fraction(0)
+        for c in reversed(self.coeffs):
+            acc = acc * x + c
+        return acc
+
+    def _coef(self, i):
+        return self.coeffs[i] if i < len(self.coeffs) else Fraction(0)
+
+    def __add__(self, other):
+        n = max(len(self.coeffs), len(other.coeffs))
+        return FractionPoly.of(*(self._coef(i) + other._coef(i) for i in range(n)))
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __neg__(self):
+        return FractionPoly(tuple(-c for c in self.coeffs))
+
+    def __mul__(self, other):
+        if self.is_zero() or other.is_zero():
+            return FractionPoly(())
+        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
+        for i, a in enumerate(self.coeffs):
+            for j, b in enumerate(other.coeffs):
+                out[i + j] += a * b
+        return FractionPoly.of(*out)
+
+    def __pow__(self, n):
+        result = FractionPoly.of(1)
+        for _ in range(n):
+            result = result * self
+        return result
+
+    def scale(self, k):
+        return FractionPoly.of(*(c * k for c in self.coeffs))
+
+    def compose_linear(self, a, b):
+        lin = FractionPoly.of(b, a)
+        acc = FractionPoly(())
+        for c in reversed(self.coeffs):
+            acc = acc * lin + FractionPoly.of(c)
+        return acc
+
+    def derivative(self):
+        return FractionPoly.of(*(i * c for i, c in enumerate(self.coeffs) if i))
+
+    def antiderivative(self):
+        return FractionPoly.of(0, *(c / (i + 1) for i, c in enumerate(self.coeffs)))
+
+
+def ref_divmod(a, b):
+    rem = list(a.coeffs)
+    quot = [Fraction(0)] * max(0, len(rem) - len(b.coeffs) + 1)
+    while len(rem) >= len(b.coeffs) and any(rem):
+        if rem[-1] == 0:
+            rem.pop()
+            continue
+        shift = len(rem) - len(b.coeffs)
+        factor = rem[-1] / b.coeffs[-1]
+        quot[shift] = factor
+        for i, c in enumerate(b.coeffs):
+            rem[shift + i] -= factor * c
+        rem.pop()
+    return FractionPoly.of(*quot), FractionPoly.of(*rem)
+
+
+def ref_gcd(a, b):
+    while not b.is_zero():
+        a, b = b, ref_divmod(a, b)[1]
+    return a if a.is_zero() else a.scale(1 / a.coeffs[-1])
+
+
+def ref_sturm_chain(p):
+    chain = [p, p.derivative()]
+    while not chain[-1].is_zero() and chain[-1].degree > 0:
+        rem = ref_divmod(chain[-2], chain[-1])[1]
+        if rem.is_zero():
+            break
+        chain.append(-rem)
+    return [q for q in chain if not q.is_zero()]
+
+
+def ref_count_real_roots(p, a, b):
+    def variations(x):
+        signs = [v for q in chain if (v := q(x)) != 0]
+        return sum(1 for s, t in zip(signs, signs[1:]) if (s > 0) != (t > 0))
+
+    chain = ref_sturm_chain(p)
+    return variations(a) - variations(b)
+
+
+def ref_odd_part(p):
+    dp = p.derivative()
+    g = ref_gcd(p, dp)
+    b, c = ref_divmod(p, g)[0], ref_divmod(dp, g)[0]
+    factors = []
+    while b.degree > 0:
+        d = c - b.derivative()
+        factors.append(ref_gcd(b, d))
+        b, c = ref_divmod(b, factors[-1])[0], ref_divmod(d, factors[-1])[0]
+    out = FractionPoly.of(1)
+    for f in factors[::2]:
+        out = out * f
+    return out
+
+
+def ref_nonnegative(p, a, b):
+    if p(a) < 0 or p(b) < 0:
+        return False
+    if p.degree <= 1:
+        return True
+    odd = ref_odd_part(p)
+    if ref_count_real_roots(odd, a, b) - (odd(b) == 0) > 0:
+        return False
+    n = p.degree + 2
+    return next(v for k in range(1, n) if (v := p(a + (b - a) * k / n))) > 0
 
 
 def poly_strategy(max_deg=4):
@@ -361,10 +502,13 @@ def deflation_abs_sup(p, a, b):
     candidates.extend(r for r in roots if a < r < b)
     cofactor = dp
     if dp.degree >= 2:
-        cofactor = _poly_divmod(dp, _poly_gcd(dp, dp.derivative()))[0]
+        ref = FractionPoly(dp.coeffs)
+        cofactor = Polynomial.of(*ref_divmod(ref, ref_gcd(ref, ref.derivative()))[0].coeffs)
     for r in roots:
         while cofactor(r) == 0:
-            cofactor = _poly_divmod(cofactor, Polynomial.of(-r, 1))[0]
+            cofactor = Polynomial.of(
+                *ref_divmod(FractionPoly(cofactor.coeffs), FractionPoly.of(-r, 1))[0].coeffs
+            )
     exact = cofactor.degree <= 0 or count_real_roots(cofactor, a, b) == 0
     return max(abs(p(c)) for c in candidates), exact
 
@@ -388,3 +532,69 @@ def test_sup_distance_keeps_deflation_exact_values(prs, widths):
     # exact or not, the result bounds |f| from above
     for a, b, p in zip(bps, bps[1:], pieces):
         assert all(abs(p(a + (b - a) * k / 16)) <= got for k in range(17))
+
+
+def assert_canonical(p: Polynomial) -> None:
+    assert p.den > 0 and gcd(p.den, *p.nums) == 1
+    assert not p.nums or p.nums[-1] != 0
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    poly_strategy(), poly_strategy(), rationals, rationals, rationals, rationals,
+    st.integers(0, 4),
+)
+def test_integer_ops_match_fraction_reference(p, q, k, x, a, b, n):
+    ref_p, ref_q = FractionPoly(p.coeffs), FractionPoly(q.coeffs)
+    pairs = [
+        (p + q, ref_p + ref_q),
+        (p - q, ref_p - ref_q),
+        (-p, -ref_p),
+        (p * q, ref_p * ref_q),
+        (p ** n, ref_p ** n),
+        (p.scale(k), ref_p.scale(k)),
+        (p.derivative(), ref_p.derivative()),
+        (p.antiderivative(), ref_p.antiderivative()),
+        (p.compose_linear(a, b), ref_p.compose_linear(a, b)),
+    ]
+    for got, want in pairs:
+        assert_canonical(got)
+        assert got.coeffs == want.coeffs
+        assert got == Polynomial.of(*want.coeffs)
+    assert p(x) == ref_p(x) and type(p(x)) is Fraction
+    assert Polynomial.of(*ref_p.coeffs) == p
+
+
+def nonzero_polys():
+    # sparse integer polynomials give remainder sequences that skip degrees
+    sparse = st.lists(st.sampled_from([0, 0, 0, 1, -1, 2, -2, 3]), min_size=3, max_size=7)
+    return st.one_of(
+        factored_polys().map(lambda pr: pr[0]),
+        poly_strategy(5),
+        sparse.map(lambda cs: Polynomial.of(*cs)),
+    ).filter(lambda p: not p.is_zero())
+
+
+def interval(a, b):
+    a, b = min(a, b), max(a, b)
+    return (a, b) if a != b else (a, a + 1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(nonzero_polys(), small_rats, small_rats)
+# endpoints at roots of odd and of even multiplicity
+@example(Polynomial.of(-1, 1) ** 3 * Polynomial.of(-2, 1) ** 2, F(1), F(2))
+# remainders whose degree drops by 2 under a negative leading coefficient:
+# only |lc|^(delta + 1) keeps their signs
+@example(Polynomial.of(0, 2, 0, 0, 0, 0, 2), F(-2), F(2))
+@example(Polynomial.of(1, -2, -2, 0, 0, -1), F(-3), F(0))
+def test_sign_kernel_matches_fraction_reference(p, a, b):
+    a, b = interval(a, b)
+    ref = FractionPoly(p.coeffs)
+    assert count_real_roots(p, a, b) == ref_count_real_roots(ref, a, b)
+    assert poly_nonnegative(p, a, b) == ref_nonnegative(ref, a, b)
+    if p.degree >= 1:
+        # the same odd part up to a positive factor
+        odd, want = FractionPoly.of(*_odd_part(list(p.nums))), ref_odd_part(ref)
+        assert odd.coeffs[-1] > 0
+        assert odd.scale(1 / odd.coeffs[-1]) == want.scale(1 / want.coeffs[-1])
