@@ -1,66 +1,71 @@
 """Exact bivariate polynomials and Hilbert-Burch minor checks.
 
-Coefficients live in Q or a quadratic extension Q(sqrt(disc)), stored as
-pairs (r, s) meaning r + s*sqrt(disc).  disc is attached to the polynomial;
-None means plain rationals.  A 2x3 presentation matrix determines an ideal
-through its signed 2x2 minors; ``match_generators`` compares those minors
-against a claimed generating set in two tiers: per-generator proportionality
-under a degree-compatible permutation, then exact graded ideal equality at
-the generator degrees.
+Coefficients live in Q or a quadratic extension Q(sqrt(disc)), written
+r + s*u with u^2 = disc; disc is attached to the polynomial, and None means
+plain rationals.  A polynomial is computed in integers, as
+``exact.Polynomial`` is: integer terms (a, b, r, s) standing for
+(r + s*u) x1^a x2^b, over one denominator den > 0.  The form is canonical
+(terms sorted by (a, b), no zero pair (r, s), gcd(den, every r and s) = 1),
+so structural equality is value equality.  Sums work over the lcm of the two
+denominators, a product is one integer convolution with u^2 = disc, and each
+result is normalized once.  Fraction pairs are made only for readers: the
+``terms`` view, printed notes and the scalars ``proportional`` returns.
+
+A 2x3 presentation matrix determines an ideal through its signed 2x2 minors;
+``match_generators`` compares those minors against a claimed generating set in
+two tiers: per-generator proportionality under a degree-compatible
+permutation, then exact graded ideal equality at the generator degrees.
+Proportionality p = c*q is decided by cross-multiplying in Z[u]: p and q
+have the same support and p_k q_0 = p_0 q_k for every term k, where p_0 and
+q_0 are the first terms.  The scalar c = p_0 / q_0 (times q.den / p.den) is
+made only once that holds.
 
 The graded pieces are compared by a sparse integer echelon.  Each row, a
-shifted copy of a generator, is a dict of its nonzero integer entries after
-clearing denominators; elimination is fraction-free, each step dividing the
-new row by the gcd of its entries.  Over Q(sqrt(disc)) the Q-linear embedding
-r + s*u -> (r | s) turns a K-subspace into a Q-subspace: each K-row v
-contributes the two Q-rows v and u*v, so ranks double and no quadratic-field
-arithmetic enters the elimination.
+shifted copy of a generator, is a dict of its nonzero integer numerators;
+elimination is fraction-free, each step dividing the new row by the gcd of
+its entries.  Over Q(sqrt(disc)) the Q-linear embedding r + s*u -> (r | s)
+turns a K-subspace into a Q-subspace: each K-row v contributes the two
+Q-rows v and u*v, so ranks double and no quadratic-field arithmetic enters
+the elimination.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import permutations
 from math import gcd, isqrt, lcm
 
 from .errors import InputError, ValidationError
 
 Coef = tuple[Fraction, Fraction]
-
-C_ZERO: Coef = (Fraction(0), Fraction(0))
-
-
-def _coerce_coef(c) -> Coef:
-    if isinstance(c, tuple):
-        return (Fraction(c[0]), Fraction(c[1]))
-    return (Fraction(c), Fraction(0))
+Term = tuple[int, int, int, int]  # (a, b, r, s): (r + s*u) x1^a x2^b
 
 
-def _c_is_zero(c: Coef) -> bool:
-    return c[0] == 0 and c[1] == 0
+def _exponent(e) -> int:
+    if isinstance(e, int) and not isinstance(e, bool):
+        return e
+    raise InputError(f"exponent must be an int, got {e!r}")
 
 
-def _c_add(x: Coef, y: Coef) -> Coef:
-    return (x[0] + y[0], x[1] + y[1])
+def _rational(x) -> Fraction:
+    if isinstance(x, Fraction):
+        return x
+    if isinstance(x, int) and not isinstance(x, bool):
+        return Fraction(x)
+    raise InputError(f"coefficient must be an int or a Fraction (or a pair of those), got {x!r}")
 
 
-def _c_neg(x: Coef) -> Coef:
-    return (-x[0], -x[1])
-
-
-def _c_mul(x: Coef, y: Coef, disc: int | None) -> Coef:
-    d = disc if disc is not None else 0
-    return (x[0] * y[0] + x[1] * y[1] * d, x[0] * y[1] + x[1] * y[0])
-
-
-def _c_div(x: Coef, y: Coef, disc: int | None) -> Coef:
-    d = disc if disc is not None else 0
-    norm = y[0] * y[0] - y[1] * y[1] * d
-    if norm == 0:
-        raise ZeroDivisionError("division by zero coefficient")
-    z = _c_mul(x, (y[0], -y[1]), disc)
-    return (z[0] / norm, z[1] / norm)
+def _int_coef(c) -> tuple[int, int, int]:
+    """Numerators r, s and denominator of c = r + s*u, given as an int, a
+    Fraction or a pair of those."""
+    if isinstance(c, tuple) and len(c) == 2:
+        r, s = _rational(c[0]), _rational(c[1])
+    else:
+        r, s = _rational(c), Fraction(0)
+    den = lcm(r.denominator, s.denominator)
+    return r.numerator * (den // r.denominator), s.numerator * (den // s.denominator), den
 
 
 def _c_str(c: Coef) -> str:
@@ -76,6 +81,8 @@ def _c_str(c: Coef) -> str:
 def _check_disc(disc: int | None) -> None:
     if disc is None:
         return
+    if not isinstance(disc, int) or isinstance(disc, bool):
+        raise InputError(f"disc must be an int, got {disc!r}")
     if disc >= 0 and isqrt(disc) ** 2 == disc:
         raise InputError(
             f"disc = {disc} is a perfect square; use rational coefficients"
@@ -90,28 +97,61 @@ def _merge_disc(a: int | None, b: int | None) -> int | None:
     raise InputError(f"incompatible coefficient fields: sqrt({a}) vs sqrt({b})")
 
 
+def _conv(p: tuple[Term, ...], q: tuple[Term, ...], d: int, k: int) -> list[Term]:
+    """The integer terms of k * p * q with u^2 = d, monomials not yet summed."""
+    return [
+        (a1 + a2, b1 + b2, k * (r1 * r2 + d * s1 * s2), k * (r1 * s2 + s1 * r2))
+        for a1, b1, r1, s1 in p
+        for a2, b2, r2, s2 in q
+    ]
+
+
 @dataclass(frozen=True)
 class BivariatePoly:
-    """Polynomial in x1, x2; terms sorted by exponent pair (a, b)."""
+    """Polynomial in x1, x2: integer terms (a, b, r, s) sorted by (a, b),
+    none with r = s = 0, over one denominator den > 0 with gcd(den, every r
+    and s) = 1."""
 
-    terms: tuple[tuple[int, int, Coef], ...]
+    nums: tuple[Term, ...]
+    den: int = 1
     disc: int | None = None
 
     @staticmethod
+    def over(terms, den: int = 1, disc: int | None = None) -> "BivariatePoly":
+        """The sum of the integer terms (a, b, r, s) over den > 0, in
+        canonical form; the terms are trusted, not validated."""
+        acc: dict = {}
+        for a, b, r, s in terms:
+            t = acc.get((a, b))
+            if t is None:
+                acc[a, b] = [r, s]
+            else:
+                t[0] += r
+                t[1] += s
+        nums = [(a, b, r, s) for (a, b), (r, s) in sorted(acc.items()) if r or s]
+        g = gcd(den, *(x for _, _, r, s in nums for x in (r, s)))
+        if g > 1:
+            nums = [(a, b, r // g, s // g) for a, b, r, s in nums]
+        return BivariatePoly(tuple(nums), den // g, disc)
+
+    @staticmethod
     def build(terms, disc: int | None = None) -> "BivariatePoly":
+        """The sum of the terms (a, b, c): int exponents a, b >= 0 and c an
+        int, a Fraction or a pair (r, s) of those for r + s*u."""
         _check_disc(disc)
-        merged: dict[tuple[int, int], Coef] = {}
+        raw = []
         for a, b, c in terms:
+            a, b = _exponent(a), _exponent(b)
             if a < 0 or b < 0:
                 raise InputError(f"negative exponent in term ({a}, {b})")
-            key = (int(a), int(b))
-            merged[key] = _c_add(merged.get(key, C_ZERO), _coerce_coef(c))
-        canon = tuple(
-            (a, b, c) for (a, b), c in sorted(merged.items()) if not _c_is_zero(c)
+            raw.append((a, b, *_int_coef(c)))
+        den = lcm(*(n for *_, n in raw))
+        poly = BivariatePoly.over(
+            [(a, b, r * (den // n), s * (den // n)) for a, b, r, s, n in raw], den, disc
         )
-        if disc is None and any(c[1] != 0 for _, _, c in canon):
+        if disc is None and any(s for *_, s in poly.nums):
             raise InputError("irrational coefficient part with no disc given")
-        return BivariatePoly(canon, disc)
+        return poly
 
     @staticmethod
     def mono(a: int, b: int, c=1, disc: int | None = None) -> "BivariatePoly":
@@ -119,52 +159,73 @@ class BivariatePoly:
 
     @staticmethod
     def zero() -> "BivariatePoly":
-        return BivariatePoly((), None)
+        return BivariatePoly(())
+
+    @cached_property
+    def terms(self) -> tuple[tuple[int, int, Coef], ...]:
+        """Read-only view: (a, b, (r, s)) with r and s as Fractions."""
+        den = self.den
+        return tuple((a, b, (Fraction(r, den), Fraction(s, den))) for a, b, r, s in self.nums)
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.nums
 
     def with_disc(self, disc: int | None) -> "BivariatePoly":
         merged = _merge_disc(self.disc, disc)
         if merged == self.disc:
             return self
-        return BivariatePoly.build(self.terms, merged)
+        _check_disc(merged)
+        return BivariatePoly(self.nums, self.den, merged)
+
+    def _combine(self, other: "BivariatePoly", sign: int) -> "BivariatePoly":
+        """self + sign * other over the lcm of the denominators."""
+        disc = _merge_disc(self.disc, other.disc)
+        den = lcm(self.den, other.den)
+        k, m = den // self.den, sign * (den // other.den)
+        return BivariatePoly.over(
+            [(a, b, k * r, k * s) for a, b, r, s in self.nums]
+            + [(a, b, m * r, m * s) for a, b, r, s in other.nums],
+            den,
+            disc,
+        )
 
     def __add__(self, other: "BivariatePoly") -> "BivariatePoly":
-        disc = _merge_disc(self.disc, other.disc)
-        return BivariatePoly.build(self.terms + other.terms, disc)
+        return self._combine(other, 1)
+
+    def __sub__(self, other: "BivariatePoly") -> "BivariatePoly":
+        return self._combine(other, -1)
 
     def __neg__(self) -> "BivariatePoly":
         return BivariatePoly(
-            tuple((a, b, _c_neg(c)) for a, b, c in self.terms), self.disc
+            tuple((a, b, -r, -s) for a, b, r, s in self.nums), self.den, self.disc
         )
-
-    def __sub__(self, other: "BivariatePoly") -> "BivariatePoly":
-        return self + (-other)
 
     def __mul__(self, other: "BivariatePoly") -> "BivariatePoly":
         disc = _merge_disc(self.disc, other.disc)
-        out = []
-        for a1, b1, c1 in self.terms:
-            for a2, b2, c2 in other.terms:
-                out.append((a1 + a2, b1 + b2, _c_mul(c1, c2, disc)))
-        return BivariatePoly.build(out, disc)
+        return BivariatePoly.over(
+            _conv(self.nums, other.nums, disc or 0, 1), self.den * other.den, disc
+        )
 
     def scale(self, c) -> "BivariatePoly":
-        cc = _coerce_coef(c)
-        return BivariatePoly.build(
-            [(a, b, _c_mul(t, cc, self.disc)) for a, b, t in self.terms], self.disc
+        cr, cs, n = _int_coef(c)
+        if self.disc is None and cs and self.nums:
+            raise InputError("irrational coefficient part with no disc given")
+        d = self.disc or 0
+        return BivariatePoly.over(
+            [(a, b, r * cr + d * s * cs, r * cs + s * cr) for a, b, r, s in self.nums],
+            self.den * n,
+            self.disc,
         )
 
     def is_homogeneous(self) -> bool:
-        degs = {a + b for a, b, _ in self.terms}
+        degs = {a + b for a, b, _, _ in self.nums}
         return len(degs) <= 1
 
     def degree(self) -> int:
         """Total degree; -1 for the zero polynomial."""
-        if not self.terms:
+        if not self.nums:
             return -1
-        return max(a + b for a, b, _ in self.terms)
+        return max(a + b for a, b, _, _ in self.nums)
 
     def __str__(self) -> str:
         if not self.terms:
@@ -189,12 +250,19 @@ def hilbert_burch_minors(matrix) -> tuple[BivariatePoly, BivariatePoly, Bivariat
     for r in rows:
         for e in r:
             disc = _merge_disc(disc, e.disc)
-    rows = [[e.with_disc(disc) for e in r] for r in rows]
+    top, bottom = rows
+    d = disc or 0
 
-    def det(j1: int, j2: int) -> BivariatePoly:
-        return rows[0][j1] * rows[1][j2] - rows[0][j2] * rows[1][j1]
+    def det(j1: int, j2: int, sign: int) -> BivariatePoly:
+        # sign * (top[j1] bottom[j2] - top[j2] bottom[j1]) on the numerators
+        p, q, r, t = top[j1], bottom[j2], top[j2], bottom[j1]
+        den1, den2 = p.den * q.den, r.den * t.den
+        den = lcm(den1, den2)
+        terms = _conv(p.nums, q.nums, d, sign * (den // den1))
+        terms += _conv(r.nums, t.nums, d, -sign * (den // den2))
+        return BivariatePoly.over(terms, den, disc)
 
-    return (det(1, 2), -det(0, 2), det(0, 1))
+    return (det(1, 2, 1), det(0, 2, -1), det(0, 1, 1))
 
 
 def matrix_degree_report(matrix) -> tuple[bool, list[str]]:
@@ -225,15 +293,26 @@ def proportional(p: BivariatePoly, q: BivariatePoly) -> Coef | None:
     """Scalar c with p = c * q, or None.  Zero polynomials never match."""
     if p.is_zero() or q.is_zero():
         return None
-    disc = _merge_disc(p.disc, q.disc)
-    p = p.with_disc(disc)
-    q = q.with_disc(disc)
-    if {(a, b) for a, b, _ in p.terms} != {(a, b) for a, b, _ in q.terms}:
+    d = _merge_disc(p.disc, q.disc) or 0
+    if len(p.nums) != len(q.nums):
         return None
-    c = _c_div(p.terms[0][2], q.terms[0][2], disc)
-    if q.scale(c).terms == p.terms:
-        return c
-    return None
+    _, _, pr, ps = p.nums[0]
+    _, _, qr, qs = q.nums[0]
+    for (a, b, r1, s1), (a2, b2, r2, s2) in zip(p.nums, q.nums):
+        # same monomial, and p_k q_0 = p_0 q_k in Z[u]
+        if (
+            a != a2
+            or b != b2
+            or r1 * qr + d * s1 * qs != pr * r2 + d * ps * s2
+            or r1 * qs + s1 * qr != pr * s2 + ps * r2
+        ):
+            return None
+    # p_0 / q_0 = p_0 * conj(q_0) / N(q_0); N(q_0) != 0 as disc is no square
+    norm = (qr * qr - d * qs * qs) * p.den
+    return (
+        Fraction((pr * qr - d * ps * qs) * q.den, norm),
+        Fraction((ps * qr - pr * qs) * q.den, norm),
+    )
 
 
 def _int_rows(g: BivariatePoly, disc: int | None) -> list[dict[int, int]]:
@@ -243,15 +322,14 @@ def _int_rows(g: BivariatePoly, disc: int | None) -> list[dict[int, int]]:
     K = Q(sqrt(disc)) a coefficient r + s*u (u^2 = disc) sits at keys 2a (r)
     and 2a + 1 (s), and the K-line through g is spanned over Q by g and u*g,
     whose coefficients are disc*s + r*u.  So every rank over Q is twice the
-    rank over K.
+    rank over K.  g's denominator scales each row by a positive constant,
+    which the primitive form drops.
     """
-    den = lcm(*(x.denominator for _, _, c in g.terms for x in c))
     if disc is None:
-        return [_primitive({a: int(r * den) for a, _, (r, _) in g.terms})]
+        return [_primitive({a: r for a, _, r, _ in g.nums})]
     row: dict[int, int] = {}
     u_row: dict[int, int] = {}
-    for a, _, (r, s) in g.terms:
-        r, s = int(r * den), int(s * den)
+    for a, _, r, s in g.nums:
         for out, key, v in (
             (row, 2 * a, r),
             (row, 2 * a + 1, s),

@@ -111,12 +111,14 @@ def _lin(c0, c1) -> Polynomial:
     return Polynomial.of(Fraction(c0), Fraction(c1))
 
 
-def _mono(a: int, b: int, c=1, disc: int | None = None) -> BivariatePoly:
-    return BivariatePoly.mono(a, b, c, disc)
+def _mono(a: int, b: int, r: int = 1) -> BivariatePoly:
+    return BivariatePoly.over([(a, b, r, 0)])
 
 
-def _poly(terms, disc: int | None = None) -> BivariatePoly:
-    return BivariatePoly.build(terms, disc)
+def _poly(terms, den: int = 1, disc: int | None = None) -> BivariatePoly:
+    """The sum of the integer terms (a, b, r) for r x1^a x2^b, or
+    (a, b, r, s) for (r + s*u) x1^a x2^b, over den."""
+    return BivariatePoly.over([t if len(t) == 4 else (*t, 0) for t in terms], den, disc)
 
 
 def _entry_a(n: int) -> AdeEntry:
@@ -212,22 +214,22 @@ def _entry_d(n: int) -> AdeEntry:
 def _entry_e6() -> AdeEntry:
     # coefficient field k(u), u^2 = -12; a = 2 sqrt(-3) is u
     D = -12
-    half = Fraction(1, 2)
     gens = (
         _poly([(5, 1, 1), (1, 5, -1)]),
-        _poly([(4, 0, 1), (2, 2, (0, 1)), (0, 4, 1)], D),
-        _poly([(4, 0, 1), (2, 2, (0, -1)), (0, 4, 1)], D),
+        _poly([(4, 0, 1), (2, 2, 0, 1), (0, 4, 1)], disc=D),
+        _poly([(4, 0, 1), (2, 2, 0, -1), (0, 4, 1)], disc=D),
     )
+    # the middle and right columns carry u/2: numerators over den = 2
     matrix: Matrix = (
         (
             _mono(1, 0),
-            _poly([(2, 1, (0, -half)), (0, 3, -1)], D),
-            _poly([(2, 1, (0, half)), (0, 3, -1)], D),
+            _poly([(2, 1, 0, -1), (0, 3, -2)], 2, D),
+            _poly([(2, 1, 0, 1), (0, 3, -2)], 2, D),
         ),
         (
             _mono(0, 1),
-            _poly([(3, 0, 1), (1, 2, (0, half))], D),
-            _poly([(3, 0, 1), (1, 2, (0, -half))], D),
+            _poly([(3, 0, 2), (1, 2, 0, 1)], 2, D),
+            _poly([(3, 0, 2), (1, 2, 0, -1)], 2, D),
         ),
     )
     betti = BettiTable.build(2, [(1, 6, 1), (1, 4, 2), (2, 7, 2)])
@@ -320,17 +322,17 @@ def _entry_e8() -> AdeEntry:
             ]
         ),
     )
-    b_half = Fraction(494, 2)
+    # the middle column carries 11/2: numerators over den = 2; 247 = 494/2
     matrix: Matrix = (
         (
             _mono(1, 0),
-            _poly([(11, 0, -1), (6, 5, Fraction(-11, 2))]),
-            _poly([(0, 19, 1), (5, 14, 228), (10, 9, b_half)]),
+            _poly([(11, 0, -2), (6, 5, -11)], 2),
+            _poly([(0, 19, 1), (5, 14, 228), (10, 9, 247)]),
         ),
         (
             _mono(0, 1),
-            _poly([(0, 11, -1), (5, 6, Fraction(11, 2))]),
-            _poly([(19, 0, -1), (14, 5, 228), (9, 10, -b_half)]),
+            _poly([(0, 11, -2), (5, 6, 11)], 2),
+            _poly([(19, 0, -1), (14, 5, 228), (9, 10, -247)]),
         ),
     )
     betti = BettiTable.build(2, [(1, 12, 1), (1, 30, 1), (1, 20, 1), (2, 31, 2)])

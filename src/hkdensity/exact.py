@@ -229,6 +229,12 @@ class Polynomial:
         v = x.denominator
         return Fraction(_horner(self.nums, x.numerator, v), self.den * v ** max(self.degree, 0))
 
+    def _at(self, x: int | Fraction) -> tuple[int, int]:
+        """p(x) as an unreduced integer pair (numerator, denominator > 0),
+        for comparisons and sums that make no Fraction."""
+        v = x.denominator
+        return _horner(self.nums, x.numerator, v), self.den * v ** max(self.degree, 0)
+
     def __add__(self, other: "Polynomial") -> "Polynomial":
         den = lcm(self.den, other.den)
         a, b = den // self.den, den // other.den
@@ -383,7 +389,8 @@ class PiecewisePoly:
     def is_continuous(self) -> bool:
         segs = list(self.pieces) + [self.tail if self.tail is not None else P_ZERO]
         for b, left, right in zip(self.breakpoints[1:], segs, segs[1:]):
-            if left(b) != right(b):
+            (n1, d1), (n2, d2) = left._at(b), right._at(b)
+            if n1 * d2 != n2 * d1:
                 return False
         return True
 
@@ -419,11 +426,15 @@ def pw_integrate(f: PiecewisePoly) -> Fraction:
     """Exact integral over [0, oo); requires compact support."""
     if f.tail is not None:
         raise ValidationError("cannot integrate a function with unbounded support")
-    total = Fraction(0)
+    # num / den over the lcm of the pieces' denominators; one Fraction at the end
+    num, den = 0, 1
     for a, b, p in zip(f.breakpoints, f.breakpoints[1:], f.pieces):
         anti = p.antiderivative()
-        total += anti(b) - anti(a)
-    return total
+        (nb, db), (na, da) = anti._at(b), anti._at(a)
+        common = lcm(den, db * da)
+        num = num * (common // den) + (nb * da - na * db) * (common // (db * da))
+        den = common
+    return Fraction(num, den)
 
 
 def pw_combine(

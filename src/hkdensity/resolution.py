@@ -106,21 +106,23 @@ def _prefix_power_sums(betti: BettiTable) -> list[list[int]]:
     return out
 
 
-def _shift_weights(d: int, ehat: Fraction, n0: int) -> list[Fraction]:
-    """ehat C(d-1, k) (-1)^k / n0^k: the x^(d-1-k) coefficient of
-    ehat (x - j/n0)^(d-1) is this weight times j^k."""
-    return [ehat * Fraction((-1) ** k * comb(d - 1, k), n0**k) for k in range(d)]
+def _shift_weights(d: int, ehat: Fraction, n0: int) -> tuple[list[int], int]:
+    """Integers w_k = C(d-1, k) (-1)^k n0^(d-1-k) ehat.numerator over the one
+    denominator n0^(d-1) ehat.denominator: the x^(d-1-k) coefficient of
+    ehat (x - j/n0)^(d-1) is w_k j^k over it."""
+    weights = [comb(d - 1, k) * (-1) ** k * n0 ** (d - 1 - k) * ehat.numerator for k in range(d)]
+    return weights, n0 ** (d - 1) * ehat.denominator
 
 
-def _piece(sums: list[int], weights: list[Fraction]) -> Polynomial:
-    """sum_k weights[k] S_k x^(d-1-k), constant term first."""
-    return Polynomial.of(*(w * s for w, s in zip(reversed(weights), reversed(sums))))
+def _piece(sums: list[int], weights: list[int], den: int) -> Polynomial:
+    """sum_k weights[k] S_k x^(d-1-k) over den, constant term first."""
+    return Polynomial.over([w * s for w, s in zip(reversed(weights), reversed(sums))], den)
 
 
 def betti_residual(betti: BettiTable) -> Polynomial:
     """sum_j B(j) (x - j)^(d-1) from the moments; identically zero for valid
     tables."""
-    return _piece(_prefix_power_sums(betti)[-1], _shift_weights(betti.d, Fraction(1), 1))
+    return _piece(_prefix_power_sums(betti)[-1], *_shift_weights(betti.d, Fraction(1), 1))
 
 
 def validate_betti(betti: BettiTable) -> None:
@@ -164,10 +166,10 @@ def closed_form_density(
     # twist, which must vanish
     if any(prefixes[-1]):
         raise InternalError("density did not close up to compact support")
-    weights = _shift_weights(betti.d, ehat, n0)
+    weights, den = _shift_weights(betti.d, ehat, n0)
     out = PiecewisePoly.build(
         [Fraction(j, n0) for j in betti.b_numbers()],
-        [_piece(sums, weights) for sums in prefixes[:-1]],
+        [_piece(sums, weights, den) for sums in prefixes[:-1]],
         None,
     )
     if not out.is_continuous():

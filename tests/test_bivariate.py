@@ -1,19 +1,18 @@
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
+from itertools import permutations
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hkdensity.bivariate import (
-    C_ZERO,
     BivariatePoly,
-    _c_add,
-    _c_div,
-    _c_is_zero,
-    _c_mul,
-    _c_neg,
+    _c_str,
+    _check_disc,
     _merge_disc,
     graded_ideal_equal,
     hilbert_burch_minors,
@@ -21,10 +20,204 @@ from hkdensity.bivariate import (
     matrix_degree_report,
     proportional,
 )
-from hkdensity.errors import InputError
+from hkdensity.errors import InputError, ValidationError
 
 F = Fraction
 P = BivariatePoly
+
+
+# ---------------------------------------------------------------------------
+# Fraction reference: the Fraction-pair polynomial the integer kernel
+# replaced, with its coefficient helpers, minors and proportionality test
+
+Coef = tuple[Fraction, Fraction]
+
+C_ZERO: Coef = (Fraction(0), Fraction(0))
+
+
+def _coerce_coef(c) -> Coef:
+    if isinstance(c, tuple):
+        return (Fraction(c[0]), Fraction(c[1]))
+    return (Fraction(c), Fraction(0))
+
+
+def _c_is_zero(c: Coef) -> bool:
+    return c[0] == 0 and c[1] == 0
+
+
+def _c_add(x: Coef, y: Coef) -> Coef:
+    return (x[0] + y[0], x[1] + y[1])
+
+
+def _c_neg(x: Coef) -> Coef:
+    return (-x[0], -x[1])
+
+
+def _c_mul(x: Coef, y: Coef, disc: int | None) -> Coef:
+    d = disc if disc is not None else 0
+    return (x[0] * y[0] + x[1] * y[1] * d, x[0] * y[1] + x[1] * y[0])
+
+
+def _c_div(x: Coef, y: Coef, disc: int | None) -> Coef:
+    d = disc if disc is not None else 0
+    norm = y[0] * y[0] - y[1] * y[1] * d
+    if norm == 0:
+        raise ZeroDivisionError("division by zero coefficient")
+    z = _c_mul(x, (y[0], -y[1]), disc)
+    return (z[0] / norm, z[1] / norm)
+
+
+@dataclass(frozen=True)
+class FractionPoly:
+    """Polynomial in x1, x2; terms sorted by exponent pair (a, b)."""
+
+    terms: tuple[tuple[int, int, Coef], ...]
+    disc: int | None = None
+
+    @staticmethod
+    def build(terms, disc: int | None = None) -> "FractionPoly":
+        _check_disc(disc)
+        merged: dict[tuple[int, int], Coef] = {}
+        for a, b, c in terms:
+            if a < 0 or b < 0:
+                raise InputError(f"negative exponent in term ({a}, {b})")
+            key = (int(a), int(b))
+            merged[key] = _c_add(merged.get(key, C_ZERO), _coerce_coef(c))
+        canon = tuple(
+            (a, b, c) for (a, b), c in sorted(merged.items()) if not _c_is_zero(c)
+        )
+        if disc is None and any(c[1] != 0 for _, _, c in canon):
+            raise InputError("irrational coefficient part with no disc given")
+        return FractionPoly(canon, disc)
+
+    @staticmethod
+    def mono(a: int, b: int, c=1, disc: int | None = None) -> "FractionPoly":
+        return FractionPoly.build([(a, b, c)], disc)
+
+    @staticmethod
+    def zero() -> "FractionPoly":
+        return FractionPoly((), None)
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def with_disc(self, disc: int | None) -> "FractionPoly":
+        merged = _merge_disc(self.disc, disc)
+        if merged == self.disc:
+            return self
+        return FractionPoly.build(self.terms, merged)
+
+    def __add__(self, other: "FractionPoly") -> "FractionPoly":
+        disc = _merge_disc(self.disc, other.disc)
+        return FractionPoly.build(self.terms + other.terms, disc)
+
+    def __neg__(self) -> "FractionPoly":
+        return FractionPoly(
+            tuple((a, b, _c_neg(c)) for a, b, c in self.terms), self.disc
+        )
+
+    def __sub__(self, other: "FractionPoly") -> "FractionPoly":
+        return self + (-other)
+
+    def __mul__(self, other: "FractionPoly") -> "FractionPoly":
+        disc = _merge_disc(self.disc, other.disc)
+        out = []
+        for a1, b1, c1 in self.terms:
+            for a2, b2, c2 in other.terms:
+                out.append((a1 + a2, b1 + b2, _c_mul(c1, c2, disc)))
+        return FractionPoly.build(out, disc)
+
+    def scale(self, c) -> "FractionPoly":
+        cc = _coerce_coef(c)
+        return FractionPoly.build(
+            [(a, b, _c_mul(t, cc, self.disc)) for a, b, t in self.terms], self.disc
+        )
+
+    def is_homogeneous(self) -> bool:
+        degs = {a + b for a, b, _ in self.terms}
+        return len(degs) <= 1
+
+    def degree(self) -> int:
+        if not self.terms:
+            return -1
+        return max(a + b for a, b, _ in self.terms)
+
+    def __str__(self) -> str:
+        if not self.terms:
+            return "0"
+        parts = []
+        for a, b, c in sorted(self.terms, reverse=True):
+            mono = "".join(
+                f"{v}^{e}" if e > 1 else v
+                for v, e in (("x1", a), ("x2", b))
+                if e > 0
+            ) or "1"
+            parts.append(f"{_c_str(c)}*{mono}" if _c_str(c) != "1" else mono)
+        return " + ".join(parts)
+
+
+def ref_minors(matrix):
+    rows = [list(r) for r in matrix]
+    disc = None
+    for r in rows:
+        for e in r:
+            disc = _merge_disc(disc, e.disc)
+    rows = [[e.with_disc(disc) for e in r] for r in rows]
+
+    def det(j1: int, j2: int) -> FractionPoly:
+        return rows[0][j1] * rows[1][j2] - rows[0][j2] * rows[1][j1]
+
+    return (det(1, 2), -det(0, 2), det(0, 1))
+
+
+def ref_proportional(p: FractionPoly, q: FractionPoly) -> Coef | None:
+    if p.is_zero() or q.is_zero():
+        return None
+    disc = _merge_disc(p.disc, q.disc)
+    p = p.with_disc(disc)
+    q = q.with_disc(disc)
+    if {(a, b) for a, b, _ in p.terms} != {(a, b) for a, b, _ in q.terms}:
+        return None
+    c = _c_div(p.terms[0][2], q.terms[0][2], disc)
+    if q.scale(c).terms == p.terms:
+        return c
+    return None
+
+
+def ref_match(matrix, gens):
+    """match_generators on the reference: (minors, degree_consistent,
+    per_generator, verdict, notes), with the RREF reference deciding ideal
+    equality."""
+    minors = ref_minors(matrix)
+    deg_ok, notes = matrix_degree_report(matrix)
+    table = [[ref_proportional(minors[j], gens[i]) for i in range(3)] for j in range(3)]
+    best_perm = max(
+        permutations(range(3)),
+        key=lambda perm: sum(table[perm[i]][i] is not None for i in range(3)),
+    )
+    scalars = [table[best_perm[i]][i] for i in range(3)]
+    matched = ["unmatched" if c is None else "proportional" for c in scalars]
+    for i, c in enumerate(scalars):
+        if c is not None:
+            notes.append(f"minor {best_perm[i] + 1} = {_c_str(c)} * generator {i + 1}")
+    if None not in scalars:
+        return minors, deg_ok, tuple(matched), "ok", tuple(notes)
+    if not all(g.is_homogeneous() for g in [*minors, *gens]):
+        raise ValidationError("ideal comparison needs homogeneous generators")
+    if ideal_equal_generator_degrees(list(minors), list(gens)):
+        matched = [m if m == "proportional" else "ideal" for m in matched]
+        notes.append(
+            "minor ideal equals generator ideal; unmatched generators lie in "
+            "the minor ideal without being scalar multiples"
+        )
+        return minors, deg_ok, tuple(matched), "ok", tuple(notes)
+    for i in range(3):
+        if matched[i] == "unmatched":
+            notes.append(
+                f"minor {best_perm[i] + 1} = {minors[best_perm[i]]} does not "
+                f"match generator {i + 1} = {gens[i]}"
+            )
+    return minors, deg_ok, tuple(matched), "mismatch", tuple(notes)
 
 
 def x1(k=1):
@@ -167,7 +360,7 @@ def _graded_piece(gens, m, disc):
         if g.is_zero() or dg > m:
             continue
         for i in range(m - dg + 1):
-            shifted = g * P.mono(i, m - dg - i)
+            shifted = g * type(g).mono(i, m - dg - i)
             vec = [C_ZERO] * (m + 1)
             for a, _, c in shifted.with_disc(disc).terms:
                 vec[a] = c
@@ -287,3 +480,178 @@ def test_match_generators_mismatch_lists_offender():
     report = match_generators(matrix, (P.mono(1, 1), P.mono(2, 0), P.mono(0, 3)))
     assert report.verdict == "mismatch"
     assert any("minor" in note for note in report.notes)
+
+
+@pytest.mark.parametrize(
+    "terms",
+    [
+        [(1.5, 0, 1)],  # int() would make it x1
+        [(True, 0, 1)],  # a bool is not an exponent
+        [(0, 2.0, 1)],
+        [(1, 0, 0.1)],  # would become 3602879701896397/36028797018963968
+        [(1, 0, "1/3")],
+        [(1, 0, True)],
+        [(1, 0, (0, 0.5))],
+        [(1, 0, ("1", 0))],
+        [(1, 0, None)],
+    ],
+)
+def test_build_refuses_coercions(terms):
+    with pytest.raises(InputError):
+        P.build(terms, disc=-3)
+
+
+def test_scale_and_disc_refuse_coercions():
+    with pytest.raises(InputError):
+        P.mono(1, 0).scale(0.5)
+    with pytest.raises(InputError):
+        P.mono(1, 0).scale("2")
+    with pytest.raises(InputError):
+        P.build([(1, 0, 1)], disc=True)
+
+
+def assert_canonical(p: P) -> None:
+    keys = [(a, b) for a, b, _, _ in p.nums]
+    assert keys == sorted(set(keys))
+    assert all(r or s for _, _, r, s in p.nums)
+    assert all(type(x) is int for t in p.nums for x in t) and type(p.den) is int
+    assert p.den > 0 and gcd(p.den, *(x for t in p.nums for x in t[2:])) == 1
+
+
+def assert_agrees(p: P, ref: FractionPoly) -> None:
+    """p is the reference value, in canonical integer form."""
+    assert_canonical(p)
+    assert p.terms == ref.terms and p.disc == ref.disc
+    assert p == P.build(ref.terms, ref.disc)
+    assert str(p) == str(ref)
+
+
+DISCS = [None, -12, -3, 2, 5]
+
+
+@st.composite
+def coefs(draw, disc, nonzero=False):
+    """A coefficient as build takes it: an int, a Fraction or a pair."""
+    part = st.builds(F, st.integers(-3, 3), st.sampled_from([1, 1, 2, 3, 4, 6]))
+    r = draw(part)
+    s = draw(part) if disc is not None and draw(st.booleans()) else F(0)
+    if nonzero and r == s == 0:
+        r = F(1)
+    form = draw(st.sampled_from(["pair", "single", "int"]))
+    if form == "pair" or s:
+        # an integral s comes as an int or as a Fraction
+        return (r, s.numerator if s.denominator == 1 and draw(st.booleans()) else s)
+    if form == "int" and r.denominator == 1:
+        return r.numerator
+    return r
+
+
+@st.composite
+def raw_terms(draw, disc, degree=None):
+    """Term lists with repeated monomials (sums that may cancel); of one
+    total degree when ``degree`` is given, else of mixed degrees."""
+    out = []
+    for _ in range(draw(st.integers(0, 4))):
+        if degree is None:
+            a, b = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+        else:
+            a = draw(st.integers(0, degree))
+            b = degree - a
+        out.append((a, b, draw(coefs(disc))))
+    return out
+
+
+def both(terms, disc):
+    return P.build(terms, disc), FractionPoly.build(terms, disc)
+
+
+def to_int(ref: FractionPoly) -> P:
+    return P.build(ref.terms, ref.disc)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_integer_ops_match_fraction_reference(data):
+    disc = data.draw(st.sampled_from(DISCS))
+    p, rp = both(data.draw(raw_terms(disc)), disc)
+    q, rq = both(data.draw(raw_terms(disc)), disc)
+    c = data.draw(coefs(disc))
+    assert_agrees(p, rp)
+    assert_agrees(p + q, rp + rq)
+    assert_agrees(p - q, rp - rq)
+    assert_agrees(-p, -rp)
+    assert_agrees(p * q, rp * rq)
+    assert_agrees(p.scale(c), rp.scale(c))
+    assert_agrees(p.with_disc(disc), rp.with_disc(disc))
+    assert (p.degree(), p.is_homogeneous()) == (rp.degree(), rp.is_homogeneous())
+    assert proportional(p, q) == ref_proportional(rp, rq)
+
+
+@st.composite
+def matrices_and_gens(draw):
+    """A 2x3 matrix over Q or Q(sqrt(disc)) and a generator triple.
+
+    Entries are zero, forms of their column's degree, or of mixed degrees.
+    The generators are the reference minors scaled and permuted, sheared
+    (m_i + c*m_j for two minors of one degree: the same ideal, not
+    proportional), multiplied by x1 (a different ideal), or random forms.
+    """
+    disc = draw(st.sampled_from(DISCS))
+    col_deg = [draw(st.integers(0, 2)) for _ in range(3)]
+
+    def entry(j):
+        kind = draw(st.sampled_from(["zero", "form", "form", "mixed"]))
+        if kind == "zero":
+            return []
+        return draw(raw_terms(disc, None if kind == "mixed" else col_deg[j]))
+
+    raw = [[entry(j) for j in range(3)] for _ in range(2)]
+    matrix = tuple(tuple(P.build(t, disc) for t in row) for row in raw)
+    ref_matrix = tuple(tuple(FractionPoly.build(t, disc) for t in row) for row in raw)
+    minors = list(ref_minors(ref_matrix))
+    mode = draw(st.sampled_from(["scaled", "sheared", "times_x1", "random", "one_random"]))
+    if mode == "random":
+        gens = [FractionPoly.build(draw(raw_terms(disc, draw(st.integers(0, 4)))), disc) for _ in range(3)]
+    else:
+        gens = [m.scale(draw(coefs(disc, nonzero=True))) for m in minors]
+        if mode == "sheared":
+            for i, j in permutations(range(3), 2):
+                if gens[i].degree() == gens[j].degree() and not gens[j].is_zero():
+                    gens[i] = gens[i] + gens[j].scale(draw(coefs(disc, nonzero=True)))
+                    break
+        elif mode == "times_x1":
+            gens[draw(st.integers(0, 2))] *= FractionPoly.mono(1, 0)
+        elif mode == "one_random":
+            gens[draw(st.integers(0, 2))] = FractionPoly.build(draw(raw_terms(disc, col_deg[0])), disc)
+        gens = [gens[i] for i in draw(st.permutations(range(3)))]
+    return matrix, ref_matrix, gens
+
+
+@settings(max_examples=150, deadline=None)
+@given(matrices_and_gens())
+def test_minors_and_match_match_fraction_reference(case):
+    matrix, ref_matrix, ref_gens = case
+    gens = [to_int(g) for g in ref_gens]
+    minors = hilbert_burch_minors(matrix)
+    expected_minors = ref_minors(ref_matrix)
+    for m, rm in zip(minors, expected_minors):
+        assert_agrees(m, rm)
+    for m, rm in zip(minors, expected_minors):
+        for g, rg in zip(gens, ref_gens):
+            c = proportional(m, g)
+            assert c == ref_proportional(rm, rg)
+            assert c is None or all(type(x) is Fraction for x in c)
+    try:
+        expected = ref_match(ref_matrix, ref_gens)
+    except ValidationError:
+        with pytest.raises(ValidationError):
+            match_generators(matrix, gens)
+        return
+    report = match_generators(matrix, gens)
+    assert [m.terms for m in report.minors] == [m.terms for m in expected[0]]
+    assert (
+        report.degree_consistent,
+        report.per_generator,
+        report.verdict,
+        report.notes,
+    ) == expected[1:]

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -189,6 +190,23 @@ def test_catalog_command(tmp_path, capsys):
     payload = json.loads(out)
     assert payload["verdict"]["table_status"] == "discrepancy"
     assert payload["minor_check"]["verdict"] == "ok"
+
+
+# sha256 of the concatenated stdout of every catalog entry, A_2..A_50,
+# D_2..D_50, E6, E7, E8, with no --p; a change that alters the catalog
+# output on purpose updates it and says so
+CATALOG_DIGEST = "bc9743e2fdcbb6ebea6e857054247136c89093a78d3d50c69bf569da7dc27b18"
+
+
+def test_catalog_stdout_digest(capsys):
+    argvs = [["--family", f, "--n", str(n)] for f in "AD" for n in range(2, 51)]
+    argvs += [["--family", f] for f in ("E6", "E7", "E8")]
+    h = hashlib.sha256()
+    for argv in argvs:
+        code, out, err = run_cli(capsys, ["catalog", *argv])
+        assert code == 0 and err == "", argv
+        h.update(out.encode())
+    assert h.hexdigest() == CATALOG_DIGEST
 
 
 def test_hn2_command(tmp_path, capsys):
