@@ -9,8 +9,9 @@ Two independent computational paths:
 with combinators for Segre products and Veronese rescaling
 (`combinators`), a verified catalog of the ADE invariant rings
 (`catalog`), and a dimension-2 closed form driven by
-Harder-Narasimhan data (`hn`).  All arithmetic is exact
-(`fractions.Fraction` end to end).
+Harder-Narasimhan data (`hn`).  All arithmetic is exact: the kernels
+work on integers (numerators over one denominator), and results are
+`fractions.Fraction` values.
 """
 
 from __future__ import annotations
@@ -54,7 +55,6 @@ from .lattice import (
 )
 from .combinators import (
     DensityPair,
-    module_density,
     rank_from_degrees,
     rescale_density,
     segre,
@@ -101,7 +101,6 @@ __all__ = [
     "hn_density",
     "koszul_betti",
     "leading_coefficient",
-    "module_density",
     "parse_ring_json",
     "pw_integrate",
     "pw_sup_distance",

@@ -91,24 +91,15 @@ class AdeEntry:
         return True
 
 
-def _pw_from_segments(segments) -> PiecewisePoly | None:
-    # segments: (start, end, poly); zero-width rows are dropped, which the
-    # printed tables need at degenerate parameters (A_2's middle row)
-    kept = [(s, e, p) for s, e, p in segments if Fraction(s) < Fraction(e)]
-    if not kept:
-        return None
-    breakpoints = [Fraction(kept[0][0])]
-    pieces = []
-    for s, e, p in kept:
-        if Fraction(s) != breakpoints[-1]:
-            raise InputError("printed table segments must be contiguous")
-        pieces.append(p)
-        breakpoints.append(Fraction(e))
-    return PiecewisePoly.build(breakpoints, pieces, None)
-
-
-def _lin(c0, c1) -> Polynomial:
-    return Polynomial.of(Fraction(c0), Fraction(c1))
+def _table(den: int, rows) -> PiecewisePoly:
+    """A printed piece table: each row (start, end, c0, c1) is
+    (c0 + c1 x) / den on [start, end).  Zero-width rows are dropped, which
+    the tables need at degenerate parameters (A_2's middle row)."""
+    kept = [row for row in rows if row[0] < row[1]]
+    return PiecewisePoly.build(
+        [kept[0][0], *(end for _, end, _, _ in kept)],
+        [Polynomial.over([c0, c1], den) for _, _, c0, c1 in kept],
+    )
 
 
 def _mono(a: int, b: int, r: int = 1) -> BivariatePoly:
@@ -130,23 +121,11 @@ def _entry_a(n: int) -> AdeEntry:
         (_mono(n - 1, 0), _mono(0, 1, -1), BivariatePoly.zero()),
         (_mono(0, n - 1), BivariatePoly.zero(), _mono(1, 0, -1)),
     )
-    den = Fraction(n + 1)
     if n % 2 == 0:
-        table = _pw_from_segments(
-            [
-                (0, 1, _lin(0, 4 / den)),
-                (1, Fraction(n, 2), _lin(4 / den, 0)),
-                (Fraction(n, 2), Fraction(n + 1, 2), _lin((4 + 4 * n) / den, -8 / den)),
-            ]
-        )
+        half, end = Fraction(n, 2), Fraction(n + 1, 2)
+        table = _table(n + 1, [(0, 1, 0, 4), (1, half, 4, 0), (half, end, 4 + 4 * n, -8)])
     else:
-        table = _pw_from_segments(
-            [
-                (0, 2, _lin(0, 1 / den)),
-                (2, n, _lin(2 / den, 0)),
-                (n, n + 1, _lin((2 + 2 * n) / den, -2 / den)),
-            ]
-        )
+        table = _table(n + 1, [(0, 2, 0, 1), (2, n, 2, 0), (n, n + 1, 2 + 2 * n, -2)])
     return AdeEntry(
         family="A",
         n=n,
@@ -185,14 +164,14 @@ def _entry_d(n: int) -> AdeEntry:
     elif n == 2:
         flags.append("printed piece-table denominator n-2 vanishes at n=2")
     else:
-        den = Fraction(n - 2)
-        table = _pw_from_segments(
+        table = _table(
+            n - 2,
             [
-                (0, 2, _lin(0, 1 / den)),
-                (2, n, _lin(2 / den, 0)),
-                (n, n + 1, _lin((n + 2) / den, -1 / den)),
-                (n + 1, Fraction(2 * n + 3, 2), _lin((2 * n + 3) / den, -2 / den)),
-            ]
+                (0, 2, 0, 1),
+                (2, n, 2, 0),
+                (n, n + 1, n + 2, -1),
+                (n + 1, Fraction(2 * n + 3, 2), 2 * n + 3, -2),
+            ],
         )
     return AdeEntry(
         family="D",
@@ -233,13 +212,7 @@ def _entry_e6() -> AdeEntry:
         ),
     )
     betti = BettiTable.build(2, [(1, 6, 1), (1, 4, 2), (2, 7, 2)])
-    table = _pw_from_segments(
-        [
-            (0, 2, _lin(0, Fraction(1, 6))),
-            (2, 3, _lin(Fraction(4, 6), Fraction(-1, 6))),
-            (3, Fraction(7, 2), _lin(Fraction(7, 6), Fraction(-2, 6))),
-        ]
-    )
+    table = _table(6, [(0, 2, 0, 1), (2, 3, 4, -1), (3, Fraction(7, 2), 7, -2)])
     return AdeEntry(
         family="E6",
         n=6,
@@ -271,15 +244,7 @@ def _entry_e7() -> AdeEntry:
         (_poly([(3, 4, 7), (7, 0, 1)]), _mono(0, 5), _mono(0, 1)),
     )
     betti = BettiTable.build(2, [(1, 6, 1), (1, 8, 1), (1, 12, 1), (2, 13, 2)])
-    den = Fraction(48)
-    table = _pw_from_segments(
-        [
-            (0, 6, _lin(0, 1 / den)),
-            (6, 8, _lin(6 / den, 0)),
-            (8, 12, _lin(14 / den, -1 / den)),
-            (12, 13, _lin(26 / den, -2 / den)),
-        ]
-    )
+    table = _table(48, [(0, 6, 0, 1), (6, 8, 6, 0), (8, 12, 14, -1), (12, 13, 26, -2)])
     return AdeEntry(
         family="E7",
         n=7,
@@ -336,14 +301,8 @@ def _entry_e8() -> AdeEntry:
         ),
     )
     betti = BettiTable.build(2, [(1, 12, 1), (1, 30, 1), (1, 20, 1), (2, 31, 2)])
-    den = Fraction(30)
-    table = _pw_from_segments(
-        [
-            (0, 6, _lin(0, 1 / den)),
-            (6, 10, _lin(6 / den, 0)),
-            (10, 15, _lin(16 / den, -1 / den)),
-            (15, Fraction(31, 2), _lin(31 / den, -2 / den)),
-        ]
+    table = _table(
+        30, [(0, 6, 0, 1), (6, 10, 6, 0), (10, 15, 16, -1), (15, Fraction(31, 2), 31, -2)]
     )
     return AdeEntry(
         family="E8",

@@ -21,7 +21,6 @@ from .exact import (
     pw_mul,
     pw_negative_piece,
     pw_rescale_arg,
-    pw_scale,
     pw_sub,
 )
 
@@ -100,13 +99,6 @@ def rescale_density(f: PiecewisePoly, l0: int, rank: int) -> PiecewisePoly:
     if rank < 1:
         raise DomainError(f"rank = {rank} must be >= 1")
     return pw_rescale_arg(f, Fraction(l0), Fraction(l0, rank))
-
-
-def module_density(f: PiecewisePoly, rank: int) -> PiecewisePoly:
-    """Density of a free module of the given rank over the same pair."""
-    if rank < 0:
-        raise DomainError(f"rank = {rank} must be >= 0")
-    return pw_scale(f, rank)
 
 
 def rank_from_degrees(gen_degrees, rel_degrees) -> Fraction:

@@ -451,10 +451,6 @@ def pw_combine(
     return PiecewisePoly.build(cuts, pieces, None if tail.is_zero() else tail)
 
 
-def pw_add(f: PiecewisePoly, g: PiecewisePoly) -> PiecewisePoly:
-    return pw_combine(f, g, lambda a, b: a + b)
-
-
 def pw_sub(f: PiecewisePoly, g: PiecewisePoly) -> PiecewisePoly:
     return pw_combine(f, g, lambda a, b: a - b)
 

@@ -84,11 +84,14 @@ class BettiTable:
     def from_json(data: dict) -> "BettiTable":
         json_keys(data, "Betti table", "d betti")
         rows = json_list(json_get(data, "betti", "Betti table"), "Betti table 'betti'")
-        entries = [
+        entries = tuple(
             tuple(json_int(json_get(row, k, "Betti entry"), f"Betti entry {k!r}") for k in "ijb")
             for row in (json_keys(r, "Betti entry", "i j b") for r in rows)
-        ]
+        )
         d = json_int(json_get(data, "d", "Betti table"), "Betti table 'd'")
+        # each row on its own first: build sums equal (i, j) rows, and a
+        # row with b < 1 must not cancel against another or vanish
+        BettiTable(d, entries)
         return BettiTable.build(d, entries)
 
 
@@ -125,13 +128,17 @@ def betti_residual(betti: BettiTable) -> Polynomial:
     return _piece(_prefix_power_sums(betti)[-1], *_shift_weights(betti.d, Fraction(1), 1))
 
 
-def validate_betti(betti: BettiTable) -> None:
-    res = betti_residual(betti)
-    if not res.is_zero():
+def validate_betti(betti: BettiTable) -> list[list[int]]:
+    """Check the vanishing identity and return the prefix power sums it was
+    read from.  Every weight of the residual is nonzero, so the residual is
+    zero exactly when the last prefix, the moment vector, is."""
+    prefixes = _prefix_power_sums(betti)
+    if any(prefixes[-1]):
         raise BettiIdentityError(
             "alternating Betti sums fail the degree-(d-1) vanishing identity",
-            residual=res,
+            residual=betti_residual(betti),
         )
+    return prefixes
 
 
 def colength_by_degree(betti: BettiTable, hilbert, q: int, m: int) -> int:
@@ -154,18 +161,13 @@ def closed_form_density(
 ) -> PiecewisePoly:
     """Limit density: on [j_t/n0, j_{t+1}/n0), ehat * sum over activated
     twists of B(j) (x - j/n0)^(d-1), built from the prefix power sums."""
-    validate_betti(betti)
+    prefixes = validate_betti(betti)
     if betti.d < 2:
         raise ValidationError("closed-form density needs dimension >= 2")
     if n0 < 1:
         raise ValidationError(f"n0 = {n0} must be >= 1")
     if ehat <= 0:
         raise ValidationError(f"ehat = {ehat} must be positive")
-    prefixes = _prefix_power_sums(betti)
-    # the final prefix is the full moment vector: the piece beyond the last
-    # twist, which must vanish
-    if any(prefixes[-1]):
-        raise InternalError("density did not close up to compact support")
     weights, den = _shift_weights(betti.d, ehat, n0)
     out = PiecewisePoly.build(
         [Fraction(j, n0) for j in betti.b_numbers()],

@@ -3,7 +3,11 @@
 Three ring descriptions are supported: graded complete intersections
 (generator and relation degrees, Hilbert series prod(1-t^c)/prod(1-t^e)),
 affine semigroup rings (delegating counts to the lattice module), and
-Veronese views of either.  All expose the same memoized oracle interface.
+Veronese views of either.  Each kind answers for itself: ``dim``, ``n0``,
+``ehat()``, ``hilbert(upto)`` (dim_k R_m for m = 0..upto) and
+``gcd_window()``, the degrees over which ``hilbert_function`` checks that
+the occupied degrees have gcd n0 (None where n0 is exact).
+``hilbert_function`` wraps a ring in a memoized oracle, one per ring.
 
 ``hilbert_density`` returns the envelope F(x) = ehat * x^(d-1): the limit of
 the degree-windowed, q-normalized Hilbert function of the ring itself.  In
@@ -51,12 +55,38 @@ class CompleteIntersectionRing:
     def dim(self) -> int:
         return len(self.gen_degrees) - len(self.rel_degrees)
 
-    def to_json(self) -> dict:
-        return {
-            "type": "ci",
-            "gens": list(self.gen_degrees),
-            "rels": list(self.rel_degrees),
-        }
+    @property
+    def n0(self) -> int:
+        return gcd(*self.gen_degrees)
+
+    def ehat(self) -> Fraction:
+        return Fraction(
+            self.n0**self.dim * prod(self.rel_degrees),
+            factorial(self.dim - 1) * prod(self.gen_degrees),
+        )
+
+    def hilbert(self, upto: int) -> list[int]:
+        # numerator prod(1 - t^c) has few terms; divide by each (1 - t^e)
+        # via the prefix recurrence a[m] += a[m - e].
+        coeffs = [0] * (upto + 1)
+        coeffs[0] = 1
+        for c in self.rel_degrees:
+            for m in range(upto, c - 1, -1):
+                coeffs[m] -= coeffs[m - c]
+        for e in self.gen_degrees:
+            for m in range(e, upto + 1):
+                coeffs[m] += coeffs[m - e]
+        for m, v in enumerate(coeffs):
+            if v < 0:
+                raise ValidationError(
+                    f"Hilbert series coefficient {v} < 0 at degree {m}: "
+                    "relation degrees do not describe a regular sequence"
+                )
+        return coeffs
+
+    def gcd_window(self) -> int:
+        mx = max(self.gen_degrees)
+        return max(2 * mx * mx, 2 * (sum(self.gen_degrees) + sum(self.rel_degrees)), 64)
 
 
 @dataclass(frozen=True)
@@ -68,6 +98,26 @@ class SemigroupRing:
     @property
     def dim(self) -> int:
         return self.spec.dim
+
+    @property
+    def n0(self) -> int:
+        return self.spec.n0
+
+    def ehat(self) -> Fraction:
+        return self.spec.ehat()
+
+    def hilbert(self, upto: int) -> list[int]:
+        # Each extension enumerates afresh and keeps only the bucket sizes:
+        # the HilbertFunction lives in the process-wide hilbert_function
+        # cache, and buckets kept there would live as long as the process.
+        # The doubling in HilbertFunction.__call__ bounds the rebuild cost.
+        enum = enumerate_semigroup(self.spec, upto)
+        return [len(enum.by_degree[m]) for m in range(upto + 1)]
+
+    def gcd_window(self) -> None:
+        # n0 is exact: the occupied degrees are a submonoid of N holding
+        # every large multiple of its gcd, so there is nothing to check
+        return None
 
 
 @dataclass(frozen=True)
@@ -86,6 +136,24 @@ class VeroneseRing:
     def dim(self) -> int:
         return self.base.dim
 
+    @property
+    def n0(self) -> int:
+        return self.base.n0 // gcd(self.base.n0, self.factor)
+
+    def ehat(self) -> Fraction:
+        # along occupied degrees dim R_m ~ ehat / n0^(d-1) * m^(d-1), and
+        # degree m of the view is degree m * factor of the base
+        scale = Fraction(self.factor, gcd(self.base.n0, self.factor))
+        return self.base.ehat() * scale ** (self.dim - 1)
+
+    def hilbert(self, upto: int) -> list[int]:
+        base = hilbert_function(self.base)
+        return [base(m * self.factor) for m in range(upto + 1)]
+
+    def gcd_window(self) -> int | None:
+        window = self.base.gcd_window()
+        return None if window is None else max(1, window // self.factor + 2)
+
 
 RingSpec = CompleteIntersectionRing | SemigroupRing | VeroneseRing
 
@@ -93,114 +161,36 @@ RingSpec = CompleteIntersectionRing | SemigroupRing | VeroneseRing
 class HilbertFunction:
     """Memoized length oracle m -> dim_k R_m."""
 
-    def __init__(self, extend, d: int, n0: int):
-        self._extend = extend  # extend(values: list[int], upto: int) -> None
+    def __init__(self, ring: RingSpec):
+        self._ring = ring
         self._values: list[int] = []
-        self.dim = d
-        self.n0 = n0
+        self.dim = ring.dim
+        self.n0 = ring.n0
 
     def __call__(self, m: int) -> int:
         if m < 0:
             return 0
         if m >= len(self._values):
-            self._extend(self._values, max(m, 2 * len(self._values) + 16))
+            self._values = self._ring.hilbert(max(m, 2 * len(self._values) + 16))
         return self._values[m]
-
-
-def _ci_extender(spec: CompleteIntersectionRing):
-    def extend(values: list[int], upto: int) -> None:
-        # numerator prod(1 - t^c) has few terms; divide by each (1 - t^e)
-        # via the prefix recurrence a[m] += a[m - e].
-        coeffs = [0] * (upto + 1)
-        coeffs[0] = 1
-        for c in spec.rel_degrees:
-            for m in range(upto, c - 1, -1):
-                coeffs[m] -= coeffs[m - c]
-        for e in spec.gen_degrees:
-            for m in range(e, upto + 1):
-                coeffs[m] += coeffs[m - e]
-        for m, v in enumerate(coeffs):
-            if v < 0:
-                raise ValidationError(
-                    f"Hilbert series coefficient {v} < 0 at degree {m}: "
-                    "relation degrees do not describe a regular sequence"
-                )
-        values[:] = coeffs
-
-    return extend
-
-
-def _semigroup_extender(spec: SemigroupSpec):
-    def extend(values: list[int], upto: int) -> None:
-        # Each extension enumerates afresh and keeps only the bucket sizes:
-        # the HilbertFunction lives in the process-wide hilbert_function
-        # cache, and buckets kept there would live as long as the process.
-        # The doubling in HilbertFunction.__call__ bounds the rebuild cost.
-        enum = enumerate_semigroup(spec, upto)
-        values[:] = [len(enum.by_degree[m]) for m in range(upto + 1)]
-
-    return extend
 
 
 @lru_cache(maxsize=None)
 def hilbert_function(spec: RingSpec) -> HilbertFunction:
-    if isinstance(spec, CompleteIntersectionRing):
-        if spec.dim < 1:
-            raise ValidationError("dimension must be >= 1")
-        n0 = gcd(*spec.gen_degrees)
-        h = HilbertFunction(_ci_extender(spec), spec.dim, n0)
-        _verify_gcd(h, n0, _gcd_window(spec))
-        return h
-    if isinstance(spec, SemigroupRing):
-        return HilbertFunction(
-            _semigroup_extender(spec.spec), spec.spec.dim, spec.spec.n0
-        )
-    if isinstance(spec, VeroneseRing):
-        base = hilbert_function(spec.base)
-        n0 = base.n0 // gcd(base.n0, spec.factor)
-
-        def extend(values: list[int], upto: int) -> None:
-            values[:] = [base(m * spec.factor) for m in range(upto + 1)]
-
-        h = HilbertFunction(extend, base.dim, n0)
-        # over a semigroup ring n0 is exact: the occupied degrees are a
-        # submonoid of N holding every large multiple of its gcd
-        bottom = spec.base
-        while isinstance(bottom, VeroneseRing):
-            bottom = bottom.base
-        if not isinstance(bottom, SemigroupRing):
-            _verify_gcd(h, n0, _gcd_window(spec))
-        return h
-    raise InputError(f"unknown ring spec {type(spec).__name__}")
-
-
-def _gcd_window(spec: CompleteIntersectionRing | VeroneseRing) -> int:
-    if isinstance(spec, VeroneseRing):
-        return max(1, _gcd_window(spec.base) // spec.factor + 2)
-    mx = max(spec.gen_degrees)
-    return max(2 * mx * mx, 2 * (sum(spec.gen_degrees) + sum(spec.rel_degrees)), 64)
-
-
-def _verify_gcd(h: HilbertFunction, n0: int, window: int) -> None:
-    got = 0
-    for m in range(1, window + 1):
-        if h(m):
-            got = gcd(got, m)
-    if got != n0:
-        raise ValidationError(
-            f"occupied degrees up to {window} have gcd {got}, expected {n0}"
-        )
-
-
-def _degreewise_leading(spec: RingSpec) -> Fraction:
-    """C such that dim R_m ~ C * m^(d-1) along occupied degrees."""
-    if isinstance(spec, CompleteIntersectionRing):
-        n0 = gcd(*spec.gen_degrees)
-        num = prod(spec.rel_degrees) if spec.rel_degrees else 1
-        return Fraction(n0 * num, factorial(spec.dim - 1) * prod(spec.gen_degrees))
-    if isinstance(spec, SemigroupRing):
-        return spec.spec.ehat() / spec.spec.n0 ** (spec.dim - 1)
-    return _degreewise_leading(spec.base) * spec.factor ** (spec.dim - 1)
+    """The ring's memoized Hilbert function, once the occupied degrees of
+    its gcd window (if it has one) are seen to have gcd n0."""
+    h = HilbertFunction(spec)
+    window = spec.gcd_window()
+    if window is not None:
+        got = 0
+        for m in range(1, window + 1):
+            if h(m):
+                got = gcd(got, m)
+        if got != h.n0:
+            raise ValidationError(
+                f"occupied degrees up to {window} have gcd {got}, expected {h.n0}"
+            )
+    return h
 
 
 def leading_coefficient(spec: RingSpec) -> Fraction:
@@ -208,7 +198,7 @@ def leading_coefficient(spec: RingSpec) -> Fraction:
     h = hilbert_function(spec)
     if h.dim < 2:
         raise DomainError("density envelope needs dimension >= 2")
-    return _degreewise_leading(spec) * h.n0 ** (h.dim - 1)
+    return spec.ehat()
 
 
 def hilbert_density(spec: RingSpec) -> PiecewisePoly:

@@ -299,6 +299,31 @@ def test_betti_table_json_needs_integers(tmp_path, capsys, key, value):
     assert json.loads(err)["error"] == "InputError"
 
 
+@pytest.mark.parametrize(
+    "rows",
+    [
+        [(1, 1, 2), (2, 2, 1), (1, 3, -1)],
+        # summed with the row (1, 3, 1), the -1 would cancel away
+        [(1, 1, 2), (2, 2, 1), (1, 3, -1), (1, 3, 1)],
+        # a zero row would be dropped by the merge
+        [(1, 1, 2), (2, 2, 1), (1, 3, 0)],
+    ],
+)
+def test_betti_rows_below_one_refused_before_merging(tmp_path, capsys, rows):
+    table = {
+        "betti": {"d": 2, "betti": [{"i": i, "j": j, "b": b} for i, j, b in rows]},
+        "ehat": "1",
+    }
+    code, out, err = run_cli(
+        capsys, ["density-betti", "--in", write(tmp_path, "t.json", table)]
+    )
+    assert code == 2 and out == ""
+    report = json.loads(err)
+    assert report["error"] == "ValidationError"
+    _, _, b = rows[2]
+    assert report["message"] == f"multiplicity {b} < 1 at (1, 3)"
+
+
 @pytest.mark.parametrize("d", ["two", 2.0, False])
 def test_segre_pair_d_must_be_json_integer(tmp_path, capsys, d):
     a = write(tmp_path, "a.json", TENT_PAIR)

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from hkdensity.combinators import (
     DensityPair,
-    module_density,
     rank_from_degrees,
     rescale_density,
     segre,
@@ -138,14 +137,6 @@ def test_rescale_rejects_bad_args():
         rescale_density(tent(), 0, 2)
     with pytest.raises(DomainError):
         rescale_density(tent(), 2, 0)
-
-
-def test_module_density_scales():
-    tripled = module_density(tent(), 3)
-    assert pw_integrate(tripled) == 3
-    assert module_density(tent(), 0).is_zero()
-    with pytest.raises(DomainError):
-        module_density(tent(), -1)
 
 
 def test_rank_from_degrees_catalog_values():

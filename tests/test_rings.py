@@ -1,7 +1,8 @@
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, factorial, gcd, lcm
+from functools import lru_cache
+from math import comb, factorial, gcd, lcm, prod
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -286,3 +287,175 @@ def test_koszul_numerator_consistency(a, b):
     h, hf = hilbert_function(ring), hilbert_function(free)
     for m in range(12):
         assert h(m) == hf(m) - hf(m - a - b)
+
+
+# ---------------------------------------------------------------- reference
+# The ring oracle as it was written before each ring kind answered for
+# itself: extender closures handed to a callback memo, and isinstance
+# ladders for the Hilbert function, the gcd window and the leading
+# coefficient.  The property below holds the ring kinds to it.
+
+
+class RefHilbertFunction:
+    def __init__(self, extend, d: int, n0: int):
+        self._extend = extend
+        self._values: list[int] = []
+        self.dim = d
+        self.n0 = n0
+
+    def __call__(self, m: int) -> int:
+        if m < 0:
+            return 0
+        if m >= len(self._values):
+            self._extend(self._values, max(m, 2 * len(self._values) + 16))
+        return self._values[m]
+
+
+def ref_ci_extender(spec: CompleteIntersectionRing):
+    def extend(values: list[int], upto: int) -> None:
+        coeffs = [0] * (upto + 1)
+        coeffs[0] = 1
+        for c in spec.rel_degrees:
+            for m in range(upto, c - 1, -1):
+                coeffs[m] -= coeffs[m - c]
+        for e in spec.gen_degrees:
+            for m in range(e, upto + 1):
+                coeffs[m] += coeffs[m - e]
+        for m, v in enumerate(coeffs):
+            if v < 0:
+                raise ValidationError(
+                    f"Hilbert series coefficient {v} < 0 at degree {m}: "
+                    "relation degrees do not describe a regular sequence"
+                )
+        values[:] = coeffs
+
+    return extend
+
+
+def ref_semigroup_extender(spec: SemigroupSpec):
+    def extend(values: list[int], upto: int) -> None:
+        enum = enumerate_semigroup(spec, upto)
+        values[:] = [len(enum.by_degree[m]) for m in range(upto + 1)]
+
+    return extend
+
+
+@lru_cache(maxsize=None)
+def ref_hilbert_function(spec) -> RefHilbertFunction:
+    if isinstance(spec, CompleteIntersectionRing):
+        if spec.dim < 1:
+            raise ValidationError("dimension must be >= 1")
+        n0 = gcd(*spec.gen_degrees)
+        h = RefHilbertFunction(ref_ci_extender(spec), spec.dim, n0)
+        ref_verify_gcd(h, n0, ref_gcd_window(spec))
+        return h
+    if isinstance(spec, SemigroupRing):
+        return RefHilbertFunction(
+            ref_semigroup_extender(spec.spec), spec.spec.dim, spec.spec.n0
+        )
+    if isinstance(spec, VeroneseRing):
+        base = ref_hilbert_function(spec.base)
+        n0 = base.n0 // gcd(base.n0, spec.factor)
+
+        def extend(values: list[int], upto: int) -> None:
+            values[:] = [base(m * spec.factor) for m in range(upto + 1)]
+
+        h = RefHilbertFunction(extend, base.dim, n0)
+        bottom = spec.base
+        while isinstance(bottom, VeroneseRing):
+            bottom = bottom.base
+        if not isinstance(bottom, SemigroupRing):
+            ref_verify_gcd(h, n0, ref_gcd_window(spec))
+        return h
+    raise InputError(f"unknown ring spec {type(spec).__name__}")
+
+
+def ref_gcd_window(spec) -> int:
+    if isinstance(spec, VeroneseRing):
+        return max(1, ref_gcd_window(spec.base) // spec.factor + 2)
+    mx = max(spec.gen_degrees)
+    return max(2 * mx * mx, 2 * (sum(spec.gen_degrees) + sum(spec.rel_degrees)), 64)
+
+
+def ref_verify_gcd(h: RefHilbertFunction, n0: int, window: int) -> None:
+    got = 0
+    for m in range(1, window + 1):
+        if h(m):
+            got = gcd(got, m)
+    if got != n0:
+        raise ValidationError(
+            f"occupied degrees up to {window} have gcd {got}, expected {n0}"
+        )
+
+
+def ref_degreewise_leading(spec) -> Fraction:
+    if isinstance(spec, CompleteIntersectionRing):
+        n0 = gcd(*spec.gen_degrees)
+        num = prod(spec.rel_degrees) if spec.rel_degrees else 1
+        return Fraction(n0 * num, factorial(spec.dim - 1) * prod(spec.gen_degrees))
+    if isinstance(spec, SemigroupRing):
+        return spec.spec.ehat() / spec.spec.n0 ** (spec.dim - 1)
+    return ref_degreewise_leading(spec.base) * spec.factor ** (spec.dim - 1)
+
+
+def ref_leading_coefficient(spec) -> Fraction:
+    h = ref_hilbert_function(spec)
+    if h.dim < 2:
+        raise DomainError("density envelope needs dimension >= 2")
+    return ref_degreewise_leading(spec) * h.n0 ** (h.dim - 1)
+
+
+@st.composite
+def ci_rings(draw):
+    gens = draw(st.lists(st.integers(1, 15), min_size=1, max_size=5))
+    rels = draw(st.lists(st.integers(1, 40), max_size=min(4, len(gens) - 1)))
+    return CompleteIntersectionRing.build(gens, rels)
+
+
+@st.composite
+def ring_views(draw):
+    """A CI or semigroup ring, or a Veronese view of one, nested at most
+    once; the factors of a nested view multiply to at most 300."""
+    ring = draw(st.one_of(ci_rings(), small_semigroups().map(SemigroupRing)))
+    budget = 300
+    for _ in range(draw(st.integers(0, 2))):
+        factor = draw(st.integers(1, budget))
+        ring, budget = VeroneseRing(ring, factor), budget // factor
+    return ring
+
+
+def _outcome(compute):
+    try:
+        return "ok", compute()
+    except Exception as exc:  # the type and message are what is compared
+        return type(exc), str(exc)
+
+
+def _observe(ring, hilbert, leading, top: int) -> list:
+    return [
+        _outcome(lambda: hilbert(ring).dim),
+        _outcome(lambda: hilbert(ring).n0),
+        _outcome(lambda: leading(ring)),
+        _outcome(lambda: [hilbert(ring)(m) for m in range(top + 1)]),
+    ]
+
+
+@settings(max_examples=150, deadline=None)
+@given(ring_views())
+@example(VeroneseRing(CompleteIntersectionRing.build((19, 19)), 300))  # refused
+@example(VeroneseRing(VeroneseRing(a_inv(2), 2), 3))
+@example(CompleteIntersectionRing.build((2, 2), (3,)))  # not a regular sequence
+@example(CompleteIntersectionRing.build((1,), ()))  # dimension 1
+def test_ring_kinds_match_reference(ring):
+    # dim, n0, ehat, h(m) for m <= 60 and every refusal equal the reference.
+    # Over a semigroup ring the values are compared only while the first
+    # extension (16 values) stays below base degree 64, which keeps the
+    # enumeration small
+    bottom, factor = ring, 1
+    while isinstance(bottom, VeroneseRing):
+        bottom, factor = bottom.base, factor * bottom.factor
+    top = 60
+    if isinstance(bottom, SemigroupRing):
+        top = 60 // factor if factor <= 4 else -1
+    got = _observe(ring, hilbert_function, leading_coefficient, top)
+    assert got == _observe(ring, ref_hilbert_function, ref_leading_coefficient, top)
