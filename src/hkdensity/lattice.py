@@ -2,16 +2,20 @@
 
 A ``SemigroupSpec`` is a finitely generated subsemigroup S of N^rank graded
 by a nonnegative weight vector under which every generator has positive
-degree.  ``SemigroupEnumeration`` holds one bucket S_m per degree m, a set of
-points each encoded as one integer, built in degree order as
-S_m = U_g (S_{m - deg g} + g) and extended in place when a larger degree is
-needed.
+degree.  ``SemigroupEnumeration`` holds one bucket S_m per degree m, a bitset:
+one Python int with bit code(v) set for each point v of degree m.  The code
+reads only d - 1 slice coordinates, which with the degree determine a point
+of the span of S, as one mixed-radix number, so translating by a generator g
+is a shift by code(g).  Buckets are built in degree order as
+S_m = OR_g (S_{m - deg g} << code(g)) and extended in place when a larger
+degree is needed.
 
 Monomial ideals are given by their generators as lattice points.  The
 degree-m part of the q-th Frobenius power I^[q] is the union of the
 translates S_{m - q deg a} + q a over the ideal generators a, which all lie in
-S_m, so the colength in degree m is |S_m| minus the size of that union: an
-exact count, with no per-point membership probe.
+S_m, so the colength in degree m is the bit count of S_m minus that of
+OR_a (S_{m - q deg a} << q code(a)): an exact count, with no per-point
+membership probe.
 
 Counting stops at the first run of m_mu consecutive degrees with colength 0,
 m_mu the largest generator degree, and every later degree has colength 0 too:
@@ -293,27 +297,44 @@ def _degree_ceiling(spec: SemigroupSpec, cap: int) -> int:
 class SemigroupEnumeration:
     """All semigroup points of degree <= max_degree, one bucket per degree.
 
-    ``by_degree[m]`` is the set of points of degree m, each stored as the
-    integer sum(v_i * radix**i).  Buckets are built in degree order as
-    S_m = U_g (S_{m - deg g} + g), and ``extend`` grows them in place.
+    ``by_degree[m]`` holds the points of degree m as a bitset, one int with
+    bit ``encode(v)`` set for each point v.  Buckets are built in degree
+    order as S_m = OR_g (S_{m - deg g} << encode(g)), and ``extend`` grows
+    them in place.
 
-    The radix is fixed once, from the cap.  A point of degree m has
-    v_i <= m * max_g(g_i / deg g), and the radix exceeds that bound at the
-    degree ceiling, which no enumeration within the cap reaches (see
-    ``_degree_ceiling``).  So the sum of the codes of two semigroup points is
-    the code of their vector sum whenever that sum has degree at most the
-    ceiling, and ``extend`` never needs a wider radix.
+    The code reads slice coordinates only.  Row-reducing the rows
+    (deg g,) + g, the pivot columns after the degree column are d - 1
+    ambient coordinates, ``coords``, which together with the degree
+    determine a point of the rational span of S.  The code is the
+    mixed-radix number of those coordinates, each with its own radix, fixed
+    once from the cap: a point of degree m has v_c <= m * max_g(g_c / deg g),
+    and ``radices`` exceed that bound at the degree ceiling, which no
+    enumeration within the cap reaches (see ``_degree_ceiling``).  So the
+    code is injective within a degree, the code of the sum of two semigroup
+    points is the sum of their codes whenever that sum has degree at most
+    the ceiling, and ``extend`` never needs a wider radix.  A bucket's bit
+    length follows the degree slice, not the ambient rank: with one slice
+    coordinate, bucket m spans at most m * max_g(g_c / deg g) + 1 bits.
+
+    The cap still counts points, the bit counts of the buckets, so the
+    degree ceiling and every ``CapacityError`` keep their meaning; the
+    radices, and with them the bits a bucket can span, are fixed by that
+    ceiling.
     """
 
     def __init__(self, spec: SemigroupSpec, max_degree: int, cap: int):
         self.spec = spec
         self.cap = cap
         self._ceiling = _degree_ceiling(spec, cap)
-        self.radix = 1 + max(
-            self._ceiling * c // spec.degree(g) for g in spec.generators for c in g
+        # every generator has positive degree, so column 0 is a pivot
+        pivots, _ = _eliminate([(spec.degree(g),) + g for g in spec.generators])
+        self.coords = tuple(c - 1 for c in pivots[1:])
+        self.radices = tuple(
+            1 + max(self._ceiling * g[c] // spec.degree(g) for g in spec.generators)
+            for c in self.coords
         )
         self._gens = [(spec.degree(g), self.encode(g)) for g in spec.generators]
-        self.by_degree: list[set[int]] = [{0}]
+        self.by_degree: list[int] = [1]
         self.count = 1
         self.extend(max_degree)
 
@@ -321,10 +342,16 @@ class SemigroupEnumeration:
     def max_degree(self) -> int:
         return len(self.by_degree) - 1
 
+    @property
+    def radix(self) -> int:
+        """The largest radix: no point built has a slice coordinate at or
+        past it."""
+        return max(self.radices, default=1)
+
     def encode(self, v: Point) -> int:
         code = 0
-        for c in reversed(v):
-            code = code * self.radix + c
+        for c, radix in zip(reversed(self.coords), reversed(self.radices)):
+            code = code * radix + v[c]
         return code
 
     def degrees(self, max_degree: int) -> Iterator[int]:
@@ -343,14 +370,15 @@ class SemigroupEnumeration:
         buckets = self.by_degree
         for m in range(max_degree + 1):
             if m == len(buckets):
-                bucket: set[int] = set()
+                bucket = 0
                 for gdeg, code in self._gens:
                     if gdeg <= m:
-                        bucket.update(map(code.__add__, buckets[m - gdeg]))
-                if self.count + len(bucket) > self.cap:
+                        bucket |= buckets[m - gdeg] << code
+                size = bucket.bit_count()
+                if self.count + size > self.cap:
                     raise self._capacity_error(max_degree)
                 buckets.append(bucket)
-                self.count += len(bucket)
+                self.count += size
             yield m
 
     def extend(self, max_degree: int) -> None:
@@ -376,10 +404,15 @@ class SemigroupEnumeration:
                 f"membership query at degree {degree} beyond "
                 f"enumerated bound {self.max_degree}"
             )
-        # every point built has coordinates below the radix
-        if any(c >= self.radix for c in v):
+        # the code tells points apart only within the span of S, all of
+        # Z^rank when d = rank, and only while each slice coordinate is
+        # below its radix
+        if any(v[c] >= radix for c, radix in zip(self.coords, self.radices)):
             return False
-        return self.encode(v) in self.by_degree[degree]
+        d = self.spec.dim
+        if d < self.spec.rank and len(_eliminate([*self.spec.generators, v])[0]) > d:
+            return False
+        return self.by_degree[degree] >> self.encode(v) & 1 == 1
 
 
 def enumerate_semigroup(
@@ -472,10 +505,15 @@ class LatticePair:
     # -- support bound ----------------------------------------------------
 
     def _in_ideal(self, v: Point) -> bool:
+        """v is a sum of generators of degree at most max_degree, so each
+        w = v - a lies in ZS with slice coordinates below their radices,
+        and its bit alone decides membership."""
+        enum = self._enum
         for a in self.ideal.generators:
             w = tuple(c - d for c, d in zip(v, a))
-            if all(c >= 0 for c in w) and self._enum.contains(w):
-                return True
+            if all(c >= 0 for c in w):
+                if enum.by_degree[self.spec.degree(w)] >> enum.encode(w) & 1:
+                    return True
         return False
 
     def containment_exponent(self) -> int:
@@ -541,17 +579,11 @@ class LatticePair:
         S_{m - q deg a} + q a over the ideal generators a.  Each translate
         lies in S_m, so no point needs a membership probe."""
         buckets = self._enum.by_degree
-        translates = [
-            (buckets[m - q * deg], q * code)
-            for deg, code in self._ideal_codes
-            if q * deg <= m
-        ]
-        if len(translates) == 1:
-            return len(buckets[m]) - len(translates[0][0])
-        inside: set[int] = set()
-        for bucket, shift in translates:
-            inside.update(map(shift.__add__, bucket))
-        return len(buckets[m]) - len(inside)
+        inside = 0
+        for deg, code in self._ideal_codes:
+            if q * deg <= m:
+                inside |= buckets[m - q * deg] << q * code
+        return buckets[m].bit_count() - inside.bit_count()
 
     def colength_by_degree(self, q: int, m: int) -> int:
         self._check_q(q)

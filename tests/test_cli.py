@@ -117,6 +117,20 @@ def test_density_empirical_deep_containment(tmp_path, capsys):
     assert json.loads(out)["integral"] == "1089"
 
 
+def test_density_empirical_quotient_111_level_6(tmp_path, capsys, monkeypatch):
+    # (1/3)(1,1,1): the ten degree-3 monomials of k[x,y,z] and the ideal
+    # they generate, at the default cap; the count stops at degree 318
+    # after 1.84M points
+    monkeypatch.delenv("HKDL_MAX_POINTS", raising=False)
+    gens = [[a, b, 3 - a - b] for a in range(4) for b in range(4 - a)]
+    pair = {"semigroup": {"rank": 3, "gens": gens, "weights": [1, 1, 1], "p": 2}, "ideal": gens}
+    inp = write(tmp_path, "q111.json", pair)
+    code, out, err = run_cli(capsys, ["density-empirical", "--in", inp, "--level", "6"])
+    assert code == 0 and err == ""
+    payload = json.loads(out)
+    assert payload["q"] == 64 and payload["integral"] == "873811/262144"
+
+
 SEGRE_GENS = [(1, 0, 0), (1, 1, 0), (1, 0, 1), (1, 1, 1)]
 
 

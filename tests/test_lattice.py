@@ -9,7 +9,10 @@ from hypothesis import strategies as st
 
 from hkdensity.errors import CapacityError, DomainError, ValidationError
 from hkdensity.exact import PiecewisePoly, Polynomial, pw_integrate, pw_sup_distance
+from test_rings import small_semigroups
+
 from hkdensity.lattice import (
+    _MAX_POINTS_ENV,
     DEFAULT_MAX_POINTS,
     LatticePair,
     MonomialIdealSpec,
@@ -72,7 +75,7 @@ def test_spec_n0_and_dim():
 def test_enumeration_counts_plane():
     enum = enumerate_semigroup(plane(), 6)
     for m in range(7):
-        assert len(enum.by_degree[m]) == m + 1
+        assert enum.by_degree[m].bit_count() == m + 1
 
 
 def test_enumeration_counts_a2():
@@ -80,7 +83,7 @@ def test_enumeration_counts_a2():
     # degree-m monomials of k[xy, x^2, y^2]: pairs with a + b = m, a = b mod 2
     for m in range(9):
         want = sum(1 for a in range(m + 1) if (2 * a - m) % 2 == 0)
-        assert len(enum.by_degree[m]) == want
+        assert enum.by_degree[m].bit_count() == want
 
 
 def test_contains_rejects_coordinates_beyond_radix():
@@ -186,7 +189,7 @@ def test_capacity_boundary_per_degree():
     with pytest.raises(CapacityError, match=r"degree bound 9"):
         enum.extend(9)
     assert enum.max_degree == 5 and enum.count == 21
-    assert [len(b) for b in enum.by_degree] == [m + 1 for m in range(6)]
+    assert [b.bit_count() for b in enum.by_degree] == [m + 1 for m in range(6)]
 
 
 def test_capacity_fails_before_enumerating_to_the_ceiling():
@@ -325,7 +328,7 @@ def test_extend_matches_fresh_enumeration(spec, a, b):
     sizes = [0] * (b + 1)
     for v in points:
         sizes[spec.degree(v)] += 1
-    assert [len(s) for s in grown.by_degree] == [len(s) for s in fresh.by_degree] == sizes
+    assert [s.bit_count() for s in grown.by_degree] == [s.bit_count() for s in fresh.by_degree] == sizes
     box = itertools.product(range(5), repeat=spec.rank)
     for v in itertools.chain(points, box):
         if spec.degree(v) <= b:
@@ -348,8 +351,150 @@ def test_small_cap_radix_and_boundary(spec, b, cap):
     sizes = [0] * (b + 1)
     for v in points:
         sizes[spec.degree(v)] += 1
-    assert [len(s) for s in enum.by_degree] == sizes
+    assert [s.bit_count() for s in enum.by_degree] == sizes
     assert all(enum.contains(v) for v in points)
+
+
+# -- bitset buckets against the set-based enumeration they replace --------
+
+
+class RefSemigroupEnumeration:
+    """The set-based enumeration: each bucket a set of codes
+    sum(v_i * radix**i), one radix for every ambient coordinate, and each
+    bucket built by adding each generator's code to every point."""
+
+    def __init__(self, spec: SemigroupSpec, max_degree: int, cap: int):
+        self.spec = spec
+        self.cap = cap
+        self._ceiling = _degree_ceiling(spec, cap)
+        self.radix = 1 + max(
+            self._ceiling * c // spec.degree(g) for g in spec.generators for c in g
+        )
+        self._gens = [(spec.degree(g), self.encode(g)) for g in spec.generators]
+        self.by_degree: list[set[int]] = [{0}]
+        self.count = 1
+        self.extend(max_degree)
+
+    @property
+    def max_degree(self) -> int:
+        return len(self.by_degree) - 1
+
+    def encode(self, v) -> int:
+        code = 0
+        for c in reversed(v):
+            code = code * self.radix + c
+        return code
+
+    def extend(self, max_degree: int) -> None:
+        if max_degree >= self._ceiling:
+            raise self._capacity_error(max_degree)
+        buckets = self.by_degree
+        for m in range(len(buckets), max_degree + 1):
+            bucket: set[int] = set()
+            for gdeg, code in self._gens:
+                if gdeg <= m:
+                    bucket.update(map(code.__add__, buckets[m - gdeg]))
+            if self.count + len(bucket) > self.cap:
+                raise self._capacity_error(max_degree)
+            buckets.append(bucket)
+            self.count += len(bucket)
+
+    def _capacity_error(self, max_degree: int) -> CapacityError:
+        return CapacityError(
+            f"semigroup enumeration exceeded cap of {self.cap} points "
+            f"(degree bound {max_degree}); raise {_MAX_POINTS_ENV} "
+            f"or lower the level; every degree bound from {self._ceiling} "
+            "up exceeds this cap"
+        )
+
+    def contains(self, v) -> bool:
+        if len(v) != self.spec.rank or any(c < 0 for c in v):
+            return False
+        degree = self.spec.degree(v)
+        if degree > self.max_degree:
+            raise DomainError(f"membership query at degree {degree}")
+        if any(c >= self.radix for c in v):
+            return False
+        return self.encode(v) in self.by_degree[degree]
+
+
+# {(0, k, k)}: d = 1 in N^3, and no coordinate is a slice coordinate
+DIAGONAL = SemigroupSpec.build(3, [(0, 1, 1), (0, 2, 2)], (0, 0, 1), 2)
+# {(a + b, a, b)}: d = 2 in N^3, graded by the first coordinate
+SLICE = SemigroupSpec.build(3, [(1, 1, 0), (1, 0, 1)], (1, 0, 0), 2)
+
+
+def build_to(cls, spec: SemigroupSpec, a: int, b: int, cap: int):
+    """Build to degree a and extend to b: the enumeration (None if building
+    failed) and the capacity error message (None if there was none)."""
+    try:
+        enum = cls(spec, a, cap)
+    except CapacityError as err:
+        return None, str(err)
+    try:
+        enum.extend(b)
+    except CapacityError as err:
+        return enum, str(err)
+    return enum, None
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    st.one_of(semigroups(), small_semigroups()),
+    st.integers(0, 12),
+    st.integers(0, 12),
+    st.one_of(st.integers(1, 200), st.just(DEFAULT_MAX_POINTS)),
+)
+@example(CONE, 2, 8, 200)
+@example(SEGRE, 2, 9, DEFAULT_MAX_POINTS)
+@example(DIAGONAL, 0, 12, DEFAULT_MAX_POINTS)
+@example(DIAGONAL, 3, 12, 5)
+@example(SLICE, 3, 12, DEFAULT_MAX_POINTS)
+@example(SLICE, 3, 12, 40)
+def test_enumeration_matches_set_reference(spec, a, b, cap):
+    """Bucket sizes, count, max_degree, the capacity error and its message,
+    and membership of semigroup points, of box points and of the unit steps
+    away from semigroup points (off the span of S when d < rank)."""
+    a, b = min(a, b), max(a, b)
+    enum, err = build_to(SemigroupEnumeration, spec, a, b, cap)
+    ref, ref_err = build_to(RefSemigroupEnumeration, spec, a, b, cap)
+    assert err == ref_err
+    if ref is None:
+        assert enum is None
+        return
+    assert enum.max_degree == ref.max_degree and enum.count == ref.count
+    assert [s.bit_count() for s in enum.by_degree] == [len(s) for s in ref.by_degree]
+    top = ref.max_degree
+    points = reference_points(spec, top)
+    box = itertools.product(range(5), repeat=spec.rank)
+    steps = (
+        tuple(c + (i == j) for j, c in enumerate(v)) for v in points for i in range(spec.rank)
+    )
+    for v in itertools.chain(points, box, steps):
+        if spec.degree(v) <= top:
+            assert enum.contains(v) == ref.contains(v) == (v in points)
+
+
+@pytest.mark.parametrize(
+    "spec,off,twin",
+    [(DIAGONAL, (0, 1, 2), (0, 2, 2)), (SLICE, (2, 0, 1), (2, 0, 2))],
+)
+def test_contains_refuses_points_off_the_span(spec, off, twin):
+    # off has the degree and the slice coordinates of the semigroup point
+    # twin, so only the span check tells them apart
+    enum = enumerate_semigroup(spec, 4)
+    assert spec.degree(off) == spec.degree(twin)
+    assert enum.encode(off) == enum.encode(twin)
+    assert enum.contains(twin) and not enum.contains(off)
+
+
+@pytest.mark.parametrize("spec", [DIAGONAL, SLICE])
+def test_bucket_bits_follow_the_degree_slice(spec):
+    # Both lie in N^3 with d < 3.  A code that reads a coordinate outside
+    # the slice spans far more bits than the slice has points, and runs out
+    # of memory long before degree 3000.
+    enum = enumerate_semigroup(spec, 3000)
+    assert all(bucket.bit_length() <= m + 1 for m, bucket in enumerate(enum.by_degree))
 
 
 # -- the colength stop rule against per-degree reference counts ------------

@@ -115,7 +115,7 @@ def finite_difference_ehat(spec: SemigroupSpec) -> Fraction:
 
         def alpha_at(start: int) -> Fraction:
             vals = [
-                sum(len(enum.by_degree[(start + k * step) * n0 + j]) for j in range(n0))
+                sum(enum.by_degree[(start + k * step) * n0 + j].bit_count() for j in range(n0))
                 for k in range(d)
             ]
             diff = sum((-1) ** (d - 1 - k) * comb(d - 1, k) * v for k, v in enumerate(vals))
@@ -335,7 +335,7 @@ def ref_ci_extender(spec: CompleteIntersectionRing):
 def ref_semigroup_extender(spec: SemigroupSpec):
     def extend(values: list[int], upto: int) -> None:
         enum = enumerate_semigroup(spec, upto)
-        values[:] = [len(enum.by_degree[m]) for m in range(upto + 1)]
+        values[:] = [enum.by_degree[m].bit_count() for m in range(upto + 1)]
 
     return extend
 
