@@ -2,20 +2,22 @@
 
 A ``SemigroupSpec`` is a finitely generated subsemigroup S of N^rank graded
 by a nonnegative weight vector under which every generator has positive
-degree.  ``SemigroupEnumeration`` holds one bucket S_m per degree m, a bitset:
-one Python int with bit code(v) set for each point v of degree m.  The code
-reads only d - 1 slice coordinates, which with the degree determine a point
-of the span of S, as one mixed-radix number, so translating by a generator g
-is a shift by code(g).  Buckets are built in degree order as
-S_m = OR_g (S_{m - deg g} << code(g)) and extended in place when a larger
-degree is needed.
+degree.  ``SemigroupEnumeration`` holds one bucket S_m per degree m of the
+codes of its points: code(v) reads only d - 1 slice coordinates of v, which
+with the degree determine a point of the span of S, as one mixed-radix
+number, so translating by a generator g adds code(g).  A bucket is a bitset,
+one Python int with bit code(v) set for each point v, so that a translate is
+one shift, while the bits the buckets span stay within a fixed number per
+point; past that the buckets become sets of codes.  Buckets are built in
+degree order as S_m = U_g (S_{m - deg g} + code(g)) and extended in place
+when a larger degree is needed.
 
 Monomial ideals are given by their generators as lattice points.  The
 degree-m part of the q-th Frobenius power I^[q] is the union of the
 translates S_{m - q deg a} + q a over the ideal generators a, which all lie in
-S_m, so the colength in degree m is the bit count of S_m minus that of
-OR_a (S_{m - q deg a} << q code(a)): an exact count, with no per-point
-membership probe.
+S_m, so the colength in degree m is the size of S_m minus that of the union
+of S_{m - q deg a} + q code(a), a bit count for bitsets: an exact count, with
+no per-point membership probe.
 
 Counting stops at the first run of m_mu consecutive degrees with colength 0,
 m_mu the largest generator degree, and every later degree has colength 0 too:
@@ -59,6 +61,9 @@ Point = tuple[int, ...]
 
 DEFAULT_MAX_POINTS = 50_000_000
 _MAX_POINTS_ENV = "HKDL_MAX_POINTS"
+# the bits that bitset buckets may span per point enumerated: 64 bytes,
+# under the 80 to 100 bytes that a code costs in a set
+_BITS_PER_POINT = 512
 
 
 def enumeration_cap(cap: int | None = None) -> int:
@@ -297,62 +302,106 @@ def _degree_ceiling(spec: SemigroupSpec, cap: int) -> int:
 class SemigroupEnumeration:
     """All semigroup points of degree <= max_degree, one bucket per degree.
 
-    ``by_degree[m]`` holds the points of degree m as a bitset, one int with
-    bit ``encode(v)`` set for each point v.  Buckets are built in degree
-    order as S_m = OR_g (S_{m - deg g} << encode(g)), and ``extend`` grows
-    them in place.
+    ``by_degree[m]`` holds the points of degree m, each as its code
+    ``encode(v)``: a bitset, one int with bit code(v) set for each point v,
+    while the bitsets are dense, else a set of codes.  Buckets are built in
+    degree order as S_m = U_g (S_{m - deg g} + g), a shift of a bitset or
+    of every code in a set by code(g), and ``extend`` grows them in place.
 
     The code reads slice coordinates only.  Row-reducing the rows
     (deg g,) + g, the pivot columns after the degree column are d - 1
     ambient coordinates, ``coords``, which together with the degree
-    determine a point of the rational span of S.  The code is the
-    mixed-radix number of those coordinates, each with its own radix, fixed
-    once from the cap: a point of degree m has v_c <= m * max_g(g_c / deg g),
-    and ``radices`` exceed that bound at the degree ceiling, which no
-    enumeration within the cap reaches (see ``_degree_ceiling``).  So the
-    code is injective within a degree, the code of the sum of two semigroup
-    points is the sum of their codes whenever that sum has degree at most
-    the ceiling, and ``extend`` never needs a wider radix.  A bucket's bit
-    length follows the degree slice, not the ambient rank: with one slice
-    coordinate, bucket m spans at most m * max_g(g_c / deg g) + 1 bits.
+    determine a point of the rational span of S; columns are tried in
+    increasing order of r_c = max_g(g_c / deg g), the growth of v_c with
+    the degree.  The code is the mixed-radix number of those coordinates,
+    each with its own radix: a point of degree m has v_c <= m * r_c, and
+    ``radices`` exceed that bound for every degree up to a bound
+    B >= max_degree.  So the code is injective within a degree, and the
+    code of the sum of two semigroup points is the sum of their codes
+    whenever that sum has degree at most B.
 
-    The cap still counts points, the bit counts of the buckets, so the
-    degree ceiling and every ``CapacityError`` keep their meaning; the
-    radices, and with them the bits a bucket can span, are fixed by that
-    ceiling.
+    A bitset pays one bit for every code between its points.  Bucket m
+    spans at most m * slope + 1 bits, slope the code of (r_c) rounded up,
+    about m * B^(d-2) * prod r_c, and holds about ehat * (m / n0)^(d-1)
+    points.  So B follows the degrees built, not the cap: past B it grows
+    by a factor 1 + 1/(d - 2), which multiplies the spans by 2 to e, and
+    the buckets are rebuilt under the new radices (with one slice
+    coordinate the code is v_c and B is moot).  Even at B = m the spans
+    exceed the points by a factor that stays: about (d - 1)! for a
+    polynomial ring, a box around a simplex, and 1 to 2 for the Segre
+    product.  So once they would pass ``_BITS_PER_POINT`` bits per point
+    enumerated, plus 2^20, the buckets are rebuilt once as sets of codes,
+    with radices for every degree below the ceiling.  Either way a point
+    costs at most about what it costs in a set, so the cap, which counts
+    points, still bounds the memory.
     """
 
     def __init__(self, spec: SemigroupSpec, max_degree: int, cap: int):
         self.spec = spec
         self.cap = cap
         self._ceiling = _degree_ceiling(spec, cap)
+        self._graded = [(g, spec.degree(g)) for g in spec.generators]
+        # r_c = rise[c] / lcm exactly, lcm that of the generator degrees
+        self._lcm = lcm(*(e for _, e in self._graded))
+        rise = [max(g[c] * self._lcm // e for g, e in self._graded) for c in range(spec.rank)]
+        order = sorted(range(spec.rank), key=rise.__getitem__)
         # every generator has positive degree, so column 0 is a pivot
-        pivots, _ = _eliminate([(spec.degree(g),) + g for g in spec.generators])
-        self.coords = tuple(c - 1 for c in pivots[1:])
-        self.radices = tuple(
-            1 + max(self._ceiling * g[c] // spec.degree(g) for g in spec.generators)
-            for c in self.coords
-        )
-        self._gens = [(spec.degree(g), self.encode(g)) for g in spec.generators]
-        self.by_degree: list[int] = [1]
+        pivots, _ = _eliminate([(e,) + tuple(g[c] for c in order) for g, e in self._graded])
+        self.coords = tuple(order[c - 1] for c in pivots[1:])
+        self._rise = [rise[c] for c in self.coords]
+        self.by_degree: list = [1]
         self.count = 1
+        # with one slice coordinate the code is v_c, whatever the radix
+        bound = max_degree if len(self.coords) > 1 else self._ceiling
+        self._recode(min(bound, self._ceiling - 1), dense=True)
         self.extend(max_degree)
 
     @property
     def max_degree(self) -> int:
         return len(self.by_degree) - 1
 
-    @property
-    def radix(self) -> int:
-        """The largest radix: no point built has a slice coordinate at or
-        past it."""
-        return max(self.radices, default=1)
-
     def encode(self, v: Point) -> int:
         code = 0
         for c, radix in zip(reversed(self.coords), reversed(self.radices)):
             code = code * radix + v[c]
         return code
+
+    def _recode(self, bound: int, dense: bool) -> None:
+        """Rebuild the buckets built so far, as bitsets or as sets, with
+        radices for the degrees up to bound."""
+        self._bound, self._dense = bound, dense
+        self.size = int.bit_count if dense else len  # the points in a bucket
+        self.radices = tuple(1 + bound * rise // self._lcm for rise in self._rise)
+        slope, place = 0, 1
+        for rise, radix in zip(self._rise, self.radices):
+            slope, place = slope + place * rise, place * radix
+        self._slope = -(-slope // self._lcm)
+        self._gens = [(e, self.encode(g)) for g, e in self._graded]
+        built, self.by_degree = self.by_degree, [1 if dense else {0}]
+        for m in range(1, len(built)):
+            self.by_degree.append(self.union(m, self._gens))
+        self._bits = sum(bucket.bit_length() for bucket in self.by_degree) if dense else 0
+
+    def union(self, m: int, translates: list[tuple[int, int]]):
+        """The bucket of the union of S_{m - deg} + code over the pairs
+        (deg, code) with deg <= m."""
+        buckets = self.by_degree
+        if self._dense:
+            out = 0
+            for deg, code in translates:
+                if deg <= m:
+                    out |= buckets[m - deg] << code
+            return out
+        out = set()
+        for deg, code in translates:
+            if deg <= m:
+                out.update(map(code.__add__, buckets[m - deg]))
+        return out
+
+    def has(self, m: int, code: int) -> bool:
+        """Whether the point of degree m with this code was enumerated."""
+        bucket = self.by_degree[m]
+        return bucket >> code & 1 == 1 if self._dense else code in bucket
 
     def degrees(self, max_degree: int) -> Iterator[int]:
         """Yield the degrees 0..max_degree, building each missing bucket just
@@ -367,18 +416,22 @@ class SemigroupEnumeration:
         """
         if max_degree >= self._ceiling:
             raise self._capacity_error(max_degree)
-        buckets = self.by_degree
         for m in range(max_degree + 1):
-            if m == len(buckets):
-                bucket = 0
-                for gdeg, code in self._gens:
-                    if gdeg <= m:
-                        bucket |= buckets[m - gdeg] << code
-                size = bucket.bit_count()
+            if m == len(self.by_degree):
+                if m > self._bound:  # dense, with two slice coordinates or more
+                    grown = self._bound + self._bound // (len(self.coords) - 1)
+                    self._recode(min(max(m, grown), self._ceiling - 1), dense=True)
+                limit = _BITS_PER_POINT * self.count + (1 << 20)
+                if self._dense and self._bits + m * self._slope + 1 > limit:
+                    self._recode(self._ceiling - 1, dense=False)
+                bucket = self.union(m, self._gens)
+                size = self.size(bucket)
                 if self.count + size > self.cap:
                     raise self._capacity_error(max_degree)
-                buckets.append(bucket)
+                self.by_degree.append(bucket)
                 self.count += size
+                if self._dense:
+                    self._bits += bucket.bit_length()
             yield m
 
     def extend(self, max_degree: int) -> None:
@@ -412,7 +465,7 @@ class SemigroupEnumeration:
         d = self.spec.dim
         if d < self.spec.rank and len(_eliminate([*self.spec.generators, v])[0]) > d:
             return False
-        return self.by_degree[degree] >> self.encode(v) & 1 == 1
+        return self.has(degree, self.encode(v))
 
 
 def enumerate_semigroup(
@@ -498,9 +551,8 @@ class LatticePair:
                 raise ValidationError(
                     f"ideal generator {a} is not a semigroup element"
                 )
-        self._ideal_codes = [
-            (spec.degree(a), self._enum.encode(a)) for a in ideal.generators
-        ]
+        # (radices, q, [(q deg a, q code a)]), encoded again when either changes
+        self._translates: tuple = (None, None, [])
 
     # -- support bound ----------------------------------------------------
 
@@ -511,9 +563,8 @@ class LatticePair:
         enum = self._enum
         for a in self.ideal.generators:
             w = tuple(c - d for c, d in zip(v, a))
-            if all(c >= 0 for c in w):
-                if enum.by_degree[self.spec.degree(w)] >> enum.encode(w) & 1:
-                    return True
+            if all(c >= 0 for c in w) and enum.has(self.spec.degree(w), enum.encode(w)):
+                return True
         return False
 
     def containment_exponent(self) -> int:
@@ -578,12 +629,15 @@ class LatticePair:
         the ideal, which are the union of the translates
         S_{m - q deg a} + q a over the ideal generators a.  Each translate
         lies in S_m, so no point needs a membership probe."""
-        buckets = self._enum.by_degree
-        inside = 0
-        for deg, code in self._ideal_codes:
-            if q * deg <= m:
-                inside |= buckets[m - q * deg] << q * code
-        return buckets[m].bit_count() - inside.bit_count()
+        enum = self._enum
+        radices, q_coded, translates = self._translates
+        if radices is not enum.radices or q_coded != q:
+            translates = [
+                (self.spec.degree(a) * q, enum.encode(a) * q) for a in self.ideal.generators
+            ]
+            self._translates = enum.radices, q, translates
+        inside = enum.union(m, translates)
+        return enum.size(enum.by_degree[m]) - enum.size(inside)
 
     def colength_by_degree(self, q: int, m: int) -> int:
         self._check_q(q)

@@ -112,7 +112,7 @@ class SemigroupRing:
         # cache, and buckets kept there would live as long as the process.
         # The doubling in HilbertFunction.__call__ bounds the rebuild cost.
         enum = enumerate_semigroup(self.spec, upto)
-        return [enum.by_degree[m].bit_count() for m in range(upto + 1)]
+        return [enum.size(bucket) for bucket in enum.by_degree]
 
     def gcd_window(self) -> None:
         # n0 is exact: the occupied degrees are a submonoid of N holding

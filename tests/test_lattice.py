@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -87,12 +88,16 @@ def test_enumeration_counts_a2():
 
 
 def test_contains_rejects_coordinates_beyond_radix():
-    # the weights vanish on the first two coordinates, so (radix, 0, 1) has
-    # the degree and the integer code of the semigroup point (0, 1, 1)
+    # the weights vanish on the first two coordinates, the slice coordinates
+    # of CONE, and the code is v_0 + radices[0] * v_1, so (r, 0, 1) with r
+    # the first radix has the degree and the code of the semigroup point
+    # (0, 1, 1)
     enum = enumerate_semigroup(CONE, 2)
+    r = enum.radices[0]
+    assert enum.coords == (0, 1)
     assert enum.contains((0, 1, 1))
-    assert enum.encode((enum.radix, 0, 1)) == enum.encode((0, 1, 1))
-    assert not enum.contains((enum.radix, 0, 1))
+    assert enum.encode((r, 0, 1)) == enum.encode((0, 1, 1))
+    assert not enum.contains((r, 0, 1))
 
 
 def test_ideal_generators_must_lie_in_semigroup():
@@ -418,6 +423,19 @@ class RefSemigroupEnumeration:
         return self.encode(v) in self.by_degree[degree]
 
 
+def polynomial_ring(rank: int) -> SemigroupSpec:
+    units = [tuple(int(i == j) for j in range(rank)) for i in range(rank)]
+    return SemigroupSpec.build(rank, units, (1,) * rank, 2)
+
+
+# k[x1..x7]: the slice of degree m is a simplex in six slice coordinates,
+# about 1/6! of the box around it, so its buckets turn to sets at degree 9
+POLY7 = polynomial_ring(7)
+# k[x1..x6, z^2, x1 z]: d = 7 with fewer points than k[x1..x7] and m_mu = 2,
+# so a cap can trip below the degree ceiling after the switch to sets
+POLY7_CUT = SemigroupSpec.build(
+    7, POLY7.generators[:6] + ((0,) * 6 + (2,), (1,) + (0,) * 5 + (1,)), (1,) * 7, 2
+)
 # {(0, k, k)}: d = 1 in N^3, and no coordinate is a slice coordinate
 DIAGONAL = SemigroupSpec.build(3, [(0, 1, 1), (0, 2, 2)], (0, 0, 1), 2)
 # {(a + b, a, b)}: d = 2 in N^3, graded by the first coordinate
@@ -451,6 +469,8 @@ def build_to(cls, spec: SemigroupSpec, a: int, b: int, cap: int):
 @example(DIAGONAL, 3, 12, 5)
 @example(SLICE, 3, 12, DEFAULT_MAX_POINTS)
 @example(SLICE, 3, 12, 40)
+@example(POLY7, 4, 10, DEFAULT_MAX_POINTS)
+@example(POLY7_CUT, 4, 10, 15000)
 def test_enumeration_matches_set_reference(spec, a, b, cap):
     """Bucket sizes, count, max_degree, the capacity error and its message,
     and membership of semigroup points, of box points and of the unit steps
@@ -463,7 +483,7 @@ def test_enumeration_matches_set_reference(spec, a, b, cap):
         assert enum is None
         return
     assert enum.max_degree == ref.max_degree and enum.count == ref.count
-    assert [s.bit_count() for s in enum.by_degree] == [len(s) for s in ref.by_degree]
+    assert [enum.size(s) for s in enum.by_degree] == [len(s) for s in ref.by_degree]
     top = ref.max_degree
     points = reference_points(spec, top)
     box = itertools.product(range(5), repeat=spec.rank)
@@ -495,6 +515,34 @@ def test_bucket_bits_follow_the_degree_slice(spec):
     # of memory long before degree 3000.
     enum = enumerate_semigroup(spec, 3000)
     assert all(bucket.bit_length() <= m + 1 for m, bucket in enumerate(enum.by_degree))
+
+
+# k[x, y, z] with z of degree 100: the slice coordinates are z and x, and z
+# grows a hundred times slower with the degree than x
+STRETCHED = SemigroupSpec.build(3, [(1, 0, 0), (0, 1, 0), (0, 0, 1)], (1, 1, 100), 2)
+
+
+@pytest.mark.parametrize(
+    "spec,level,degree",
+    [(polynomial_ring(8), 1, 9), (STRETCHED, 1, 202), (STRETCHED, 3, 814)],
+)
+def test_memory_follows_the_points(spec, level, degree):
+    # density-empirical of the maximal ideal, whose count reaches the given
+    # degree.  Radices sized from the cap's degree ceiling, not the degree
+    # built, give k[x1..x8] a 2^30-bit bucket in degree 1 and STRETCHED
+    # buckets of hundreds of megabytes, and even radices that follow the
+    # degree leave the slices of k[x1..x8] 1/7! of their box.  A set costs
+    # 80 to 100 bytes a code, so whatever the buckets are, the run must
+    # stay within 128 bytes a point.
+    points = enumerate_semigroup(spec, degree).count
+    tracemalloc.start()
+    try:
+        approx = LatticePair(spec, MonomialIdealSpec.build(spec.generators)).build_approximant(level)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert approx.integral == 1  # e_HK of a regular ring
+    assert peak <= 128 * points + (1 << 20)
 
 
 # -- the colength stop rule against per-degree reference counts ------------
