@@ -11,22 +11,14 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
-from fractions import Fraction
 
 from hkdensity.catalog import catalog_density, catalog_entry, catalog_minor_check
 from hkdensity.exact import rat_str
 
 
-@dataclass(frozen=True)
-class SweepConfig:
-    max_n: int = 12
-    show_flags: bool = False
-
-
-def iter_entries(cfg: SweepConfig):
+def iter_entries(max_n: int):
     for fam in ("A", "D"):
-        for n in range(2, cfg.max_n + 1):
+        for n in range(2, max_n + 1):
             yield catalog_entry(fam, n)
     for fam in ("E6", "E7", "E8"):
         yield catalog_entry(fam)
@@ -37,7 +29,6 @@ def main(argv=None) -> int:
     ap.add_argument("--max-n", type=int, default=12, help="A/D parameter bound")
     ap.add_argument("--show-flags", action="store_true")
     args = ap.parse_args(argv)
-    cfg = SweepConfig(max_n=args.max_n, show_flags=args.show_flags)
 
     header = f"{'entry':>6} {'rank':>5} {'e_HK':>9} {'table':>12} {'dist':>7} {'minors':>9}"
     print(header)
@@ -45,7 +36,7 @@ def main(argv=None) -> int:
     bad = 0
     total = 0
     agree = 0
-    for entry in iter_entries(cfg):
+    for entry in iter_entries(args.max_n):
         pair, verdict = catalog_density(entry)
         minors = catalog_minor_check(entry).verdict
         dist = (
@@ -60,7 +51,7 @@ def main(argv=None) -> int:
         total += 1
         bad += not verdict.ehk_matches_expected
         agree += verdict.table_status == "agrees"
-        if cfg.show_flags:
+        if args.show_flags:
             for fl in verdict.flags:
                 print(f"         note: {fl}")
 

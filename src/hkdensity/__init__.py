@@ -44,7 +44,6 @@ from .rings import (
     CompleteIntersectionRing,
     SemigroupRing,
     VeroneseRing,
-    hilbert_density,
     leading_coefficient,
     parse_ring_json,
 )
@@ -97,7 +96,6 @@ __all__ = [
     "colength_by_degree",
     "dim2_pair_density",
     "ehk_closed_form",
-    "hilbert_density",
     "hn_density",
     "koszul_betti",
     "leading_coefficient",

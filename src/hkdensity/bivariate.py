@@ -154,10 +154,6 @@ class BivariatePoly:
         return poly
 
     @staticmethod
-    def mono(a: int, b: int, c=1, disc: int | None = None) -> "BivariatePoly":
-        return BivariatePoly.build([(a, b, c)], disc)
-
-    @staticmethod
     def zero() -> "BivariatePoly":
         return BivariatePoly(())
 
@@ -169,13 +165,6 @@ class BivariatePoly:
 
     def is_zero(self) -> bool:
         return not self.nums
-
-    def with_disc(self, disc: int | None) -> "BivariatePoly":
-        merged = _merge_disc(self.disc, disc)
-        if merged == self.disc:
-            return self
-        _check_disc(merged)
-        return BivariatePoly(self.nums, self.den, merged)
 
     def _combine(self, other: "BivariatePoly", sign: int) -> "BivariatePoly":
         """self + sign * other over the lcm of the denominators."""
@@ -204,17 +193,6 @@ class BivariatePoly:
         disc = _merge_disc(self.disc, other.disc)
         return BivariatePoly.over(
             _conv(self.nums, other.nums, disc or 0, 1), self.den * other.den, disc
-        )
-
-    def scale(self, c) -> "BivariatePoly":
-        cr, cs, n = _int_coef(c)
-        if self.disc is None and cs and self.nums:
-            raise InputError("irrational coefficient part with no disc given")
-        d = self.disc or 0
-        return BivariatePoly.over(
-            [(a, b, r * cr + d * s * cs, r * cs + s * cr) for a, b, r, s in self.nums],
-            self.den * n,
-            self.disc,
         )
 
     def is_homogeneous(self) -> bool:

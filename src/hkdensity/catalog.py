@@ -11,23 +11,24 @@ invariants h1, h2, h3 of the finite subgroup acting on it:
 * the piece table and the multiplicity value as printed in the source
   tables, retained verbatim for discrepancy reporting.
 
-`catalog_density` runs the resolution pipeline on the ambient Betti
-table (ehat = 1 on k[x1, x2]) and rescales by (l0, rank); the verdict it
-returns compares the result against the archived printed data instead of
-silently correcting either side.  The printed tables for the A, D, E6
-and E7 families each fail their own integral cross-check; only E8 agrees
-in full.  The lattice oracle on the A family (`catalog_lattice_crosscheck`)
-is what settles which side is right there.
+`catalog_density` runs the closed form on the ambient Betti table with
+ehat and n0 = l0 of the invariant ring k[h1, h2, h3] (``AdeEntry.ring``).
+As ehat = l0^2/rank, that is the Veronese-type relation
+f(x) = (l0/rank) f_ambient(l0 x) in one step.  The verdict it returns
+compares the result against the archived printed data instead of silently
+correcting either side.  The printed tables for the A, D, E6 and E7
+families each fail their own integral cross-check; only E8 agrees in full.
+The lattice oracle on the A family (`catalog_lattice_crosscheck`) is what
+settles which side is right there.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 
 from .bivariate import BivariatePoly, MinorMatchReport, match_generators
-from .combinators import DensityPair, rank_from_degrees, rescale_density
+from .combinators import DensityPair, rank_from_degrees
 from .errors import DomainError, InputError, ValidationError
 from .exact import PiecewisePoly, Polynomial, pw_integrate, pw_sup_distance
 # the package's one primality test lives in lattice, next to SemigroupSpec
@@ -39,6 +40,7 @@ from .lattice import (
     _is_prime,
 )
 from .resolution import BettiTable, closed_form_density, validate_betti
+from .rings import CompleteIntersectionRing
 
 FAMILIES = ("A", "D", "E6", "E7", "E8")
 MAX_PARAMETER = 50
@@ -63,8 +65,13 @@ class AdeEntry:
     flags: tuple[str, ...]
 
     @property
+    def ring(self) -> CompleteIntersectionRing:
+        """The invariant ring k[h1, h2, h3] as a graded complete intersection."""
+        return CompleteIntersectionRing(self.gen_degrees, (self.rel_degree,))
+
+    @property
     def l0(self) -> int:
-        return gcd(gcd(self.gen_degrees[0], self.gen_degrees[1]), self.gen_degrees[2])
+        return self.ring.n0
 
     @property
     def rank(self) -> int:
@@ -349,11 +356,6 @@ def catalog_entry(family: str, n: int | None = None, p: int | None = None) -> Ad
     return entry
 
 
-def ambient_density(entry: AdeEntry) -> PiecewisePoly:
-    """Density of the pair (k[x1,x2], (h1,h2,h3)) in ambient degrees."""
-    return closed_form_density(entry.betti, Fraction(1), 1)
-
-
 @dataclass(frozen=True)
 class CatalogVerdict:
     ehk: Fraction
@@ -379,10 +381,10 @@ class CatalogVerdict:
 def catalog_density(entry: AdeEntry) -> tuple[DensityPair, CatalogVerdict]:
     """Derived density pair of the invariant ring, plus the comparison
     against the printed table and multiplicity."""
-    l0, rank = entry.l0, entry.rank
-    f = rescale_density(ambient_density(entry), l0, rank)
-    envelope = PiecewisePoly.monomial_tail(Fraction(l0 * l0, rank), 1)
-    pair = DensityPair(envelope, f, 2)
+    ring = entry.ring
+    ehat, l0 = ring.ehat(), ring.n0
+    f = closed_form_density(entry.betti, ehat, l0)
+    pair = DensityPair(PiecewisePoly.monomial_tail(ehat, 1), f, 2)
 
     if f.support_end != Fraction(entry.betti.max_twist(), l0):
         raise ValidationError(
@@ -433,12 +435,7 @@ def catalog_minor_check(entry: AdeEntry) -> MinorMatchReport:
     return match_generators(entry.hb_matrix, entry.gens)
 
 
-def catalog_lattice_crosscheck(
-    entry: AdeEntry,
-    p: int,
-    levels: list[int],
-    reference: PiecewisePoly | None = None,
-) -> list[ConvergenceRow]:
+def catalog_lattice_crosscheck(entry: AdeEntry, p: int, levels: list[int]) -> list[ConvergenceRow]:
     """Empirical convergence check against the derived density.
 
     Only the A family is toric: its invariant ring is the semigroup ring
@@ -455,7 +452,5 @@ def catalog_lattice_crosscheck(
     n = entry.n
     spec = SemigroupSpec.build(2, [(1, 1), (n, 0), (0, n)], (1, 1), p)
     ideal = MonomialIdealSpec.build([(1, 1), (n, 0), (0, n)])
-    lattice_pair = LatticePair(spec, ideal)
-    if reference is None:
-        reference = catalog_density(entry)[0].f
-    return lattice_pair.convergence_report(levels, reference=reference)
+    reference = catalog_density(entry)[0].f
+    return LatticePair(spec, ideal).convergence_report(levels, reference=reference)

@@ -296,6 +296,10 @@ def _run_sample(ns: argparse.Namespace) -> str:
     k = ns.count
     if k < 2:
         raise ValidationError(f"sample count {k} must be >= 2")
+    if f.support_end == 0:
+        raise ValidationError(
+            "the density has no breakpoint past 0, so there is no span to space the points over"
+        )
     end = f.support_end * Fraction(11, 10)
     rows = []
     for i in range(k + 1):

@@ -50,7 +50,7 @@ class DensityPair:
             raise ValidationError(
                 f"envelope degree {tail.degree} != d - 1 = {self.d - 1}"
             )
-        if not self.f.has_compact_support:
+        if self.f.tail is not None:
             raise ValidationError("density must be compactly supported")
         if not self.f.is_continuous():
             raise ValidationError("density must be continuous")

@@ -21,7 +21,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, reduce
+from functools import cached_property
 from itertools import zip_longest
 from math import gcd, lcm
 from typing import Callable, Iterable
@@ -250,11 +250,6 @@ class Polynomial:
     def __mul__(self, other: "Polynomial") -> "Polynomial":
         return Polynomial.over(_mul(self.nums, other.nums), self.den * other.den)
 
-    def __pow__(self, n: int) -> "Polynomial":
-        if n < 0:
-            raise DomainError("negative polynomial power")
-        return Polynomial.over(reduce(_mul, [self.nums] * n, [1]), self.den**n)
-
     def scale(self, k: int | str | Fraction) -> "Polynomial":
         k = rat(k)
         return Polynomial.over([n * k.numerator for n in self.nums], self.den * k.denominator)
@@ -287,25 +282,8 @@ class Polynomial:
         coeffs = json_list(data, "polynomial")
         return Polynomial.of(*(rat(c, "polynomial coefficient") for c in coeffs))
 
-    def __str__(self) -> str:
-        if self.is_zero():
-            return "0"
-        parts = []
-        for i, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            if i == 0:
-                parts.append(rat_str(c))
-            elif i == 1:
-                parts.append(f"{rat_str(c)}*x" if c != 1 else "x")
-            else:
-                parts.append(f"{rat_str(c)}*x^{i}" if c != 1 else f"x^{i}")
-        return " + ".join(parts).replace("+ -", "- ")
-
 
 P_ZERO = Polynomial(())
-P_ONE = Polynomial.of(1)
-P_X = Polynomial.of(0, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -362,17 +340,10 @@ class PiecewisePoly:
         """The function coeff * x^power on all of [0, oo)."""
         return PiecewisePoly.build([0], [], Polynomial.of(*([0] * power), coeff))
 
-    def is_zero(self) -> bool:
-        return not self.pieces and self.tail is None
-
     @property
     def support_end(self) -> Fraction:
         """Last breakpoint; the function is given by the tail (or 0) beyond."""
         return self.breakpoints[-1]
-
-    @property
-    def has_compact_support(self) -> bool:
-        return self.tail is None
 
     def piece_at(self, x: Fraction) -> Polynomial:
         if x < 0:
@@ -412,15 +383,6 @@ class PiecewisePoly:
             None if tail is None else Polynomial.from_json(tail),
         )
 
-    def __str__(self) -> str:
-        parts = [
-            f"[{a}, {b}): {p}"
-            for a, b, p in zip(self.breakpoints, self.breakpoints[1:], self.pieces)
-        ]
-        if self.tail is not None:
-            parts.append(f"[{self.breakpoints[-1]}, oo): {self.tail}")
-        return "{" + "; ".join(parts) + "}" if parts else "{0}"
-
 
 def pw_integrate(f: PiecewisePoly) -> Fraction:
     """Exact integral over [0, oo); requires compact support."""
@@ -457,14 +419,6 @@ def pw_sub(f: PiecewisePoly, g: PiecewisePoly) -> PiecewisePoly:
 
 def pw_mul(f: PiecewisePoly, g: PiecewisePoly) -> PiecewisePoly:
     return pw_combine(f, g, lambda a, b: a * b)
-
-
-def pw_scale(f: PiecewisePoly, k: int | str | Fraction) -> PiecewisePoly:
-    k = rat(k)
-    tail = None if f.tail is None else f.tail.scale(k)
-    return PiecewisePoly.build(
-        f.breakpoints, [p.scale(k) for p in f.pieces], tail
-    )
 
 
 def pw_rescale_arg(

@@ -130,7 +130,7 @@ def dim2_pair_density(v: HNData, twist_degrees, d: int) -> PiecewisePoly:
         sorted(slope_ranks.items(), key=lambda kv: kv[0], reverse=True), v.d
     )
     out = pw_sub(hn_density(v), hn_density(summand))
-    if not out.has_compact_support:
+    if out.tail is not None:
         raise ValidationError("pair density failed to be compactly supported")
     if not out.is_continuous():
         raise ValidationError("pair density came out discontinuous")

@@ -1,4 +1,4 @@
-"""Hilbert functions of N-graded rings, and the leading density envelope.
+"""Hilbert functions of N-graded rings, and the envelope coefficient ehat.
 
 Three ring descriptions are supported: graded complete intersections
 (generator and relation degrees, Hilbert series prod(1-t^c)/prod(1-t^e)),
@@ -9,12 +9,10 @@ Veronese views of either.  Each kind answers for itself: ``dim``, ``n0``,
 the occupied degrees have gcd n0 (None where n0 is exact).
 ``hilbert_function`` wraps a ring in a memoized oracle, one per ring.
 
-``hilbert_density`` returns the envelope F(x) = ehat * x^(d-1): the limit of
-the degree-windowed, q-normalized Hilbert function of the ring itself.  In
-window-index units, the sum of lengths over the n0 consecutive degrees of
-window M grows like ehat * M^(d-1).  ehat is exact: the Hilbert series gives
-it for complete intersections, a cone volume (``SemigroupSpec.ehat``) for
-semigroup rings, and a Veronese view scales the value of its base.
+``leading_coefficient`` returns ehat of the envelope F(x) = ehat * x^(d-1),
+exactly: from the Hilbert series of a complete intersection, a cone volume
+(``SemigroupSpec.ehat``) for a semigroup ring, scaled from the base for a
+Veronese view.
 """
 
 from __future__ import annotations
@@ -25,7 +23,7 @@ from functools import lru_cache
 from math import factorial, gcd, prod
 
 from .errors import DomainError, InputError, ValidationError
-from .exact import PiecewisePoly, json_get, json_int, json_ints, json_keys
+from .exact import json_get, json_int, json_ints, json_keys
 from .lattice import SemigroupSpec, enumerate_semigroup
 
 
@@ -199,12 +197,6 @@ def leading_coefficient(spec: RingSpec) -> Fraction:
     if h.dim < 2:
         raise DomainError("density envelope needs dimension >= 2")
     return spec.ehat()
-
-
-def hilbert_density(spec: RingSpec) -> PiecewisePoly:
-    """The envelope F(x) = ehat * x^(d-1) on [0, oo)."""
-    h = hilbert_function(spec)
-    return PiecewisePoly.monomial_tail(leading_coefficient(spec), h.dim - 1)
 
 
 def parse_ring_json(data: dict) -> RingSpec:

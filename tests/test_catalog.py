@@ -7,14 +7,15 @@ import pytest
 from hkdensity.catalog import (
     FAMILIES,
     AdeEntry,
-    ambient_density,
     catalog_density,
     catalog_entry,
     catalog_lattice_crosscheck,
     catalog_minor_check,
 )
+from hkdensity.combinators import rescale_density
 from hkdensity.errors import DomainError, InputError, ValidationError
 from hkdensity.exact import pw_integrate, pw_sup_distance
+from hkdensity.resolution import closed_form_density
 
 F = Fraction
 
@@ -68,10 +69,33 @@ def test_expected_ehk_all_admissible_parameters():
 
 
 def test_ambient_density_shape_a2():
-    amb = ambient_density(catalog_entry("A", 2))
+    # the pair (k[x1, x2], (h1, h2, h3)) in ambient degrees: ehat 1, n0 1
+    amb = closed_form_density(catalog_entry("A", 2).betti, F(1), 1)
     assert amb.breakpoints == (F(0), F(2), F(3))
     assert amb(1) == 1 and amb(F(5, 2)) == 1
     assert pw_integrate(amb) == 3
+
+
+def all_entries():
+    for fam in ("A", "D"):
+        for n in range(2, 51):
+            yield catalog_entry(fam, n)
+    for fam in ("E6", "E7", "E8"):
+        yield catalog_entry(fam)
+
+
+def test_invariant_ring_closed_form_is_rescaled_ambient_density():
+    # the Veronese-type relation f_{R^G}(x) = (l0/rank) f_R(l0 x): the
+    # closed form on the invariant ring (ehat = l0^2/rank, n0 = l0) equals
+    # the ambient closed form regraded by (l0, rank), on every entry
+    for entry in all_entries():
+        ring = entry.ring
+        assert (ring.n0, ring.ehat()) == (entry.l0, F(entry.l0**2, entry.rank))
+        direct = closed_form_density(entry.betti, ring.ehat(), ring.n0)
+        regraded = rescale_density(closed_form_density(entry.betti, F(1), 1), entry.l0, entry.rank)
+        assert direct == regraded, entry.label
+        assert direct.to_json() == regraded.to_json(), entry.label
+        assert catalog_density(entry)[0].f == direct, entry.label
 
 
 def test_a2_verdict():

@@ -254,6 +254,21 @@ def test_sample_spacing(tmp_path, capsys):
     assert len(lines) == 6
 
 
+@pytest.mark.parametrize("density", [
+    {"breakpoints": ["0"], "pieces": [], "tail": ["0", "1"]},  # x on [0, oo)
+    {"breakpoints": ["0"], "pieces": [], "tail": None},  # the zero function
+])
+def test_sample_refuses_a_density_with_no_breakpoint_past_zero(tmp_path, capsys, density):
+    # the points span [0, 11/10 * support_end]: with support_end 0 they
+    # would all sit at x = 0
+    inp = write(tmp_path, "ray.json", density)
+    code, out, err = run_cli(capsys, ["sample", "--in", inp, "--count", "3"])
+    assert code == 2 and out == ""
+    report = json.loads(err)
+    assert report["error"] == "ValidationError"
+    assert "no span to space the points over" in report["message"]
+
+
 def test_out_file_matches_stdout(tmp_path, capsys):
     inp = write(tmp_path, "tent.json", TENT_JSON)
     code, out, _ = run_cli(capsys, ["integrate", "--in", inp])

@@ -13,7 +13,7 @@ from hkdensity.combinators import (
     segre,
 )
 from hkdensity.errors import DomainError, ValidationError
-from hkdensity.exact import PiecewisePoly, Polynomial, pw_integrate, pw_scale
+from hkdensity.exact import PiecewisePoly, Polynomial, pw_integrate, pw_rescale_arg
 from hkdensity.resolution import closed_form_density, koszul_betti
 
 F = Fraction
@@ -69,7 +69,7 @@ def test_density_pair_rejects_bad_density():
         )
     with pytest.raises(ValidationError):
         # escapes above the envelope
-        DensityPair(env, pw_scale(tent(), 2), 2)
+        DensityPair(env, pw_rescale_arg(tent(), 1, 2), 2)
     with pytest.raises(ValidationError):
         DensityPair(env, tent(), 1)
 
@@ -157,7 +157,7 @@ def test_rank_from_degrees_catalog_values():
     rank=st.integers(min_value=1, max_value=8),
 )
 def test_rescale_integral_identity(scale, l0, rank):
-    f = pw_scale(tent(), scale)
+    f = pw_rescale_arg(tent(), 1, scale)
     out = rescale_density(f, l0, rank)
     assert pw_integrate(out) == pw_integrate(f) / rank
     assert out.support_end == F(2, l0)

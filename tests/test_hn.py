@@ -36,8 +36,8 @@ def test_single_component_ramp():
 def test_slope_at_degree_gives_zero():
     # slope a = d puts the only breakpoint at 0: nothing survives
     f = hn_density(HNData.build([(2, 3)], 2))
-    assert f.is_zero()
-    assert hn_density(HNData((), 1)).is_zero()
+    assert f == PiecewisePoly.zero()
+    assert hn_density(HNData((), 1)) == PiecewisePoly.zero()
 
 
 def test_two_step_filtration():
@@ -102,7 +102,7 @@ def test_pair_density_rejects_degree_mismatch():
 
 
 def test_pair_density_trivial_case():
-    assert dim2_pair_density(HNData((), 1), (), 1).is_zero()
+    assert dim2_pair_density(HNData((), 1), (), 1) == PiecewisePoly.zero()
 
 
 @settings(max_examples=40, deadline=None)
@@ -121,7 +121,7 @@ def test_pair_density_trivial_case():
 def test_hn_density_properties(data, d):
     pairs = sorted(data, key=lambda t: t[0], reverse=True)
     f = hn_density(HNData.build(pairs, d))
-    assert f.has_compact_support
+    assert f.tail is None
     assert f.is_continuous()
     # total mass: each rank-r component of slope a contributes r*(d-a)^2/(2d)
     # clipped at 0; only slopes below d survive

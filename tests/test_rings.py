@@ -14,7 +14,6 @@ from hkdensity.rings import (
     CompleteIntersectionRing,
     SemigroupRing,
     VeroneseRing,
-    hilbert_density,
     hilbert_function,
     leading_coefficient,
     parse_ring_json,
@@ -249,12 +248,6 @@ def test_veronese_normalizes_n0():
     assert [hv(m) for m in range(5)] == [1, 3, 5, 7, 9]
     # window density is unchanged by the regrade: hv(m) = 2m + 1
     assert leading_coefficient(v) == 2
-
-
-def test_hilbert_density_envelope():
-    env = hilbert_density(a_inv(2))
-    assert not env.has_compact_support
-    assert env(F(3)) == 6  # 2x at x=3
 
 
 def test_gcd_degrees():
