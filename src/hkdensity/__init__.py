@@ -54,7 +54,6 @@ from .lattice import (
 )
 from .combinators import (
     DensityPair,
-    rank_from_degrees,
     rescale_density,
     segre,
 )
@@ -102,7 +101,6 @@ __all__ = [
     "parse_ring_json",
     "pw_integrate",
     "pw_sup_distance",
-    "rank_from_degrees",
     "rat",
     "rat_str",
     "rescale_density",

@@ -26,9 +26,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .bivariate import BivariatePoly, MinorMatchReport, match_generators
-from .combinators import DensityPair, rank_from_degrees
+from .combinators import DensityPair
 from .errors import DomainError, InputError, ValidationError
 from .exact import PiecewisePoly, Polynomial, pw_integrate, pw_sup_distance
 # the package's one primality test lives in lattice, next to SemigroupSpec
@@ -39,7 +40,7 @@ from .lattice import (
     SemigroupSpec,
     _is_prime,
 )
-from .resolution import BettiTable, closed_form_density, validate_betti
+from .resolution import BettiTable, closed_form_density
 from .rings import CompleteIntersectionRing
 
 FAMILIES = ("A", "D", "E6", "E7", "E8")
@@ -73,9 +74,12 @@ class AdeEntry:
     def l0(self) -> int:
         return self.ring.n0
 
-    @property
+    @cached_property
     def rank(self) -> int:
-        r = rank_from_degrees(self.gen_degrees, (self.rel_degree,))
+        """The rank of k[x1, x2] over the invariant ring, read off its
+        ehat = l0^2 / rank."""
+        ring = self.ring
+        r = ring.n0**2 / ring.ehat()
         if r.denominator != 1:
             raise ValidationError(f"rank {r} is not an integer")
         return r.numerator
@@ -352,7 +356,6 @@ def catalog_entry(family: str, n: int | None = None, p: int | None = None) -> Ad
         if entry.char_coprime_to is not None:
             constraint += f" with p coprime to {entry.char_coprime_to}"
         raise ValidationError(f"characteristic {p} not admissible for {entry.label}: needs {constraint}")
-    validate_betti(entry.betti)
     return entry
 
 

@@ -124,11 +124,15 @@ def _load_lattice_pair(path: str, cap: int | None = None) -> LatticePair:
 
 
 def _parse_ints(text: str, what: str) -> list[int]:
-    """The integers of a comma-separated flag value; ``what`` names the flag."""
+    """The integers of a comma-separated flag value, at least one; ``what``
+    names the flag."""
     try:
-        return [int(part) for part in text.split(",") if part.strip()]
+        out = [int(part) for part in text.split(",") if part.strip()]
     except ValueError:
-        raise InputError(f"{what} must be comma-separated integers, got {text!r}") from None
+        out = []
+    if not out:
+        raise InputError(f"{what} must be one or more comma-separated integers, got {text!r}")
+    return out
 
 
 # ---------------------------------------------------------------- handlers
@@ -182,7 +186,7 @@ def _run_density_empirical(ns: argparse.Namespace) -> str:
 
 def _run_compare(ns: argparse.Namespace) -> str:
     levels = _parse_ints(ns.levels, "levels")
-    if not levels or any(n < 1 for n in levels):
+    if any(n < 1 for n in levels):
         raise InputError(f"levels must be >= 1, got {ns.levels!r}")
     pair = _load_lattice_pair(ns.spec, cap=ns.max_points)
     reference = None

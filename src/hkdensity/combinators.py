@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import prod
 
 from .errors import DomainError, ValidationError
 from .exact import (
@@ -99,13 +98,3 @@ def rescale_density(f: PiecewisePoly, l0: int, rank: int) -> PiecewisePoly:
     if rank < 1:
         raise DomainError(f"rank = {rank} must be >= 1")
     return pw_rescale_arg(f, Fraction(l0), Fraction(l0, rank))
-
-
-def rank_from_degrees(gen_degrees, rel_degrees) -> Fraction:
-    """prod(gen degrees) / prod(relation degrees); the module rank implied
-    by the degree data of an invariant presentation."""
-    num = prod(gen_degrees)
-    den = prod(rel_degrees)
-    if num <= 0 or den <= 0:
-        raise ValidationError("degrees must be positive")
-    return Fraction(num, den)

@@ -129,10 +129,7 @@ def dim2_pair_density(v: HNData, twist_degrees, d: int) -> PiecewisePoly:
     summand = HNData.build(
         sorted(slope_ranks.items(), key=lambda kv: kv[0], reverse=True), v.d
     )
+    # both densities are compactly supported and continuous, so out is too
     out = pw_sub(hn_density(v), hn_density(summand))
-    if out.tail is not None:
-        raise ValidationError("pair density failed to be compactly supported")
-    if not out.is_continuous():
-        raise ValidationError("pair density came out discontinuous")
     _check_nonnegative(out, "pair density")
     return out

@@ -233,14 +233,6 @@ class SemigroupSpec:
         index = gcd(*(_eliminate(m)[1] for m in itertools.combinations(gens, d)))
         return Fraction(self.n0 ** d * volume, factorial(d - 1) * index * den)
 
-    def to_json(self) -> dict:
-        return {
-            "rank": self.rank,
-            "gens": [list(g) for g in self.generators],
-            "weights": list(self.weights),
-            "p": self.p,
-        }
-
     @staticmethod
     def from_json(data: dict) -> "SemigroupSpec":
         json_keys(data, "semigroup", "rank gens weights p")
@@ -264,9 +256,6 @@ class MonomialIdealSpec:
     @staticmethod
     def build(generators) -> "MonomialIdealSpec":
         return MonomialIdealSpec(tuple(tuple(g) for g in generators))
-
-    def to_json(self) -> dict:
-        return {"gens": [list(g) for g in self.generators]}
 
     @staticmethod
     def from_json(data: dict | list) -> "MonomialIdealSpec":
@@ -302,6 +291,12 @@ def _degree_ceiling(spec: SemigroupSpec, cap: int) -> int:
 class SemigroupEnumeration:
     """All semigroup points of degree <= max_degree, one bucket per degree.
 
+    The enumeration answers in points and degrees: ``points(m)`` is the
+    number of points of degree m, ``outside(m, points, q)`` the number of
+    them outside the union of the translates S_{m - q deg p} + q p over
+    given points p of S, and ``contains(v)`` decides membership.  The
+    bucket format below is read nowhere else.
+
     ``by_degree[m]`` holds the points of degree m, each as its code
     ``encode(v)``: a bitset, one int with bit code(v) set for each point v,
     while the bitsets are dense, else a set of codes.  Buckets are built in
@@ -333,20 +328,23 @@ class SemigroupEnumeration:
     enumerated, plus 2^20, the buckets are rebuilt once as sets of codes,
     with radices for every degree below the ceiling.  Either way a point
     costs at most about what it costs in a set, so the cap, which counts
-    points, still bounds the memory.
+    points, still bounds the memory.  A rebuild encodes the generators and
+    the translates asked about again.
     """
 
-    def __init__(self, spec: SemigroupSpec, max_degree: int, cap: int):
+    def __init__(self, spec: SemigroupSpec, max_degree: int, cap: int | None = None):
+        if max_degree < 0:
+            raise DomainError("max_degree must be >= 0")
         self.spec = spec
-        self.cap = cap
-        self._ceiling = _degree_ceiling(spec, cap)
-        self._graded = [(g, spec.degree(g)) for g in spec.generators]
+        self.cap = enumeration_cap(cap)
+        self._ceiling = _degree_ceiling(spec, self.cap)
+        graded = [(g, spec.degree(g)) for g in spec.generators]
         # r_c = rise[c] / lcm exactly, lcm that of the generator degrees
-        self._lcm = lcm(*(e for _, e in self._graded))
-        rise = [max(g[c] * self._lcm // e for g, e in self._graded) for c in range(spec.rank)]
+        self._lcm = lcm(*(e for _, e in graded))
+        rise = [max(g[c] * self._lcm // e for g, e in graded) for c in range(spec.rank)]
         order = sorted(range(spec.rank), key=rise.__getitem__)
         # every generator has positive degree, so column 0 is a pivot
-        pivots, _ = _eliminate([(e,) + tuple(g[c] for c in order) for g, e in self._graded])
+        pivots, _ = _eliminate([(e,) + tuple(g[c] for c in order) for g, e in graded])
         self.coords = tuple(order[c - 1] for c in pivots[1:])
         self._rise = [rise[c] for c in self.coords]
         self.by_degree: list = [1]
@@ -366,23 +364,29 @@ class SemigroupEnumeration:
             code = code * radix + v[c]
         return code
 
+    def _shifts(self, points, q: int) -> list[tuple[int, int]]:
+        """(deg, code) of q p for each p in points, as ``_union`` takes them."""
+        return [(q * self.spec.degree(p), q * self.encode(p)) for p in points]
+
     def _recode(self, bound: int, dense: bool) -> None:
         """Rebuild the buckets built so far, as bitsets or as sets, with
         radices for the degrees up to bound."""
         self._bound, self._dense = bound, dense
-        self.size = int.bit_count if dense else len  # the points in a bucket
+        self._size = int.bit_count if dense else len  # the points in a bucket
         self.radices = tuple(1 + bound * rise // self._lcm for rise in self._rise)
         slope, place = 0, 1
         for rise, radix in zip(self._rise, self.radices):
             slope, place = slope + place * rise, place * radix
         self._slope = -(-slope // self._lcm)
-        self._gens = [(e, self.encode(g)) for g, e in self._graded]
+        self._gens = self._shifts(self.spec.generators, 1)
+        # (points, q) asked about by ``outside`` -> their shifts
+        self._coded: dict[tuple[tuple[Point, ...], int], list[tuple[int, int]]] = {}
         built, self.by_degree = self.by_degree, [1 if dense else {0}]
         for m in range(1, len(built)):
-            self.by_degree.append(self.union(m, self._gens))
+            self.by_degree.append(self._union(m, self._gens))
         self._bits = sum(bucket.bit_length() for bucket in self.by_degree) if dense else 0
 
-    def union(self, m: int, translates: list[tuple[int, int]]):
+    def _union(self, m: int, translates: list[tuple[int, int]]):
         """The bucket of the union of S_{m - deg} + code over the pairs
         (deg, code) with deg <= m."""
         buckets = self.by_degree
@@ -398,10 +402,20 @@ class SemigroupEnumeration:
                 out.update(map(code.__add__, buckets[m - deg]))
         return out
 
-    def has(self, m: int, code: int) -> bool:
-        """Whether the point of degree m with this code was enumerated."""
-        bucket = self.by_degree[m]
-        return bucket >> code & 1 == 1 if self._dense else code in bucket
+    def points(self, m: int) -> int:
+        """The number of points of degree m <= max_degree."""
+        return self._size(self.by_degree[m])
+
+    def outside(self, m: int, points: tuple[Point, ...], q: int) -> int:
+        """The number of points of degree m <= max_degree outside the union
+        of the translates S_{m - q deg p} + q p over the given points p of
+        S: for the generators of a monomial ideal, the colength of its q-th
+        Frobenius power in degree m.  Each translate lies in S_m, so no
+        point needs a membership probe."""
+        coded = self._coded.get((points, q))
+        if coded is None:
+            coded = self._coded[points, q] = self._shifts(points, q)
+        return self._size(self.by_degree[m]) - self._size(self._union(m, coded))
 
     def degrees(self, max_degree: int) -> Iterator[int]:
         """Yield the degrees 0..max_degree, building each missing bucket just
@@ -424,8 +438,8 @@ class SemigroupEnumeration:
                 limit = _BITS_PER_POINT * self.count + (1 << 20)
                 if self._dense and self._bits + m * self._slope + 1 > limit:
                     self._recode(self._ceiling - 1, dense=False)
-                bucket = self.union(m, self._gens)
-                size = self.size(bucket)
+                bucket = self._union(m, self._gens)
+                size = self._size(bucket)
                 if self.count + size > self.cap:
                     raise self._capacity_error(max_degree)
                 self.by_degree.append(bucket)
@@ -447,8 +461,13 @@ class SemigroupEnumeration:
             "up exceeds this cap"
         )
 
-    def contains(self, v: Point) -> bool:
-        """Exact membership for points of degree <= max_degree."""
+    def contains(self, v: Point, in_span: bool = False) -> bool:
+        """Exact membership for points of degree <= max_degree.
+
+        The code tells points apart only within the span of S, all of
+        Z^rank when d = rank, and only while each slice coordinate is below
+        its radix.  A caller that knows v to lie in the span, say in ZS,
+        passes in_span and skips the span test."""
         if len(v) != self.spec.rank or any(c < 0 for c in v):
             return False
         degree = self.spec.degree(v)
@@ -457,23 +476,13 @@ class SemigroupEnumeration:
                 f"membership query at degree {degree} beyond "
                 f"enumerated bound {self.max_degree}"
             )
-        # the code tells points apart only within the span of S, all of
-        # Z^rank when d = rank, and only while each slice coordinate is
-        # below its radix
         if any(v[c] >= radix for c, radix in zip(self.coords, self.radices)):
             return False
         d = self.spec.dim
-        if d < self.spec.rank and len(_eliminate([*self.spec.generators, v])[0]) > d:
+        if not in_span and d < self.spec.rank and len(_eliminate([*self.spec.generators, v])[0]) > d:
             return False
-        return self.has(degree, self.encode(v))
-
-
-def enumerate_semigroup(
-    spec: SemigroupSpec, max_degree: int, cap: int | None = None
-) -> SemigroupEnumeration:
-    if max_degree < 0:
-        raise DomainError("max_degree must be >= 0")
-    return SemigroupEnumeration(spec, max_degree, enumeration_cap(cap))
+        code, bucket = self.encode(v), self.by_degree[degree]
+        return bucket >> code & 1 == 1 if self._dense else code in bucket
 
 
 @dataclass(frozen=True)
@@ -541,31 +550,25 @@ class LatticePair:
     ):
         self.spec = spec
         self.ideal = ideal
-        self.cap = enumeration_cap(cap)
         self._ell: int | None = None
         # every ideal generator must be a semigroup element
         probe = max(spec.degree(a) for a in ideal.generators)
-        self._enum = SemigroupEnumeration(spec, probe, self.cap)
+        self._enum = SemigroupEnumeration(spec, probe, cap)
         for a in ideal.generators:
             if not self._enum.contains(a):
                 raise ValidationError(
                     f"ideal generator {a} is not a semigroup element"
                 )
-        # (radices, q, [(q deg a, q code a)]), encoded again when either changes
-        self._translates: tuple = (None, None, [])
 
     # -- support bound ----------------------------------------------------
 
     def _in_ideal(self, v: Point) -> bool:
         """v is a sum of generators of degree at most max_degree, so each
-        w = v - a lies in ZS with slice coordinates below their radices,
-        and its bit alone decides membership."""
-        enum = self._enum
-        for a in self.ideal.generators:
-            w = tuple(c - d for c, d in zip(v, a))
-            if all(c >= 0 for c in w) and enum.has(self.spec.degree(w), enum.encode(w)):
-                return True
-        return False
+        v - a lies in ZS, and the span test is skipped."""
+        return any(
+            self._enum.contains(tuple(c - d for c, d in zip(v, a)), in_span=True)
+            for a in self.ideal.generators
+        )
 
     def containment_exponent(self) -> int:
         """Least l with J^l contained in I, where J is the irrelevant ideal
@@ -624,27 +627,12 @@ class LatticePair:
                 f"p = {self.spec.p}"
             )
 
-    def _colength(self, q: int, m: int) -> int:
-        """|S_m| minus the points of degree m in the q-th Frobenius power of
-        the ideal, which are the union of the translates
-        S_{m - q deg a} + q a over the ideal generators a.  Each translate
-        lies in S_m, so no point needs a membership probe."""
-        enum = self._enum
-        radices, q_coded, translates = self._translates
-        if radices is not enum.radices or q_coded != q:
-            translates = [
-                (self.spec.degree(a) * q, enum.encode(a) * q) for a in self.ideal.generators
-            ]
-            self._translates = enum.radices, q, translates
-        inside = enum.union(m, translates)
-        return enum.size(enum.by_degree[m]) - enum.size(inside)
-
     def colength_by_degree(self, q: int, m: int) -> int:
         self._check_q(q)
         if m < 0:
             return 0
         self._enum.extend(m)
-        return self._colength(q, m)
+        return self._enum.outside(m, self.ideal.generators, q)
 
     def colengths_up_to(self, q: int, max_m: int) -> list[int]:
         """Colength of the q-th Frobenius power in each degree 0..max_m.
@@ -659,7 +647,7 @@ class LatticePair:
         self._check_q(q)
         counts, zeros = [], 0
         for m in self._enum.degrees(max_m):
-            counts.append(self._colength(q, m))
+            counts.append(self._enum.outside(m, self.ideal.generators, q))
             zeros = 0 if counts[m] else zeros + 1
             if zeros == self.spec.m_mu:
                 break

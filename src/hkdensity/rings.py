@@ -24,7 +24,7 @@ from math import factorial, gcd, prod
 
 from .errors import DomainError, InputError, ValidationError
 from .exact import json_get, json_int, json_ints, json_keys
-from .lattice import SemigroupSpec, enumerate_semigroup
+from .lattice import SemigroupEnumeration, SemigroupSpec
 
 
 @dataclass(frozen=True)
@@ -105,12 +105,12 @@ class SemigroupRing:
         return self.spec.ehat()
 
     def hilbert(self, upto: int) -> list[int]:
-        # Each extension enumerates afresh and keeps only the bucket sizes:
-        # the HilbertFunction lives in the process-wide hilbert_function
-        # cache, and buckets kept there would live as long as the process.
+        # Each extension enumerates afresh and keeps only the counts: the
+        # HilbertFunction lives in the process-wide hilbert_function cache,
+        # and an enumeration kept there would live as long as the process.
         # The doubling in HilbertFunction.__call__ bounds the rebuild cost.
-        enum = enumerate_semigroup(self.spec, upto)
-        return [enum.size(bucket) for bucket in enum.by_degree]
+        enum = SemigroupEnumeration(self.spec, upto)
+        return [enum.points(m) for m in range(upto + 1)]
 
     def gcd_window(self) -> None:
         # n0 is exact: the occupied degrees are a submonoid of N holding

@@ -49,11 +49,13 @@ def test_char_admissibility():
 
 def test_rank_and_l0():
     assert catalog_entry("A", 2).rank == 2
+    assert catalog_entry("A", 3).rank == 3
     assert catalog_entry("A", 5).rank == 5
     assert catalog_entry("A", 5).l0 == 1  # gcd(2, 5, 5)
     assert catalog_entry("A", 4).l0 == 2
     assert catalog_entry("D", 4).rank == 16
     assert catalog_entry("E6").rank == 8
+    assert catalog_entry("E7").rank == 24
     assert catalog_entry("E8").rank == 120
     for fam in FAMILIES:
         n = 4 if fam in ("A", "D") else None

@@ -234,6 +234,24 @@ def test_hn2_command(tmp_path, capsys):
     )
 
 
+@pytest.mark.parametrize(
+    "argv, spec",
+    [
+        (["hn2", "--in", "IN", "--twists", ""], HN_LINE),
+        (["hn2", "--in", "IN", "--twists", " , "], HN_LINE),
+        (["compare", "--spec", "IN", "--levels", ""], A2_INVARIANT_PAIR),
+    ],
+)
+def test_integer_list_flags_refuse_an_empty_list(tmp_path, capsys, argv, spec):
+    # an empty twist list would print f_V itself as the pair density
+    inp = write(tmp_path, "in.json", spec)
+    code, out, err = run_cli(capsys, [inp if a == "IN" else a for a in argv])
+    assert code == 1 and out == ""
+    report = json.loads(err)
+    assert report["error"] == "InputError"
+    assert "one or more comma-separated integers" in report["message"]
+
+
 def test_integrate_command(tmp_path, capsys):
     inp = write(tmp_path, "tent.json", TENT_JSON)
     code, out, _ = run_cli(capsys, ["integrate", "--in", inp])

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from hkdensity.combinators import (
     DensityPair,
-    rank_from_degrees,
     rescale_density,
     segre,
 )
@@ -137,17 +136,6 @@ def test_rescale_rejects_bad_args():
         rescale_density(tent(), 0, 2)
     with pytest.raises(DomainError):
         rescale_density(tent(), 2, 0)
-
-
-def test_rank_from_degrees_catalog_values():
-    assert rank_from_degrees((2, 3, 3), (6,)) == 3
-    assert rank_from_degrees((4, 8, 10), (20,)) == 16
-    assert rank_from_degrees((6, 4, 4), (12,)) == 8
-    assert rank_from_degrees((6, 8, 12), (24,)) == 24
-    assert rank_from_degrees((12, 30, 20), (60,)) == 120
-    assert rank_from_degrees((5,), ()) == 5
-    with pytest.raises(ValidationError):
-        rank_from_degrees((0, 2), (2,))
 
 
 @settings(max_examples=60, deadline=None)

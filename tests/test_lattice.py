@@ -21,7 +21,6 @@ from hkdensity.lattice import (
     SemigroupSpec,
     _degree_ceiling,
     _eliminate,
-    enumerate_semigroup,
     enumeration_cap,
 )
 
@@ -74,17 +73,37 @@ def test_spec_n0_and_dim():
 
 
 def test_enumeration_counts_plane():
-    enum = enumerate_semigroup(plane(), 6)
+    enum = SemigroupEnumeration(plane(), 6)
     for m in range(7):
-        assert enum.by_degree[m].bit_count() == m + 1
+        assert enum.points(m) == m + 1
 
 
 def test_enumeration_counts_a2():
-    enum = enumerate_semigroup(a_spec(2, 5), 8)
+    enum = SemigroupEnumeration(a_spec(2, 5), 8)
     # degree-m monomials of k[xy, x^2, y^2]: pairs with a + b = m, a = b mod 2
     for m in range(9):
         want = sum(1 for a in range(m + 1) if (2 * a - m) % 2 == 0)
-        assert enum.by_degree[m].bit_count() == want
+        assert enum.points(m) == want
+
+
+def test_enumeration_refuses_a_negative_degree():
+    with pytest.raises(DomainError, match="max_degree must be >= 0"):
+        SemigroupEnumeration(plane(), -1)
+
+
+def test_outside_encodes_translates_again_after_a_rebuild():
+    # k[x, y, z] has two slice coordinates, so extending past the degrees
+    # the radices were sized for rebuilds the buckets under new radices;
+    # the points of degree m outside (x^2, y^2, z^2) are the squarefree
+    # monomials of degree m
+    spec = SemigroupSpec.build(3, [(1, 0, 0), (0, 1, 0), (0, 0, 1)], (1, 1, 1), 2)
+    want = [1, 3, 3, 1] + [0] * 37
+    enum = SemigroupEnumeration(spec, 2)
+    radices = enum.radices
+    assert [enum.outside(m, spec.generators, 2) for m in range(3)] == want[:3]
+    enum.extend(40)
+    assert enum.radices != radices
+    assert [enum.outside(m, spec.generators, 2) for m in range(41)] == want
 
 
 def test_contains_rejects_coordinates_beyond_radix():
@@ -92,7 +111,7 @@ def test_contains_rejects_coordinates_beyond_radix():
     # of CONE, and the code is v_0 + radices[0] * v_1, so (r, 0, 1) with r
     # the first radix has the degree and the code of the semigroup point
     # (0, 1, 1)
-    enum = enumerate_semigroup(CONE, 2)
+    enum = SemigroupEnumeration(CONE, 2)
     r = enum.radices[0]
     assert enum.coords == (0, 1)
     assert enum.contains((0, 1, 1))
@@ -186,22 +205,22 @@ def test_capacity_cap_and_feasibility():
 
 def test_capacity_boundary_per_degree():
     # plane() holds (D + 1)(D + 2) / 2 = 28 points up to degree D = 6
-    assert enumerate_semigroup(plane(), 6, cap=28).count == 28
+    assert SemigroupEnumeration(plane(), 6, cap=28).count == 28
     with pytest.raises(CapacityError, match=r"cap of 27 points \(degree bound 6\)"):
-        enumerate_semigroup(plane(), 6, cap=27)
+        SemigroupEnumeration(plane(), 6, cap=27)
     # a refused degree is not kept: the enumeration stays as it was
-    enum = enumerate_semigroup(plane(), 5, cap=27)
+    enum = SemigroupEnumeration(plane(), 5, cap=27)
     with pytest.raises(CapacityError, match=r"degree bound 9"):
         enum.extend(9)
     assert enum.max_degree == 5 and enum.count == 21
-    assert [b.bit_count() for b in enum.by_degree] == [m + 1 for m in range(6)]
+    assert [enum.points(m) for m in range(6)] == [m + 1 for m in range(6)]
 
 
 def test_capacity_fails_before_enumerating_to_the_ceiling():
     # plane() holds more than 10^6 points up to its degree ceiling, so that
     # extension is refused before any bucket is built
     cap = 10**6
-    enum = enumerate_semigroup(plane(), 0, cap=cap)
+    enum = SemigroupEnumeration(plane(), 0, cap=cap)
     ceiling = _degree_ceiling(plane(), cap)
     message = rf"cap of {cap} points \(degree bound {ceiling}\)"
     with pytest.raises(CapacityError, match=message):
@@ -212,7 +231,7 @@ def test_capacity_fails_before_enumerating_to_the_ceiling():
 def test_capacity_error_names_the_ceiling():
     # C(10001, 2) = 50,005,000 is the first C(k + 2, 2) past the default cap
     assert _degree_ceiling(plane(), DEFAULT_MAX_POINTS) == 9999
-    enum = enumerate_semigroup(plane(), 0, cap=DEFAULT_MAX_POINTS)
+    enum = SemigroupEnumeration(plane(), 0, cap=DEFAULT_MAX_POINTS)
     with pytest.raises(CapacityError, match=r"every degree bound from 9999 up exceeds"):
         enum.extend(2**31)
     assert enum.count == 1
@@ -324,16 +343,17 @@ def test_colengths_match_per_point_reference(spec_ideal, e, max_m):
 @example(SEGRE, 2, 9)
 def test_extend_matches_fresh_enumeration(spec, a, b):
     a, b = min(a, b), max(a, b)
-    grown = enumerate_semigroup(spec, a)
+    grown = SemigroupEnumeration(spec, a)
     grown.extend(b)
-    fresh = enumerate_semigroup(spec, b)
+    fresh = SemigroupEnumeration(spec, b)
     assert grown.max_degree == fresh.max_degree == b
     assert grown.count == fresh.count
     points = reference_points(spec, b)
     sizes = [0] * (b + 1)
     for v in points:
         sizes[spec.degree(v)] += 1
-    assert [s.bit_count() for s in grown.by_degree] == [s.bit_count() for s in fresh.by_degree] == sizes
+    counts = [grown.points(m) for m in range(b + 1)]
+    assert counts == [fresh.points(m) for m in range(b + 1)] == sizes
     box = itertools.product(range(5), repeat=spec.rank)
     for v in itertools.chain(points, box):
         if spec.degree(v) <= b:
@@ -350,13 +370,13 @@ def test_small_cap_radix_and_boundary(spec, b, cap):
     points = reference_points(spec, b)
     if len(points) > cap:
         with pytest.raises(CapacityError):
-            enumerate_semigroup(spec, b, cap)
+            SemigroupEnumeration(spec, b, cap)
         return
-    enum = enumerate_semigroup(spec, b, cap)
+    enum = SemigroupEnumeration(spec, b, cap)
     sizes = [0] * (b + 1)
     for v in points:
         sizes[spec.degree(v)] += 1
-    assert [s.bit_count() for s in enum.by_degree] == sizes
+    assert [enum.points(m) for m in range(b + 1)] == sizes
     assert all(enum.contains(v) for v in points)
 
 
@@ -483,7 +503,7 @@ def test_enumeration_matches_set_reference(spec, a, b, cap):
         assert enum is None
         return
     assert enum.max_degree == ref.max_degree and enum.count == ref.count
-    assert [enum.size(s) for s in enum.by_degree] == [len(s) for s in ref.by_degree]
+    assert [enum.points(m) for m in range(enum.max_degree + 1)] == [len(s) for s in ref.by_degree]
     top = ref.max_degree
     points = reference_points(spec, top)
     box = itertools.product(range(5), repeat=spec.rank)
@@ -502,7 +522,7 @@ def test_enumeration_matches_set_reference(spec, a, b, cap):
 def test_contains_refuses_points_off_the_span(spec, off, twin):
     # off has the degree and the slice coordinates of the semigroup point
     # twin, so only the span check tells them apart
-    enum = enumerate_semigroup(spec, 4)
+    enum = SemigroupEnumeration(spec, 4)
     assert spec.degree(off) == spec.degree(twin)
     assert enum.encode(off) == enum.encode(twin)
     assert enum.contains(twin) and not enum.contains(off)
@@ -513,7 +533,7 @@ def test_bucket_bits_follow_the_degree_slice(spec):
     # Both lie in N^3 with d < 3.  A code that reads a coordinate outside
     # the slice spans far more bits than the slice has points, and runs out
     # of memory long before degree 3000.
-    enum = enumerate_semigroup(spec, 3000)
+    enum = SemigroupEnumeration(spec, 3000)
     assert all(bucket.bit_length() <= m + 1 for m, bucket in enumerate(enum.by_degree))
 
 
@@ -534,7 +554,7 @@ def test_memory_follows_the_points(spec, level, degree):
     # degree leave the slices of k[x1..x8] 1/7! of their box.  A set costs
     # 80 to 100 bytes a code, so whatever the buckets are, the run must
     # stay within 128 bytes a point.
-    points = enumerate_semigroup(spec, degree).count
+    points = SemigroupEnumeration(spec, degree).count
     tracemalloc.start()
     try:
         approx = LatticePair(spec, MonomialIdealSpec.build(spec.generators)).build_approximant(level)

@@ -9,7 +9,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from hkdensity.errors import DomainError, InputError, ValidationError
-from hkdensity.lattice import SemigroupEnumeration, SemigroupSpec, enumerate_semigroup
+from hkdensity.lattice import SemigroupEnumeration, SemigroupSpec
 from hkdensity.rings import (
     CompleteIntersectionRing,
     SemigroupRing,
@@ -110,11 +110,11 @@ def finite_difference_ehat(spec: SemigroupSpec) -> Fraction:
     base = step * max(2, -(-32 // step))
     for _ in range(2):
         top = base + d * step
-        enum = enumerate_semigroup(spec, top * n0 + n0 - 1)
+        enum = SemigroupEnumeration(spec, top * n0 + n0 - 1)
 
         def alpha_at(start: int) -> Fraction:
             vals = [
-                sum(enum.by_degree[(start + k * step) * n0 + j].bit_count() for j in range(n0))
+                sum(enum.points((start + k * step) * n0 + j) for j in range(n0))
                 for k in range(d)
             ]
             diff = sum((-1) ** (d - 1 - k) * comb(d - 1, k) * v for k, v in enumerate(vals))
@@ -327,8 +327,8 @@ def ref_ci_extender(spec: CompleteIntersectionRing):
 
 def ref_semigroup_extender(spec: SemigroupSpec):
     def extend(values: list[int], upto: int) -> None:
-        enum = enumerate_semigroup(spec, upto)
-        values[:] = [enum.by_degree[m].bit_count() for m in range(upto + 1)]
+        enum = SemigroupEnumeration(spec, upto)
+        values[:] = [enum.points(m) for m in range(upto + 1)]
 
     return extend
 
