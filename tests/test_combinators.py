@@ -1,11 +1,13 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from math import factorial
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hkdensity.catalog import catalog_entry
 from hkdensity.combinators import (
     DensityPair,
     rescale_density,
@@ -14,6 +16,7 @@ from hkdensity.combinators import (
 from hkdensity.errors import DomainError, ValidationError
 from hkdensity.exact import PiecewisePoly, Polynomial, pw_integrate, pw_rescale_arg
 from hkdensity.resolution import closed_form_density, koszul_betti
+from hkdensity.rings import CompleteIntersectionRing
 
 F = Fraction
 
@@ -136,6 +139,27 @@ def test_rescale_rejects_bad_args():
         rescale_density(tent(), 0, 2)
     with pytest.raises(DomainError):
         rescale_density(tent(), 2, 0)
+
+
+def test_rank_from_degrees_catalog_values():
+    # the rank that rescale_density takes, read off the degree data of an
+    # invariant presentation: prod(gen degrees) / prod(relation degrees),
+    # which is n0^dim / ((dim - 1)! ehat) of the complete intersection
+    cases = [
+        ((2, 3, 3), (6,), 3),
+        ((4, 8, 10), (20,), 16),
+        ((6, 4, 4), (12,), 8),
+        ((6, 8, 12), (24,), 24),
+        ((12, 30, 20), (60,), 120),
+        ((5,), (), 5),
+    ]
+    for gens, rels, rank in cases:
+        ring = CompleteIntersectionRing.build(gens, rels)
+        assert F(ring.n0**ring.dim, factorial(ring.dim - 1)) / ring.ehat() == rank
+    for fam, n, rank in [("A", 3, 3), ("D", 4, 16), ("E6", None, 8), ("E7", None, 24), ("E8", None, 120)]:
+        assert catalog_entry(fam, n).rank == rank
+    with pytest.raises(ValidationError):
+        CompleteIntersectionRing.build((0, 2), (2,))
 
 
 @settings(max_examples=60, deadline=None)
