@@ -19,6 +19,7 @@ import io
 import json
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _quote
 
 from .catalog import catalog_density, catalog_entry, catalog_minor_check
 from .combinators import DensityPair, rescale_density, segre
@@ -48,7 +49,53 @@ def _read_json(path: str):
 
 
 def _json_text(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    """``json.dumps(obj, sort_keys=True, indent=2) + "\\n"`` for what the
+    payloads hold: dicts with str keys, lists, tuples, str, int, bool and
+    None.  Anything else raises TypeError."""
+    out: list[str] = []
+    _json_write(obj, out, "\n")
+    out.append("\n")
+    return "".join(out)
+
+
+def _json_write(obj, out: list[str], newline: str) -> None:
+    """Append the chunks of obj, indented as at ``newline``, to out."""
+    if isinstance(obj, str):
+        out.append(_quote(obj))
+    elif obj is None:
+        out.append("null")
+    elif obj is True:
+        out.append("true")
+    elif obj is False:
+        out.append("false")
+    elif isinstance(obj, int):
+        out.append(int.__repr__(obj))
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        sep = "[" + inner
+        for item in obj:
+            out.append(sep)
+            _json_write(item, out, inner)
+            sep = "," + inner
+        out.append(newline + "]")
+    elif isinstance(obj, dict):
+        if not obj:
+            out.append("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        for key in sorted(obj):  # _quote raises TypeError on a key that is no str
+            out.append(sep)
+            out.append(_quote(key))
+            out.append(": ")
+            _json_write(obj[key], out, inner)
+            sep = "," + inner
+        out.append(newline + "}")
+    else:
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 def _csv_text(header: list[str], rows: list[list[str]]) -> str:
@@ -279,7 +326,7 @@ def _run_catalog(ns: argparse.Namespace) -> str:
 def _run_hn2(ns: argparse.Namespace) -> str:
     twists = None if ns.twists is None else _parse_ints(ns.twists, "twists")
     v = HNData.from_json(_read_json(ns.infile))
-    f = hn_density(v) if twists is None else dim2_pair_density(v, twists, v.d)
+    f = hn_density(v) if twists is None else dim2_pair_density(v, twists)
     return _json_text({"command": "hn2", **_density_payload(f, pw_integrate(f))})
 
 

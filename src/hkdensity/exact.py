@@ -2,12 +2,13 @@
 
 Everything here is immutable and exact over Q, and computed in integers: a
 ``Polynomial`` is integer numerators over one denominator, the sign tests run
-Sturm chains and Yun's odd part on integer polynomials, and Fractions are made
-only for values (evaluations, breakpoints, JSON).  A ``PiecewisePoly`` models a
-function on [0, oo): finitely many half-open pieces [b_{i-1}, b_i) between
-strictly increasing rational breakpoints (b_0 = 0), then an optional
-polynomial tail on [b_k, oo); a missing tail means the function is 0 beyond
-the last breakpoint.  Compactly supported densities have no tail, while
+Sturm chains and Yun's odd part on integer polynomials, JSON coefficients are
+reduced from the numerators, and Fractions are made only for values
+(evaluations and breakpoints).  A ``PiecewisePoly`` models a function on
+[0, oo): finitely many half-open pieces [b_{i-1}, b_i) between strictly
+increasing rational breakpoints (b_0 = 0), then an optional polynomial tail
+on [b_k, oo); a missing tail means the function is 0 beyond the last
+breakpoint.  Compactly supported densities have no tail, while
 envelope functions like ehat*x^(d-1) are a tail with no finite pieces.
 
 Construction always canonicalizes: adjacent equal pieces are merged, trailing
@@ -275,7 +276,13 @@ class Polynomial:
         return Polynomial.over(nums, self.den * m)
 
     def to_json(self) -> list[str]:
-        return [rat_str(c) for c in self.coeffs]
+        """The coefficients as ``rat_str`` writes them, reduced from the
+        integer numerators with one gcd each."""
+        out = []
+        for n in self.nums:
+            g = gcd(n, self.den)
+            out.append(str(n // g) if g == self.den else f"{n // g}/{self.den // g}")
+        return out
 
     @staticmethod
     def from_json(data: list[int | str]) -> "Polynomial":
@@ -313,23 +320,7 @@ class PiecewisePoly:
         for a, b in zip(bps, bps[1:]):
             if not a < b:
                 raise ValidationError("breakpoints must be strictly increasing")
-        if tail is not None and tail.is_zero():
-            tail = None
-        # merge adjacent equal pieces
-        merged_b = [bps[0]]
-        merged_p: list[Polynomial] = []
-        for b, p in zip(bps[1:], pcs):
-            if merged_p and merged_p[-1] == p:
-                merged_b[-1] = b
-            else:
-                merged_b.append(b)
-                merged_p.append(p)
-        # absorb trailing pieces equal to the implicit continuation
-        cont = tail if tail is not None else P_ZERO
-        while merged_p and merged_p[-1] == cont:
-            merged_p.pop()
-            merged_b.pop()
-        return PiecewisePoly(tuple(merged_b), tuple(merged_p), tail)
+        return _canonical(bps, pcs, tail)
 
     @staticmethod
     def zero() -> "PiecewisePoly":
@@ -384,6 +375,30 @@ class PiecewisePoly:
         )
 
 
+def _canonical(
+    bps: list[Fraction], pcs: list[Polynomial], tail: Polynomial | None
+) -> PiecewisePoly:
+    """The canonical form of pieces as ``PiecewisePoly.build`` validates
+    them: breakpoints strictly increasing from 0, one more than the pieces."""
+    if tail is not None and tail.is_zero():
+        tail = None
+    # merge adjacent equal pieces
+    merged_b = [bps[0]]
+    merged_p: list[Polynomial] = []
+    for b, p in zip(bps[1:], pcs):
+        if merged_p and merged_p[-1] == p:
+            merged_b[-1] = b
+        else:
+            merged_b.append(b)
+            merged_p.append(p)
+    # absorb trailing pieces equal to the implicit continuation
+    cont = tail if tail is not None else P_ZERO
+    while merged_p and merged_p[-1] == cont:
+        merged_p.pop()
+        merged_b.pop()
+    return PiecewisePoly(tuple(merged_b), tuple(merged_p), tail)
+
+
 def pw_integrate(f: PiecewisePoly) -> Fraction:
     """Exact integral over [0, oo); requires compact support."""
     if f.tail is not None:
@@ -404,13 +419,31 @@ def pw_combine(
     g: PiecewisePoly,
     op: Callable[[Polynomial, Polynomial], Polynomial],
 ) -> PiecewisePoly:
-    """Apply a polynomial binary operation pointwise on the union refinement."""
-    cuts = sorted(set(f.breakpoints) | set(g.breakpoints))
-    pieces = [op(f.piece_at(a), g.piece_at(a)) for a in cuts[:-1]]
+    """Apply a polynomial binary operation pointwise on the union refinement:
+    one walk over both breakpoint lists, compared by cross-multiplication."""
+    fb, gb = f.breakpoints, g.breakpoints
     f_tail = f.tail if f.tail is not None else P_ZERO
     g_tail = g.tail if g.tail is not None else P_ZERO
-    tail = op(f_tail, g_tail)
-    return PiecewisePoly.build(cuts, pieces, None if tail.is_zero() else tail)
+    # the piece after each breakpoint, the last one being the tail
+    fp, gp = f.pieces + (f_tail,), g.pieces + (g_tail,)
+    nf, ng = len(fb) - 1, len(gb) - 1
+    cuts, pieces, i, j = [fb[0]], [], 0, 0
+    while i < nf or j < ng:
+        pieces.append(op(fp[i], gp[j]))
+        # side < 0: the next breakpoint is f's, > 0: g's, 0: both
+        if i == nf:
+            side = 1
+        elif j == ng:
+            side = -1
+        else:
+            a, b = fb[i + 1], gb[j + 1]
+            side = a.numerator * b.denominator - b.numerator * a.denominator
+        if side <= 0:
+            i += 1
+        if side >= 0:
+            j += 1
+        cuts.append(fb[i] if side <= 0 else gb[j])
+    return _canonical(cuts, pieces, op(f_tail, g_tail))
 
 
 def pw_sub(f: PiecewisePoly, g: PiecewisePoly) -> PiecewisePoly:

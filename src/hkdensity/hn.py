@@ -117,11 +117,9 @@ def _check_nonnegative(f: PiecewisePoly, what: str) -> None:
         )
 
 
-def dim2_pair_density(v: HNData, twist_degrees, d: int) -> PiecewisePoly:
+def dim2_pair_density(v: HNData, twist_degrees) -> PiecewisePoly:
     """f_V minus the density of the twisted line-bundle sum of the syzygy
     sequence; the result is the HK density of the underlying graded pair."""
-    if d != v.d:
-        raise ValidationError(f"deg O(1) mismatch: pair d = {d}, V carries {v.d}")
     slope_ranks: dict[Fraction, int] = {}
     for deg in twist_degrees:
         slope = Fraction((1 - deg) * v.d)

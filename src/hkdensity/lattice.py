@@ -31,8 +31,9 @@ colengths of the q-th Frobenius power are counted degree by degree and summed
 into windows of n0 = gcd of occupied degrees consecutive degrees.  They stay
 integers over the one denominator q^(d-1): f_n is windows[M] / q^(d-1) on
 [M/q, (M+1)/q), g_n joins those values at the grid points x = M/q by
-straight lines, and Fractions are made only for output pieces and the
-integral.
+straight lines, and Fractions are made only for output pieces, the
+integral and the largest of the integer gaps between g_n and g_{n+1} on the
+grid of g_{n+1}.
 """
 
 from __future__ import annotations
@@ -499,13 +500,20 @@ class DensityApproximant:
 
     def _pieces(self, keys) -> PiecewisePoly:
         """keys[M] / den are the coefficients of the piece on [M/q, (M+1)/q);
-        runs of equal keys are merged, and pieces stay integers over den."""
-        breakpoints, pieces, end = [0], [], 0
+        runs of equal keys are merged, and pieces stay integers over den.
+
+        The runs give distinct neighbouring pieces at strictly increasing
+        breakpoints, so the canonical form only drops the last run when it
+        is zero, as the last window is."""
+        breakpoints, pieces, end = [Fraction(0)], [], 0
         for key, run in itertools.groupby(keys):
             end += sum(1 for _ in run)
             breakpoints.append(Fraction(end, self.q))
             pieces.append(Polynomial.over(list(key), self.den))
-        return PiecewisePoly.build(breakpoints, pieces)
+        if pieces and pieces[-1].is_zero():
+            pieces.pop()
+            breakpoints.pop()
+        return PiecewisePoly(tuple(breakpoints), tuple(pieces))
 
     @cached_property
     def f_step(self) -> PiecewisePoly:
@@ -522,6 +530,25 @@ class DensityApproximant:
     @cached_property
     def integral(self) -> Fraction:
         return Fraction(sum(self.windows), self.den * self.q)
+
+    def interp_sup_distance(self, finer: "DensityApproximant") -> Fraction:
+        """sup |g_n - g_{n+1}| with ``finer`` the level n + 1 approximant,
+        on integers.  The difference is linear between the points of the
+        finer grid x = M'/(pq), so the sup is the largest value there.  With
+        M' = pM + r and k = p^(d-1) = finer.den / den, that value is
+        |(c_M (p - r) + c_{M+1} r) k - p c'_{M'}| / (p k den)."""
+        p, k = finer.q // self.q, finer.den // self.den
+        # both window lists padded with zeros past their supports to n + 1
+        # and p n entries, covering both
+        n = max(len(self.windows), -(-len(finer.windows) // p))
+        coarse = self.windows + (0,) * (n + 1 - len(self.windows))
+        fine = finer.windows + (0,) * (p * n - len(finer.windows))
+        top = max(
+            abs((a * (p - r) + b * r) * k - p * c)
+            for r in range(p)
+            for a, b, c in zip(coarse, coarse[1:], fine[r::p])
+        )
+        return Fraction(top, p * k * self.den)
 
 
 @dataclass(frozen=True)
@@ -688,12 +715,15 @@ class LatticePair:
         approx = {n: self.build_approximant(n) for n in sorted(needed)}
         rows = []
         for n in levels:
-            target = reference if reference is not None else approx[n + 1].g_interp
+            if reference is None:
+                sup = approx[n].interp_sup_distance(approx[n + 1])
+            else:
+                sup = pw_sup_distance(approx[n].g_interp, reference)
             rows.append(
                 ConvergenceRow(
                     level=n,
                     q=self.spec.p ** n,
-                    sup_distance=pw_sup_distance(approx[n].g_interp, target),
+                    sup_distance=sup,
                     integral=approx[n].integral,
                 )
             )

@@ -210,7 +210,7 @@ def test_criterion_07_segre_product():
 def test_criterion_08_hn_koszul_tent():
     with criterion(8, "dim-2 HN path reproduces the Koszul tent from O(-1)"):
         v = HNData.build([(-1, 1)], 1)
-        assert dim2_pair_density(v, (1, 1), 1) == tent()
+        assert dim2_pair_density(v, (1, 1)) == tent()
 
 
 def test_criterion_09_discrepancy_detection():

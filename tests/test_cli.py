@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hkdensity.cli import main
+from hkdensity.cli import _json_text, main
 from hkdensity.exact import PiecewisePoly, Polynomial, rat
 from hkdensity.lattice import SemigroupEnumeration
 
@@ -223,6 +223,49 @@ def test_catalog_stdout_digest(capsys):
     assert h.hexdigest() == CATALOG_DIGEST
 
 
+# sha256 of the exit code, stdout and stderr of each run below, in order:
+# outputs that no hkbench digest covers, with fractional coefficients and a
+# non-ASCII message; a change that alters them on purpose updates it and
+# says so
+OTHER_OUTPUTS_DIGEST = "cb20a087348a54731743470f2b0467bb4b7694b166b6b29493ca64aec379e020"
+
+
+def test_other_outputs_digest(tmp_path, capsys):
+    density = {
+        "breakpoints": ["0", "1/2", "7/3"],
+        "pieces": [["0", "5/3"], ["7/6", "-1/2"]],
+        "tail": None,
+    }
+    hn = {"d": 3, "components": [{"slope": "1/2", "rank": 2}, {"slope": "-5/3", "rank": 1}]}
+    hn_pair = {"d": 3, "components": [{"slope": "-3/2", "rank": 2}, {"slope": "-3", "rank": 1}]}
+    broken = {
+        "betti": {"d": 2, "betti": [{"i": 1, "j": 1, "b": 3}, {"i": 2, "j": 2, "b": 1}]},
+        "ehat": "2/3",
+        "n0": 1,
+    }
+    files = {
+        name: write(tmp_path, name + ".json", doc)
+        for name, doc in [("density", density), ("hn", hn), ("hn_pair", hn_pair),
+                          ("broken", broken), ("a2", A2_INVARIANT_PAIR)]
+    }
+    runs = [
+        (0, ["rescale", "--in", "density", "--l0", "3", "--rank", "2"]),
+        (0, ["integrate", "--in", "density"]),
+        (0, ["sample", "--in", "density", "--count", "5"]),
+        (0, ["hn2", "--in", "hn"]),
+        (0, ["hn2", "--in", "hn_pair", "--twists", "1,1,1,2"]),
+        (1, ["catalog", "--family", "\u00c9"]),
+        (2, ["density-betti", "--in", "broken"]),
+        (3, ["density-empirical", "--in", "a2", "--level", "6", "--max-points", "100"]),
+    ]
+    h = hashlib.sha256()
+    for want, argv in runs:
+        code, out, err = run_cli(capsys, [files.get(a, a) for a in argv])
+        assert code == want and (out == "") == (code != 0) and (err == "") == (code == 0), argv
+        h.update(f"{code}\n{out}{err}".encode())
+    assert h.hexdigest() == OTHER_OUTPUTS_DIGEST
+
+
 def test_hn2_command(tmp_path, capsys):
     inp = write(tmp_path, "hn.json", HN_LINE)
     code, out, err = run_cli(capsys, ["hn2", "--in", inp, "--twists", "1,1"])
@@ -285,6 +328,31 @@ def test_sample_refuses_a_density_with_no_breakpoint_past_zero(tmp_path, capsys,
     report = json.loads(err)
     assert report["error"] == "ValidationError"
     assert "no span to space the points over" in report["message"]
+
+
+# full Unicode: control characters, non-ASCII and lone surrogates
+any_text = st.text(st.characters(exclude_categories=()), max_size=8)
+json_values = st.recursive(
+    st.one_of(any_text, st.integers(), st.integers(-(10**60), 10**60), st.booleans(), st.none()),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.dictionaries(any_text, inner, max_size=4),
+    ),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(json_values)
+def test_json_writer_matches_json_dumps(obj):
+    assert _json_text(obj) == json.dumps(obj, sort_keys=True, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("obj", [1.5, {"a": [0, 2.0]}, {1, 2}, [{"b": frozenset()}], {1: "a"}])
+def test_json_writer_refuses_floats_sets_and_other_keys(obj):
+    with pytest.raises(TypeError):
+        _json_text(obj)
 
 
 def test_out_file_matches_stdout(tmp_path, capsys):

@@ -295,6 +295,41 @@ def test_pw_sub_is_add_neg(x):
     assert pw_sub(f, g)(x) == f(x) - g(x)
 
 
+def ref_combine(f, g, op):
+    """pw_combine as it was: the sorted union of the breakpoints, a
+    ``piece_at`` lookup per cut, and ``build``."""
+    cuts = sorted(set(f.breakpoints) | set(g.breakpoints))
+    pieces = [op(f.piece_at(a), g.piece_at(a)) for a in cuts[:-1]]
+    f_tail = f.tail if f.tail is not None else P_ZERO
+    g_tail = g.tail if g.tail is not None else P_ZERO
+    tail = op(f_tail, g_tail)
+    return PiecewisePoly.build(cuts, pieces, None if tail.is_zero() else tail)
+
+
+@st.composite
+def piecewise(draw):
+    """Breakpoints from a small pool, so that two functions often share
+    some; zero to four pieces (adjacent ones may be equal) and a tail that
+    may be missing, zero or equal to the last piece."""
+    pool = [F(k, 6) for k in range(1, 19)]
+    cuts = sorted(draw(st.sets(st.sampled_from(pool), max_size=4)))
+    small = poly_strategy(2)
+    pieces = [draw(small) for _ in cuts]
+    tail = draw(st.one_of(st.none(), small, st.just(pieces[-1] if pieces else P_ZERO)))
+    return PiecewisePoly.build([F(0), *cuts], pieces, tail)
+
+
+@settings(max_examples=200, deadline=None)
+@given(piecewise(), piecewise())
+@example(tent(), tent())
+@example(PiecewisePoly.zero(), tent())
+@example(PiecewisePoly.monomial_tail(F(1), 1), PiecewisePoly.zero())
+def test_merge_walk_combine_matches_sorted_union(f, g):
+    for op, poly_op in ((pw_sub, lambda a, b: a - b), (pw_mul, lambda a, b: a * b)):
+        assert op(f, g) == ref_combine(f, g, poly_op)
+        assert op(g, f) == ref_combine(g, f, poly_op)
+
+
 def test_pw_rescale_arg():
     # x -> s f(c x): halves the support, scales values
     f = tent()
@@ -547,6 +582,7 @@ def test_integer_ops_match_fraction_reference(p, q, k, x, a, b):
     for got, want in pairs:
         assert_canonical(got)
         assert got.coeffs == want.coeffs
+        assert got.to_json() == [rat_str(c) for c in want.coeffs]
         assert got == Polynomial.of(*want.coeffs)
     assert p(x) == ref_p(x) and type(p(x)) is Fraction
     assert Polynomial.of(*ref_p.coeffs) == p

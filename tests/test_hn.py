@@ -16,7 +16,7 @@ F = Fraction
 def test_koszul_tent_from_line_bundle():
     # V = O(-1) on the line, ideal twists (1,1): recovers the plane density
     v = HNData.build([(-1, 1)], 1)
-    f = dim2_pair_density(v, (1, 1), 1)
+    f = dim2_pair_density(v, (1, 1))
     expect = PiecewisePoly.build(
         [0, 1, 2], [Polynomial.of(0, 1), Polynomial.of(2, -1)]
     )
@@ -92,17 +92,11 @@ def test_pair_density_negativity_guard():
         ValidationError,
         match=r"pair density is negative near \[0, 1\): inconsistent input data",
     ):
-        dim2_pair_density(v, (2, 2), 1)
-
-
-def test_pair_density_rejects_degree_mismatch():
-    v = HNData.build([(-1, 1)], 1)
-    with pytest.raises(ValidationError):
-        dim2_pair_density(v, (1, 1), 2)
+        dim2_pair_density(v, (2, 2))
 
 
 def test_pair_density_trivial_case():
-    assert dim2_pair_density(HNData((), 1), (), 1) == PiecewisePoly.zero()
+    assert dim2_pair_density(HNData((), 1), ()) == PiecewisePoly.zero()
 
 
 @settings(max_examples=40, deadline=None)

@@ -15,6 +15,7 @@ from test_rings import small_semigroups
 from hkdensity.lattice import (
     _MAX_POINTS_ENV,
     DEFAULT_MAX_POINTS,
+    DensityApproximant,
     LatticePair,
     MonomialIdealSpec,
     SemigroupEnumeration,
@@ -666,14 +667,15 @@ def assert_matches_reference(pair: LatticePair, level: int) -> None:
 
 
 @st.composite
-def staircase_levels(draw):
+def staircase_levels(draw, ahead=0):
     """A staircase ideal of k[x,y], x^a_i y^b_i with the a_i falling to 0
-    and the b_i rising from 0, under one of three gradings, with a level
-    whose enumeration stays small: q times the support bound is at most 600
-    unless the level is 1."""
+    and the b_i rising from 0, under one of three gradings, with a level n
+    whose enumeration at level n + ahead stays small: p^(n + ahead) times
+    the support bound is at most 600 unless n is 1."""
     pair = draw(staircase_pairs([(1, 1), (1, 2), (2, 2)]))
     p, bound = pair.spec.p, pair.support_bound()
-    return pair, draw(st.sampled_from([n for n in (1, 2, 3) if n == 1 or p**n * bound <= 600]))
+    levels = [n for n in (1, 2, 3) if n == 1 or p ** (n + ahead) * bound <= 600]
+    return pair, draw(st.sampled_from(levels))
 
 
 @settings(max_examples=60, deadline=None)
@@ -685,6 +687,77 @@ def test_approximant_matches_fraction_reference(pair_level):
 @pytest.mark.parametrize("level", [1, 2])
 def test_segre_approximant_matches_fraction_reference(level):
     assert_matches_reference(LatticePair(SEGRE, MonomialIdealSpec.build(SEGRE.generators)), level)
+
+
+# -- the grid sup of g_n against g_{n+1} and the direct approximant pieces,
+# against pw_sup_distance and PiecewisePoly.build ---------------------------
+
+
+def window_lists(max_size):
+    """Window counts with zeros inside the support; the last window is 0."""
+    counts = st.one_of(st.just(0), st.integers(0, 40), st.integers(0, 10**6))
+    return st.lists(counts, max_size=max_size).map(lambda ws: (*ws, 0))
+
+
+@st.composite
+def approximant_pairs(draw):
+    """Level n and n + 1 approximants of the same p and d, from unrelated
+    window lists of unequal lengths."""
+    p, d, n = draw(st.sampled_from([2, 3, 5])), draw(st.sampled_from([2, 3])), draw(st.integers(1, 2))
+    q = p**n
+    coarse = DensityApproximant(n, q, q ** (d - 1), draw(window_lists(12)))
+    fine = DensityApproximant(n + 1, p * q, (p * q) ** (d - 1), draw(window_lists(60)))
+    return coarse, fine
+
+
+@settings(max_examples=200, deadline=None)
+@given(approximant_pairs())
+# the finer support reaches past p times the coarser one, to a window M' with
+# M' // p beyond both len(coarse) and len(fine) // p
+@example((DensityApproximant(1, 3, 3, (0,)), DensityApproximant(2, 9, 9, (0,) * 6 + (5, 0))))
+def test_grid_sup_matches_pw_sup_distance(pair):
+    coarse, fine = pair
+    assert coarse.interp_sup_distance(fine) == pw_sup_distance(coarse.g_interp, fine.g_interp)
+
+
+@settings(max_examples=40, deadline=None)
+@given(staircase_levels(ahead=1))
+def test_convergence_report_sup_matches_pw_sup_distance(pair_level):
+    pair, n = pair_level
+    (row,) = pair.convergence_report([n])
+    g_n, g_next = (pair.build_approximant(m).g_interp for m in (n, n + 1))
+    assert row.sup_distance == pw_sup_distance(g_n, g_next)
+
+
+def reference_pieces(q: int, den: int, keys) -> PiecewisePoly:
+    """DensityApproximant._pieces as it was: ``build`` of the runs."""
+    breakpoints, pieces, end = [0], [], 0
+    for key, run in itertools.groupby(keys):
+        end += sum(1 for _ in run)
+        breakpoints.append(Fraction(end, q))
+        pieces.append(Polynomial.over(list(key), den))
+    return PiecewisePoly.build(breakpoints, pieces)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(1, 3).flatmap(
+        lambda width: st.lists(
+            st.tuples(
+                st.lists(st.integers(-3, 3), min_size=width, max_size=width).map(tuple),
+                st.integers(1, 3),
+            ),
+            max_size=8,
+        )
+    ),
+    st.sampled_from([2, 3, 5]),
+    st.integers(1, 12),
+)
+def test_pieces_match_build_of_the_runs(runs, q, den):
+    # keys of one width, repeated in runs, zero keys anywhere
+    keys = [key for key, length in runs for _ in range(length)]
+    approx = DensityApproximant(1, q, den, (0,))
+    assert approx._pieces(iter(keys)) == reference_pieces(q, den, keys)
 
 
 def reference_eliminate(rows) -> tuple[list[int], Fraction]:
