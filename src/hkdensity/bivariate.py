@@ -6,10 +6,10 @@ plain rationals.  A polynomial is computed in integers, as
 ``exact.Polynomial`` is: integer terms (a, b, r, s) standing for
 (r + s*u) x1^a x2^b, over one denominator den > 0.  The form is canonical
 (terms sorted by (a, b), no zero pair (r, s), gcd(den, every r and s) = 1),
-so structural equality is value equality.  Sums work over the lcm of the two
-denominators, a product is one integer convolution with u^2 = disc, and each
-result is normalized once.  Fraction pairs are made only for readers: the
-``terms`` view, printed notes and the scalars ``proportional`` returns.
+so structural equality is value equality.  A Hilbert-Burch minor is two
+integer convolutions with u^2 = disc over the lcm of their denominators,
+normalized once.  Fraction pairs are made only for readers: the ``terms``
+view, printed notes and the scalars ``proportional`` returns.
 
 A 2x3 presentation matrix determines an ideal through its signed 2x2 minors;
 ``match_generators`` compares those minors against a claimed generating set in
@@ -35,37 +35,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import permutations
-from math import gcd, isqrt, lcm
+from math import gcd, lcm
 
 from .errors import InputError, ValidationError
 
 Coef = tuple[Fraction, Fraction]
 Term = tuple[int, int, int, int]  # (a, b, r, s): (r + s*u) x1^a x2^b
-
-
-def _exponent(e) -> int:
-    if isinstance(e, int) and not isinstance(e, bool):
-        return e
-    raise InputError(f"exponent must be an int, got {e!r}")
-
-
-def _rational(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int) and not isinstance(x, bool):
-        return Fraction(x)
-    raise InputError(f"coefficient must be an int or a Fraction (or a pair of those), got {x!r}")
-
-
-def _int_coef(c) -> tuple[int, int, int]:
-    """Numerators r, s and denominator of c = r + s*u, given as an int, a
-    Fraction or a pair of those."""
-    if isinstance(c, tuple) and len(c) == 2:
-        r, s = _rational(c[0]), _rational(c[1])
-    else:
-        r, s = _rational(c), Fraction(0)
-    den = lcm(r.denominator, s.denominator)
-    return r.numerator * (den // r.denominator), s.numerator * (den // s.denominator), den
 
 
 def _c_str(c: Coef) -> str:
@@ -76,17 +51,6 @@ def _c_str(c: Coef) -> str:
         return f"{s}*u"
     sign = "+" if s > 0 else "-"
     return f"({r}{sign}{abs(s)}*u)"
-
-
-def _check_disc(disc: int | None) -> None:
-    if disc is None:
-        return
-    if not isinstance(disc, int) or isinstance(disc, bool):
-        raise InputError(f"disc must be an int, got {disc!r}")
-    if disc >= 0 and isqrt(disc) ** 2 == disc:
-        raise InputError(
-            f"disc = {disc} is a perfect square; use rational coefficients"
-        )
 
 
 def _merge_disc(a: int | None, b: int | None) -> int | None:
@@ -135,25 +99,6 @@ class BivariatePoly:
         return BivariatePoly(tuple(nums), den // g, disc)
 
     @staticmethod
-    def build(terms, disc: int | None = None) -> "BivariatePoly":
-        """The sum of the terms (a, b, c): int exponents a, b >= 0 and c an
-        int, a Fraction or a pair (r, s) of those for r + s*u."""
-        _check_disc(disc)
-        raw = []
-        for a, b, c in terms:
-            a, b = _exponent(a), _exponent(b)
-            if a < 0 or b < 0:
-                raise InputError(f"negative exponent in term ({a}, {b})")
-            raw.append((a, b, *_int_coef(c)))
-        den = lcm(*(n for *_, n in raw))
-        poly = BivariatePoly.over(
-            [(a, b, r * (den // n), s * (den // n)) for a, b, r, s, n in raw], den, disc
-        )
-        if disc is None and any(s for *_, s in poly.nums):
-            raise InputError("irrational coefficient part with no disc given")
-        return poly
-
-    @staticmethod
     def zero() -> "BivariatePoly":
         return BivariatePoly(())
 
@@ -165,35 +110,6 @@ class BivariatePoly:
 
     def is_zero(self) -> bool:
         return not self.nums
-
-    def _combine(self, other: "BivariatePoly", sign: int) -> "BivariatePoly":
-        """self + sign * other over the lcm of the denominators."""
-        disc = _merge_disc(self.disc, other.disc)
-        den = lcm(self.den, other.den)
-        k, m = den // self.den, sign * (den // other.den)
-        return BivariatePoly.over(
-            [(a, b, k * r, k * s) for a, b, r, s in self.nums]
-            + [(a, b, m * r, m * s) for a, b, r, s in other.nums],
-            den,
-            disc,
-        )
-
-    def __add__(self, other: "BivariatePoly") -> "BivariatePoly":
-        return self._combine(other, 1)
-
-    def __sub__(self, other: "BivariatePoly") -> "BivariatePoly":
-        return self._combine(other, -1)
-
-    def __neg__(self) -> "BivariatePoly":
-        return BivariatePoly(
-            tuple((a, b, -r, -s) for a, b, r, s in self.nums), self.den, self.disc
-        )
-
-    def __mul__(self, other: "BivariatePoly") -> "BivariatePoly":
-        disc = _merge_disc(self.disc, other.disc)
-        return BivariatePoly.over(
-            _conv(self.nums, other.nums, disc or 0, 1), self.den * other.den, disc
-        )
 
     def is_homogeneous(self) -> bool:
         degs = {a + b for a, b, _, _ in self.nums}

@@ -216,6 +216,8 @@ def _run_density_betti(ns: argparse.Namespace) -> str:
 
 
 def _run_density_empirical(ns: argparse.Namespace) -> str:
+    if ns.level < 1:
+        raise InputError(f"level must be >= 1, got {ns.level}")
     pair = _load_lattice_pair(ns.infile, cap=ns.max_points)
     approx = pair.build_approximant(ns.level)
     integral = approx.integral
@@ -343,10 +345,10 @@ def _run_integrate(ns: argparse.Namespace) -> str:
 
 
 def _run_sample(ns: argparse.Namespace) -> str:
-    f = _load_density(ns.infile)
     k = ns.count
     if k < 2:
-        raise ValidationError(f"sample count {k} must be >= 2")
+        raise InputError(f"count must be >= 2, got {k}")
+    f = _load_density(ns.infile)
     if f.support_end == 0:
         raise ValidationError(
             "the density has no breakpoint past 0, so there is no span to space the points over"

@@ -28,7 +28,6 @@ from .exact import (
     pw_negative_piece,
     pw_sub,
     rat,
-    rat_str,
 )
 
 
@@ -57,15 +56,6 @@ class HNData:
     @staticmethod
     def build(pairs, d: int) -> "HNData":
         return HNData(tuple(HNComponent(Fraction(s), r) for s, r in pairs), d)
-
-    def to_json(self) -> dict:
-        return {
-            "d": self.d,
-            "components": [
-                {"slope": rat_str(c.slope), "rank": c.rank}
-                for c in self.components
-            ],
-        }
 
     @staticmethod
     def from_json(data: dict) -> "HNData":

@@ -109,14 +109,33 @@ def _eliminate(rows) -> tuple[list[int], int]:
     return pivots, sign * prev if len(pivots) == len(rows) else 0
 
 
+# Strong probable-prime tests to the first 13 primes decide primality
+# exactly below _MR_BOUND (Sorenson and Webster, Math. Comp. 2017).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_BOUND = 3_317_044_064_679_887_385_961_981
+
+
 def _is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
+    """Deterministic Miller-Rabin; p at or above _MR_BOUND is refused."""
+    if p >= _MR_BOUND:
+        raise ValidationError(f"characteristic {p} is not below the primality bound {_MR_BOUND}")
+    for b in _MR_BASES:
+        if p % b == 0:
+            return p == b
+    if p < 43 * 43:  # a composite with no factor up to 41 is at least 43^2
+        return p > 1
+    s = ((p - 1) & (1 - p)).bit_length() - 1  # p - 1 = d * 2^s with d odd
+    d = (p - 1) >> s
+    for b in _MR_BASES:
+        x = pow(b, d, p)
+        if x == 1 or x == p - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             return False
-        d += 1
     return True
 
 

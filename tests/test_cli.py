@@ -295,6 +295,22 @@ def test_integer_list_flags_refuse_an_empty_list(tmp_path, capsys, argv, spec):
     assert "one or more comma-separated integers" in report["message"]
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["density-empirical", "--level", "0"], "level must be >= 1, got 0"),
+        (["sample", "--count", "1"], "count must be >= 2, got 1"),
+    ],
+)
+def test_bad_flag_reported_before_reading_the_input(tmp_path, capsys, argv, message):
+    # the --in file does not exist, so any report about it means it was read first
+    missing = str(tmp_path / "absent.json")
+    code, out, err = run_cli(capsys, [*argv, "--in", missing])
+    assert code == 1 and out == ""
+    report = json.loads(err)
+    assert report == {"error": "InputError", "message": message}
+
+
 def test_integrate_command(tmp_path, capsys):
     inp = write(tmp_path, "tent.json", TENT_JSON)
     code, out, _ = run_cli(capsys, ["integrate", "--in", inp])

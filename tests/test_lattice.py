@@ -3,6 +3,7 @@ from __future__ import annotations
 import itertools
 import tracemalloc
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 from hypothesis import example, given, settings
@@ -20,8 +21,10 @@ from hkdensity.lattice import (
     MonomialIdealSpec,
     SemigroupEnumeration,
     SemigroupSpec,
+    _MR_BOUND,
     _degree_ceiling,
     _eliminate,
+    _is_prime,
     enumeration_cap,
 )
 
@@ -42,6 +45,43 @@ CONE = SemigroupSpec.build(3, [(1, 0, 1), (0, 1, 1), (0, 0, 1)], (0, 0, 1), 2)
 
 def koszul_pair(p=2) -> LatticePair:
     return LatticePair(plane(p), MonomialIdealSpec.build([(1, 0), (0, 1)]))
+
+
+def _trial_division(n: int) -> bool:
+    return n > 1 and all(n % d for d in range(2, isqrt(n) + 1))
+
+
+def _strong_probable_prime(n: int, base: int) -> bool:
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    x = pow(base, d, n)
+    return x in (1, n - 1) or any(pow(x, 2**i, n) == n - 1 for i in range(1, s))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(-10, 10**5))
+@example(43 * 43)  # the first n past the bases' trial division
+@example(41)
+def test_is_prime_matches_trial_division(n):
+    assert _is_prime(n) == _trial_division(n)
+
+
+def test_is_prime_decides_large_characteristics():
+    assert _is_prime(2**61 - 1)
+    # composites that pass the strong test to the first 4, 11 and 12 prime bases
+    for n, passed in [
+        (3215031751, 4),
+        (3825123056546413051, 11),
+        (318665857834031151167461, 12),
+    ]:
+        bases = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37][:passed]
+        assert all(_strong_probable_prime(n, b) for b in bases)
+        assert not _is_prime(n)
+    with pytest.raises(ValidationError, match=str(_MR_BOUND)):
+        _is_prime(_MR_BOUND + 2)
+    with pytest.raises(ValidationError, match=str(_MR_BOUND)):
+        SemigroupSpec.build(2, [(1, 0), (0, 1)], (1, 1), _MR_BOUND)
 
 
 def test_spec_validation():

@@ -49,6 +49,16 @@ def test_ci_validation():
         hilbert_function(CompleteIntersectionRing.build((2,), (3,)))(10)
 
 
+def test_veronese_view_refused_when_its_occupied_degrees_have_a_larger_gcd():
+    # the base has n0 = 1, but its series (1 - t^10) / ((1 - t^5)(1 - t^6)^2)
+    # is zero at every odd multiple of 3, so the view's occupied degrees have
+    # gcd 2, where the n0 it takes from its base is 1
+    view = VeroneseRing(CompleteIntersectionRing.build((5, 6, 6), (10,)), 3)
+    assert view.n0 == 1
+    with pytest.raises(ValidationError, match=r"have gcd 2, expected 1$"):
+        hilbert_function(view)
+
+
 def test_a2_invariant_hilbert_matches_monomial_count():
     # k[xy, x^2, y^2]: dimension of degree-m piece = #{(a,b): a+b=m, a=b mod 2}
     h = hilbert_function(a_inv(2))
@@ -435,7 +445,7 @@ def _observe(ring, hilbert, leading, top: int) -> list:
 
 @settings(max_examples=150, deadline=None)
 @given(ring_views())
-@example(VeroneseRing(CompleteIntersectionRing.build((19, 19)), 300))  # refused
+@example(VeroneseRing(CompleteIntersectionRing.build((19, 19)), 300))  # valid, refused by the window guess
 @example(VeroneseRing(VeroneseRing(a_inv(2), 2), 3))
 @example(CompleteIntersectionRing.build((2, 2), (3,)))  # not a regular sequence
 @example(CompleteIntersectionRing.build((1,), ()))  # dimension 1
