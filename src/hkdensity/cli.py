@@ -187,6 +187,12 @@ def _parse_ints(text: str, what: str) -> list[int]:
 # is reported ahead of a bad input file.
 
 
+def _check_max_points(ns: argparse.Namespace) -> None:
+    # a bad HKDL_MAX_POINTS is no flag: lattice.enumeration_cap refuses it (exit 2)
+    if ns.max_points is not None and ns.max_points < 1:
+        raise InputError(f"max-points must be >= 1, got {ns.max_points}")
+
+
 def _run_density_betti(ns: argparse.Namespace) -> str:
     data = json_keys(_read_json(ns.infile), "input", "betti ring ehat n0")
     betti = BettiTable.from_json(json_get(data, "betti", "input"))
@@ -218,6 +224,7 @@ def _run_density_betti(ns: argparse.Namespace) -> str:
 def _run_density_empirical(ns: argparse.Namespace) -> str:
     if ns.level < 1:
         raise InputError(f"level must be >= 1, got {ns.level}")
+    _check_max_points(ns)
     pair = _load_lattice_pair(ns.infile, cap=ns.max_points)
     approx = pair.build_approximant(ns.level)
     integral = approx.integral
@@ -237,6 +244,7 @@ def _run_compare(ns: argparse.Namespace) -> str:
     levels = _parse_ints(ns.levels, "levels")
     if any(n < 1 for n in levels):
         raise InputError(f"levels must be >= 1, got {ns.levels!r}")
+    _check_max_points(ns)
     pair = _load_lattice_pair(ns.spec, cap=ns.max_points)
     reference = None
     if ns.reference is not None:

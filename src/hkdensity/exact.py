@@ -485,15 +485,16 @@ def count_real_roots(p: Polynomial, a: Fraction, b: Fraction) -> int:
 
 
 def poly_nonnegative(p: Polynomial, a: Fraction, b: Fraction) -> bool:
-    """Whether p >= 0 on all of [a, b], decided exactly on the integer
-    numerators q of t |-> p(a + (b - a) t) on [0, 1]: the values q(0) and
-    q(1) (enough for degree <= 1), then q changes sign in (0, 1) iff its odd
-    part has a Sturm root there, else the sign at one of k / (deg + 2)."""
+    """Whether p >= 0 on all of [a, b], a < b, decided exactly.  A p of
+    degree <= 1 is decided by the signs of its values at a and b.  Else, on
+    the integer numerators q of t |-> p(a + (b - a) t) on [0, 1]: the values
+    q(0) and q(1), then q changes sign in (0, 1) iff its odd part has a
+    Sturm root there, else the sign at one of k / (deg + 2)."""
+    if p.degree <= 1:
+        return p._at(a)[0] >= 0 and p._at(b)[0] >= 0
     q = _primitive(p.compose_linear(b - a, a).nums)
-    if q and (q[0] < 0 or sum(q) < 0):
+    if q[0] < 0 or sum(q) < 0:
         return False
-    if len(q) <= 2:
-        return True
     chain = _sturm_chain(_odd_part(q))
     if _variations(chain, 0) - _variations(chain, 1) - (sum(chain[0]) == 0) > 0:
         return False

@@ -432,6 +432,49 @@ def test_graded_ideal_equal_matches_reference_over_quadratic_field(sets):
     assert got == ideal_equal_generator_degrees(gens_a, gens_b)
 
 
+@st.composite
+def shared_plus_one_sets(draw):
+    """The shape of the E8 minor check, over Q or Q(u): both sets share forms
+    up to scalars and each adds one form of one degree m.  The second set's
+    form is c*(the first's) + sum h_i*s_i over the shared forms s_i, with c
+    nonzero and h_i random forms (the ideals are equal), or a random form
+    (they usually are not).  Returns the sets and whether they are equal by
+    construction."""
+    disc = draw(st.sampled_from([None, U]))
+    part = st.builds(F, st.integers(-2, 2), st.sampled_from([1, 1, 2, 3]))
+
+    def coef(nonzero=False):
+        c = (draw(part), draw(part) if disc is not None else F(0))
+        return (1, 0) if nonzero and c == (0, 0) else c
+
+    def form(d):
+        return FractionPoly.build([(i, d - i, coef()) for i in range(d + 1)], disc)
+
+    shared = [form(draw(st.integers(0, 3))) for _ in range(draw(st.integers(1, 3)))]
+    m = draw(st.integers(0, 5))
+    own_a = form(m)
+    equal = draw(st.booleans())
+    if equal:
+        own_b = own_a.scale(coef(nonzero=True))
+        for g in shared:
+            if 0 <= g.degree() <= m:
+                own_b = own_b + form(m - g.degree()) * g
+    else:
+        own_b = form(m)
+    gens_a = [*shared, own_a]
+    gens_b = [g.scale(coef(nonzero=True)) for g in shared] + [own_b]
+    return gens_a, draw(st.permutations(gens_b)), equal
+
+
+@settings(max_examples=150, deadline=None)
+@given(shared_plus_one_sets())
+def test_graded_ideal_equal_with_shared_generators_matches_reference(case):
+    gens_a, gens_b, equal = case
+    got = graded_ideal_equal([to_int(g) for g in gens_a], [to_int(g) for g in gens_b])
+    assert got == ideal_equal_generator_degrees(gens_a, gens_b)
+    assert got or not equal
+
+
 def test_graded_ideal_equal_quadratic_scalars():
     # (1 + u) x1 and u x1 span the same line over Q(u) but not over Q
     x1_u = poly([(1, 0, (0, 1))], disc=U)

@@ -298,14 +298,16 @@ def test_integer_list_flags_refuse_an_empty_list(tmp_path, capsys, argv, spec):
 @pytest.mark.parametrize(
     "argv, message",
     [
-        (["density-empirical", "--level", "0"], "level must be >= 1, got 0"),
-        (["sample", "--count", "1"], "count must be >= 2, got 1"),
+        (["density-empirical", "--level", "0", "--in"], "level must be >= 1, got 0"),
+        (["sample", "--count", "1", "--in"], "count must be >= 2, got 1"),
+        (["density-empirical", "--level", "1", "--max-points", "0", "--in"], "max-points must be >= 1, got 0"),
+        (["compare", "--levels", "1", "--max-points", "0", "--spec"], "max-points must be >= 1, got 0"),
     ],
 )
 def test_bad_flag_reported_before_reading_the_input(tmp_path, capsys, argv, message):
-    # the --in file does not exist, so any report about it means it was read first
+    # the input file does not exist, so any report about it means it was read first
     missing = str(tmp_path / "absent.json")
-    code, out, err = run_cli(capsys, [*argv, "--in", missing])
+    code, out, err = run_cli(capsys, [*argv, missing])
     assert code == 1 and out == ""
     report = json.loads(err)
     assert report == {"error": "InputError", "message": message}
@@ -530,10 +532,22 @@ def test_max_points_must_be_positive(tmp_path, capsys, cap):
         capsys,
         ["density-empirical", "--in", inp, "--level", "1", "--max-points", cap],
     )
+    assert code == 1 and out == ""
+    assert json.loads(err) == {
+        "error": "InputError",
+        "message": f"max-points must be >= 1, got {cap}",
+    }
+
+
+def test_max_points_environment_must_be_positive(tmp_path, capsys, monkeypatch):
+    # the variable is no flag: the enumeration cap refuses it, with exit 2
+    monkeypatch.setenv("HKDL_MAX_POINTS", "0")
+    inp = write(tmp_path, "a2.json", A2_INVARIANT_PAIR)
+    code, out, err = run_cli(capsys, ["density-empirical", "--in", inp, "--level", "1"])
     assert code == 2 and out == ""
     assert json.loads(err) == {
         "error": "ValidationError",
-        "message": f"enumeration cap must be positive, got {cap}",
+        "message": "HKDL_MAX_POINTS must be positive, got 0",
     }
 
 

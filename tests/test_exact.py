@@ -15,6 +15,7 @@ from hkdensity.exact import (
     Polynomial,
     _odd_part,
     _poly_abs_sup,
+    _primitive,
     count_real_roots,
     poly_nonnegative,
     pw_integrate,
@@ -468,6 +469,39 @@ def test_poly_nonnegative_matches_factored_reference(pr, a, b, data):
         b = a + 1
     a, b = min(a, b), max(a, b)
     assert poly_nonnegative(p, a, b) == reference_nonnegative(p, roots, a, b)
+
+
+def composed_nonnegative(p, a, b):
+    """The former path of ``poly_nonnegative`` for degree <= 1: the signs of
+    the integer numerators q of t |-> p(a + (b - a) t) at t = 0 and t = 1."""
+    q = _primitive(p.compose_linear(b - a, a).nums)
+    return not (q and (q[0] < 0 or sum(q) < 0))
+
+
+@st.composite
+def linear_pieces(draw):
+    """(p, a, b) with a < b and p of degree <= 1: zero, a constant, a random
+    line, or a line with its root at a, at b or inside (a, b)."""
+    ends = st.builds(F, st.integers(-40, 40), st.integers(1, 9))
+    a, b = sorted(draw(st.lists(ends, min_size=2, max_size=2, unique=True)))
+    c = draw(st.builds(F, st.integers(-9, 9).filter(bool), st.integers(1, 9)))
+    kind = draw(st.sampled_from(["zero", "constant", "line", "root_a", "root_b", "root_inside"]))
+    if kind == "zero":
+        return P_ZERO, a, b
+    if kind == "constant":
+        return Polynomial.of(c), a, b
+    if kind == "line":
+        return Polynomial.of(draw(ends), c), a, b
+    t = F(draw(st.integers(1, 8)), 9)
+    root = {"root_a": a, "root_b": b, "root_inside": a + (b - a) * t}[kind]
+    return Polynomial.of(-c * root, c), a, b
+
+
+@settings(max_examples=300, deadline=None)
+@given(linear_pieces())
+def test_linear_sign_test_matches_composed_path(case):
+    p, a, b = case
+    assert poly_nonnegative(p, a, b) == composed_nonnegative(p, a, b)
 
 
 @settings(max_examples=150, deadline=None)
