@@ -65,7 +65,7 @@ class AdeEntry:
     printed_ehk: Fraction | None
     flags: tuple[str, ...]
 
-    @property
+    @cached_property
     def ring(self) -> CompleteIntersectionRing:
         """The invariant ring k[h1, h2, h3] as a graded complete intersection."""
         return CompleteIntersectionRing(self.gen_degrees, (self.rel_degree,))

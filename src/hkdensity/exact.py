@@ -472,18 +472,6 @@ def pw_rescale_arg(
 # exact sign tests; sup distance, exact or certified
 
 
-def count_real_roots(p: Polynomial, a: Fraction, b: Fraction) -> int:
-    """Number of distinct real roots of p in (a, b], by Sturm's theorem.
-
-    For squarefree p this holds with roots at the endpoints too: a root at
-    a is not counted and a root at b is.
-    """
-    if p.is_zero():
-        raise DomainError("root count of the zero polynomial")
-    chain = _sturm_chain(p.nums)
-    return _variations(chain, a) - _variations(chain, b)
-
-
 def poly_nonnegative(p: Polynomial, a: Fraction, b: Fraction) -> bool:
     """Whether p >= 0 on all of [a, b], a < b, decided exactly.  A p of
     degree <= 1 is decided by the signs of its values at a and b.  Else, on

@@ -43,7 +43,7 @@ import os
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import comb, factorial, gcd, lcm, prod
+from math import comb, factorial, lcm, prod
 from typing import Iterator
 
 from .errors import CapacityError, DomainError, InternalError, ValidationError
@@ -85,28 +85,29 @@ def enumeration_cap(cap: int | None = None) -> int:
     return cap
 
 
-def _eliminate(rows) -> tuple[list[int], int]:
-    """Row-reduce an integer matrix fraction-free (Bareiss, Math. Comp. 22,
-    1968): the pivot columns, which keep the rank of the rows, and the
-    determinant if the matrix is square.  Each division by the previous
-    pivot is exact, since every entry it makes is a minor of the input."""
+def _eliminate(rows) -> tuple[list[int], int, list[list[int]]]:
+    """Row-reduce an integer matrix by unimodular row operations, Euclid
+    down each column: the pivot columns, which keep the rank of the rows,
+    the determinant if the matrix is square, and the echelon rows, each zero
+    left of its pivot, a Z-basis of the lattice that the rows span."""
     rows = [list(r) for r in rows]
-    pivots, sign, prev = [], 1, 1
+    pivots, sign = [], 1
     for col in range(len(rows[0]) if rows else 0):
         top = len(pivots)
-        r = next((r for r in range(top, len(rows)) if rows[r][col]), None)
-        if r is None:
-            continue
-        if r != top:
-            rows[top], rows[r] = rows[r], rows[top]
-            sign = -sign
-        pivot = rows[top][col]
-        for r in range(top + 1, len(rows)):
-            f = rows[r][col]
-            rows[r] = [(pivot * a - f * b) // prev for a, b in zip(rows[r], rows[top])]
-        prev = pivot
-        pivots.append(col)
-    return pivots, sign * prev if len(pivots) == len(rows) else 0
+        while live := [r for r in range(top, len(rows)) if rows[r][col]]:
+            r = min(live, key=lambda r: abs(rows[r][col]))
+            if r != top:
+                rows[top], rows[r] = rows[r], rows[top]
+                sign = -sign
+            if len(live) == 1:
+                pivots.append(col)
+                break
+            head = rows[top]
+            for r in range(top + 1, len(rows)):
+                if f := rows[r][col] // head[col]:
+                    rows[r] = [a - f * b for a, b in zip(rows[r], head)]
+    det = sign * prod(rows[i][col] for i, col in enumerate(pivots))
+    return pivots, det if len(pivots) == len(rows) else 0, rows[: len(pivots)]
 
 
 # Strong probable-prime tests to the first 13 primes decide primality
@@ -178,14 +179,37 @@ class SemigroupSpec:
     def degree(self, v: Point) -> int:
         return sum(w * c for w, c in zip(self.weights, v))
 
+    @cached_property
+    def frame(self) -> tuple[int, list[int], list[int], list[int], list[list[int]]]:
+        """ZS split by degree: one echelon of the rows (deg g,) + g, columns
+        in ``order`` of increasing r_c = max_g(g_c / deg g) = rise[c] / lcm,
+        as (lcm, rise, order, pivots, basis).  The basis rows are a Z-basis
+        of ZS; the degree column comes first, so row 0 has degree +-n0 and
+        every other row degree 0."""
+        degrees = [self.degree(g) for g in self.generators]
+        den = lcm(*degrees)
+        graded = list(zip(self.generators, degrees))
+        rise = [max(g[c] * den // e for g, e in graded) for c in range(self.rank)]
+        order = sorted(range(self.rank), key=rise.__getitem__)
+        pivots, _, basis = _eliminate([(e,) + tuple(g[c] for c in order) for g, e in graded])
+        return den, rise, order, pivots, basis
+
+    def lattice_coords(self, v: Point) -> tuple[int, ...] | None:
+        """v in the basis of ``frame``, or None when v is off ZS: a remainder
+        left at a pivot is touched by no later row."""
+        _, _, order, pivots, basis = self.frame
+        w = [self.degree(v)] + [v[c] for c in order]
+        coords = []
+        for col, row in zip(pivots, basis):
+            coords.append(w[col] // row[col])
+            w = [a - coords[-1] * b for a, b in zip(w, row)]
+        return None if any(w) else tuple(coords)
+
     @property
     def n0(self) -> int:
-        """gcd of occupied degrees; degrees of semigroup elements are additive,
-        so this is just the gcd of the generator degrees."""
-        out = 0
-        for g in self.generators:
-            out = gcd(out, self.degree(g))
-        return out
+        """gcd of occupied degrees, that of the generator degrees: |deg| of the
+        frame's row 0."""
+        return abs(self.frame[4][0][0])
 
     @cached_property
     def m_mu(self) -> int:
@@ -195,18 +219,17 @@ class SemigroupSpec:
     @cached_property
     def dim(self) -> int:
         """Rank of the lattice spanned by the generators (Krull dimension)."""
-        return len(_eliminate(self.generators)[0])
+        return len(self.frame[3])
 
     @cached_property
     def cone(self) -> tuple[list[Point], list[set[frozenset[int]]]]:
-        """The cone R>=0 S: the generators projected onto d = dim coordinates
-        that keep their rank, and faces[k], its faces of rank k, each the set
+        """The cone R>=0 S: the generators in the coordinates of the frame,
+        d = dim of them each, and faces[k], its faces of rank k, each the set
         of indices of the generators on it.  Facets are cut out by cofactor
         normals of d - 1 generators; the faces of a face of rank k are its
         intersections with facets that have rank k - 1."""
-        pivots, _ = _eliminate(self.generators)
-        gens = [tuple(g[c] for c in pivots) for g in self.generators]
-        d = len(pivots)
+        gens = [self.lattice_coords(g) for g in self.generators]
+        d = self.dim
         facets = set()
         for sub in itertools.combinations(gens, d - 1):
             normal = [
@@ -231,11 +254,11 @@ class SemigroupSpec:
         (Bruns-Gubeladze, Polytopes, Rings, and K-Theory, ch. 6), the same
         for S as for its normalization.  Over a pulling triangulation into
         simplicial cones sigma of generators it is
-        n0^d / (d-1)! * sum |det sigma| / (index * prod deg g), with index
-        the gcd of the d x d minors (the covolume of ZS).
+        n0^d / (d-1)! * sum |det sigma| / prod deg g, with det sigma taken in
+        the coordinates of the frame, a basis of ZS, where ZS has covolume 1.
         """
         gens, faces = self.cone
-        d = len(gens[0])
+        d = self.dim
         degrees = [self.degree(g) for g in self.generators]
 
         def simplices(face: frozenset[int], k: int) -> list[tuple[int, ...]]:
@@ -250,8 +273,7 @@ class SemigroupSpec:
             abs(_eliminate([gens[i] for i in s])[1]) * den // prod(degrees[i] for i in s)
             for s in simplices(frozenset(range(len(gens))), d)
         )
-        index = gcd(*(_eliminate(m)[1] for m in itertools.combinations(gens, d)))
-        return Fraction(self.n0 ** d * volume, factorial(d - 1) * index * den)
+        return Fraction(self.n0 ** d * volume, factorial(d - 1) * den)
 
     @staticmethod
     def from_json(data: dict) -> "SemigroupSpec":
@@ -323,17 +345,16 @@ class SemigroupEnumeration:
     degree order as S_m = U_g (S_{m - deg g} + g), a shift of a bitset or
     of every code in a set by code(g), and ``extend`` grows them in place.
 
-    The code reads slice coordinates only.  Row-reducing the rows
-    (deg g,) + g, the pivot columns after the degree column are d - 1
-    ambient coordinates, ``coords``, which together with the degree
-    determine a point of the rational span of S; columns are tried in
-    increasing order of r_c = max_g(g_c / deg g), the growth of v_c with
-    the degree.  The code is the mixed-radix number of those coordinates,
-    each with its own radix: a point of degree m has v_c <= m * r_c, and
-    ``radices`` exceed that bound for every degree up to a bound
-    B >= max_degree.  So the code is injective within a degree, and the
-    code of the sum of two semigroup points is the sum of their codes
-    whenever that sum has degree at most B.
+    The code reads slice coordinates only.  In the spec's ``frame``, the
+    pivot columns after the degree column are d - 1 ambient coordinates,
+    ``coords``, which together with the degree determine a point of the
+    rational span of S; columns are taken in increasing order of
+    r_c = max_g(g_c / deg g), the growth of v_c with the degree.  The code
+    is the mixed-radix number of those coordinates, each with its own
+    radix: a point of degree m has v_c <= m * r_c, and ``radices`` exceed
+    that bound for every degree up to a bound B >= max_degree.  So the code
+    is injective within a degree, and the code of the sum of two semigroup
+    points is the sum of their codes whenever that sum has degree at most B.
 
     A bitset pays one bit for every code between its points.  Bucket m
     spans at most m * slope + 1 bits, slope the code of (r_c) rounded up,
@@ -358,13 +379,8 @@ class SemigroupEnumeration:
         self.spec = spec
         self.cap = enumeration_cap(cap)
         self._ceiling = _degree_ceiling(spec, self.cap)
-        graded = [(g, spec.degree(g)) for g in spec.generators]
-        # r_c = rise[c] / lcm exactly, lcm that of the generator degrees
-        self._lcm = lcm(*(e for _, e in graded))
-        rise = [max(g[c] * self._lcm // e for g, e in graded) for c in range(spec.rank)]
-        order = sorted(range(spec.rank), key=rise.__getitem__)
+        self._lcm, rise, order, pivots, _ = spec.frame
         # every generator has positive degree, so column 0 is a pivot
-        pivots, _ = _eliminate([(e,) + tuple(g[c] for c in order) for g, e in graded])
         self.coords = tuple(order[c - 1] for c in pivots[1:])
         self._rise = [rise[c] for c in self.coords]
         self.by_degree: list = [1]
@@ -481,13 +497,13 @@ class SemigroupEnumeration:
             "up exceeds this cap"
         )
 
-    def contains(self, v: Point, in_span: bool = False) -> bool:
+    def contains(self, v: Point) -> bool:
         """Exact membership for points of degree <= max_degree.
 
         The code tells points apart only within the span of S, all of
         Z^rank when d = rank, and only while each slice coordinate is below
-        its radix.  A caller that knows v to lie in the span, say in ZS,
-        passes in_span and skips the span test."""
+        its radix; when d < rank, a point off ZS is refused by its lattice
+        coordinates."""
         if len(v) != self.spec.rank or any(c < 0 for c in v):
             return False
         degree = self.spec.degree(v)
@@ -498,8 +514,7 @@ class SemigroupEnumeration:
             )
         if any(v[c] >= radix for c, radix in zip(self.coords, self.radices)):
             return False
-        d = self.spec.dim
-        if not in_span and d < self.spec.rank and len(_eliminate([*self.spec.generators, v])[0]) > d:
+        if self.spec.dim < self.spec.rank and self.spec.lattice_coords(v) is None:
             return False
         code, bucket = self.encode(v), self.by_degree[degree]
         return bucket >> code & 1 == 1 if self._dense else code in bucket
@@ -608,14 +623,6 @@ class LatticePair:
 
     # -- support bound ----------------------------------------------------
 
-    def _in_ideal(self, v: Point) -> bool:
-        """v is a sum of generators of degree at most max_degree, so each
-        v - a lies in ZS, and the span test is skipped."""
-        return any(
-            self._enum.contains(tuple(c - d for c, d in zip(v, a)), in_span=True)
-            for a in self.ideal.generators
-        )
-
     def containment_exponent(self) -> int:
         """Least l with J^l contained in I, where J is the irrelevant ideal
         generated by the semigroup generators.
@@ -627,10 +634,10 @@ class LatticePair:
         """
         if self._ell is not None:
             return self._ell
-        gens = self.spec.generators
+        gens, ideal = self.spec.generators, self.ideal.generators
         _, faces = self.spec.cone
         for g in sorted(gens[min(ray)] for ray in faces[1]):
-            if all(len(_eliminate([g, a])[0]) > 1 for a in self.ideal.generators):
+            if all(len(_eliminate([g, a])[0]) > 1 for a in ideal):
                 raise ValidationError(
                     f"no ideal generator lies on the extremal ray through {g}; "
                     "the colength is infinite"
@@ -639,7 +646,10 @@ class LatticePair:
         for ell in itertools.count(1):
             self._enum.extend(ell * self.spec.m_mu)
             sums = {tuple(map(sum, zip(w, g))) for w in outside for g in gens}
-            outside = {v for v in sums if not self._in_ideal(v)}
+            outside = {
+                v for v in sums
+                if not any(self._enum.contains(tuple(c - d for c, d in zip(v, a))) for a in ideal)
+            }
             if not outside:
                 self._ell = ell
                 return ell

@@ -16,7 +16,8 @@ from hkdensity.exact import (
     _odd_part,
     _poly_abs_sup,
     _primitive,
-    count_real_roots,
+    _sturm_chain,
+    _variations,
     poly_nonnegative,
     pw_integrate,
     pw_mul,
@@ -356,19 +357,26 @@ def test_pw_json_round_trip_examples():
         assert PiecewisePoly.from_json(f.to_json()) == f
 
 
+def sturm_count(p: Polynomial, a: Fraction, b: Fraction) -> int:
+    """Distinct real roots of the nonzero p in (a, b], by the Sturm chain of
+    the sign kernel."""
+    chain = _sturm_chain(p.nums)
+    return _variations(chain, a) - _variations(chain, b)
+
+
 def test_sturm_root_counts():
     # (x-1)(x-2)(x-3)
     p = Polynomial.of(-6, 11, -6, 1)
-    assert count_real_roots(p, F(0), F(4)) == 3
-    assert count_real_roots(p, F(0), F(3, 2)) == 1
-    assert count_real_roots(p, F(5), F(9)) == 0
+    assert sturm_count(p, F(0), F(4)) == 3
+    assert sturm_count(p, F(0), F(3, 2)) == 1
+    assert sturm_count(p, F(5), F(9)) == 0
     # double root counts once
     sq = Polynomial.of(1, -2, 1)
-    assert count_real_roots(sq, F(0), F(2)) == 1
+    assert sturm_count(sq, F(0), F(2)) == 1
     # squarefree with endpoint roots: (a, b] counts b and not a
     p01 = Polynomial.of(0, -1, 1)
-    assert count_real_roots(p01, F(0), F(1)) == 1
-    assert count_real_roots(p01, F(-1), F(0)) == 1
+    assert sturm_count(p01, F(0), F(1)) == 1
+    assert sturm_count(p01, F(-1), F(0)) == 1
 
 
 def test_sup_distance_exact_on_linear_pieces():
@@ -517,7 +525,8 @@ def test_abs_sup_of_split_derivative_is_max_at_its_roots(pr, a, b, c0, data):
     # r, so the sup of |p| over [a, b] is taken at a, b or an r in (a, b)
     dp, roots = pr
     if roots:
-        assert count_real_roots(dp, min(roots) - 1, max(roots) + 1) == len(roots)
+        ref = FractionPoly(dp.coeffs)
+        assert ref_count_real_roots(ref, min(roots) - 1, max(roots) + 1) == len(roots)
     if data is not None and roots:
         near = roots + [r + d for r in roots for d in (F(-1, 3), F(1, 3))]
         a = data.draw(st.sampled_from([a, *near]))
@@ -568,7 +577,7 @@ def deflation_abs_sup(p, a, b):
             cofactor = Polynomial.of(
                 *ref_divmod(FractionPoly(cofactor.coeffs), FractionPoly.of(-r, 1))[0].coeffs
             )
-    exact = cofactor.degree <= 0 or count_real_roots(cofactor, a, b) == 0
+    exact = cofactor.degree <= 0 or ref_count_real_roots(FractionPoly(cofactor.coeffs), a, b) == 0
     return max(abs(p(c)) for c in candidates), exact
 
 
@@ -648,7 +657,7 @@ def interval(a, b):
 def test_sign_kernel_matches_fraction_reference(p, a, b):
     a, b = interval(a, b)
     ref = FractionPoly(p.coeffs)
-    assert count_real_roots(p, a, b) == ref_count_real_roots(ref, a, b)
+    assert sturm_count(p, a, b) == ref_count_real_roots(ref, a, b)
     assert poly_nonnegative(p, a, b) == ref_nonnegative(ref, a, b)
     if p.degree >= 1:
         # the same odd part up to a positive factor

@@ -1,9 +1,10 @@
 from __future__ import annotations
 
 import itertools
+import math
 import tracemalloc
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt, prod
 
 import pytest
 from hypothesis import example, given, settings
@@ -359,8 +360,22 @@ def semigroups(draw):
 
 
 @st.composite
-def semigroup_ideals(draw):
-    spec = draw(semigroups())
+def embedded_semigroups(draw):
+    """Rank-2 semigroups in the plane z = u x + v y of N^3: d < rank, so a
+    point can share its degree and slice coordinates with a semigroup point
+    and lie off the span of S."""
+    u, v = draw(st.integers(0, 1)), draw(st.integers(0, 1))
+    weights = draw(st.lists(st.integers(0, 2), min_size=3, max_size=3).filter(any))
+    generator = st.tuples(st.integers(0, 2), st.integers(0, 2)).map(
+        lambda g: (g[0], g[1], u * g[0] + v * g[1])
+    ).filter(lambda g: sum(w * c for w, c in zip(weights, g)) >= 1)
+    gens = draw(st.lists(generator, min_size=1, max_size=4, unique=True))
+    return SemigroupSpec.build(3, gens, weights, draw(st.sampled_from([2, 3])))
+
+
+@st.composite
+def semigroup_ideals(draw, specs=semigroups()):
+    spec = draw(specs)
     index = st.integers(0, len(spec.generators) - 1)
     elements = []
     for _ in range(draw(st.integers(1, 3))):
@@ -844,9 +859,206 @@ def integer_matrices(draw):
 @example([[0, 1], [1, 0]])
 @example([[2, 1, 0], [1, 3, 1], [0, 1, 4]])
 def test_eliminate_matches_fraction_reference(rows):
-    pivots, det = _eliminate(rows)
+    pivots, det, basis = _eliminate(rows)
     assert (pivots, det) == reference_eliminate(rows)
     assert type(det) is int
+    # echelon rows: each zero left of its pivot, nonzero at it
+    assert len(basis) == len(pivots)
+    for row, col in zip(basis, pivots):
+        assert not any(row[:col]) and row[col]
+    # every input row is an integer combination of them
+    for v in rows:
+        assert all(k.denominator == 1 for k in echelon_coords(pivots, basis, v))
+    # and they span the same lattice: the gcd of the rank-size minors on the
+    # pivot columns is the covolume of the rows' projection there
+    minors = (
+        reference_eliminate([[r[c] for c in pivots] for r in sub])[1]
+        for sub in itertools.combinations(rows, len(pivots))
+    )
+    assert abs(prod(row[col] for row, col in zip(basis, pivots))) == gcd(*map(int, minors))
+
+
+def echelon_coords(pivots, basis, v) -> list[Fraction]:
+    """The rational coordinates of v in echelon rows; v must be in their span."""
+    coords = []
+    for col, row in zip(pivots, basis):
+        k = Fraction(v[col], row[col])
+        coords.append(k)
+        v = [a - k * b for a, b in zip(v, row)]
+    assert not any(v)
+    return coords
+
+
+# -- the frame against the derivations it replaced ---------------------------
+
+
+def reference_cone(spec: SemigroupSpec) -> tuple[list, list[set[frozenset[int]]]]:
+    """``cone`` as it was: the generators projected onto pivot coordinates
+    that keep their rank, and facets cut out by cofactor normals."""
+    pivots, _ = reference_eliminate(spec.generators)
+    gens = [tuple(g[c] for c in pivots) for g in spec.generators]
+    d = len(pivots)
+    facets = set()
+    for sub in itertools.combinations(gens, d - 1):
+        normal = [
+            (-1) ** j * reference_eliminate([v[:j] + v[j + 1 :] for v in sub])[1]
+            for j in range(d)
+        ]
+        side = [sum(a * b for a, b in zip(normal, g)) for g in gens]
+        if any(normal) and (min(side) >= 0 or max(side) <= 0):
+            facets.add(frozenset(i for i, s in enumerate(side) if s == 0))
+    faces = [set() for _ in range(d)] + [{frozenset(range(len(gens)))}]
+    for k in range(d, 1, -1):
+        cuts = {face & facet for face in faces[k] for facet in facets}
+        faces[k - 1] = {
+            c for c in cuts if len(reference_eliminate([gens[i] for i in c])[0]) == k - 1
+        }
+    return gens, faces
+
+
+def reference_covolume(gens) -> int:
+    """The covolume of the lattice that gens span, projected onto pivot
+    coordinates: the gcd of its C(n, d) d x d minors."""
+    pivots, _ = reference_eliminate(gens)
+    projected = [[g[c] for c in pivots] for g in gens]
+    return gcd(*(int(reference_eliminate(m)[1]) for m in itertools.combinations(projected, len(pivots))))
+
+
+def reference_ehat(spec: SemigroupSpec) -> Fraction:
+    """``ehat`` as it was: the pulling triangulation in pivot coordinates,
+    divided by the covolume of ZS there."""
+    gens, faces = reference_cone(spec)
+    d = len(gens[0])
+    degrees = [spec.degree(g) for g in spec.generators]
+
+    def simplices(face, k):
+        apex = min(face)
+        if k == 1:
+            return [(apex,)]
+        subs = [sub for sub in faces[k - 1] if sub <= face and apex not in sub]
+        return [s + (apex,) for sub in subs for s in simplices(sub, k - 1)]
+
+    volume = sum(
+        abs(reference_eliminate([gens[i] for i in s])[1]) / prod(degrees[i] for i in s)
+        for s in simplices(frozenset(range(len(gens))), d)
+    )
+    n0 = gcd(*degrees)
+    return n0**d * volume / (math.factorial(d - 1) * reference_covolume(gens))
+
+
+def reference_slices(spec: SemigroupSpec) -> tuple[tuple[int, ...], list[int], int]:
+    """``SemigroupEnumeration``'s slice coordinates as they were: the pivots
+    after the degree column of the rows (deg g,) + g, columns in increasing
+    order of max_g(g_c / deg g); with the rises of those coordinates over
+    the lcm of the generator degrees."""
+    degrees = [spec.degree(g) for g in spec.generators]
+    den = math.lcm(*degrees)
+    rise = [max(g[c] * den // e for g, e in zip(spec.generators, degrees)) for c in range(spec.rank)]
+    order = sorted(range(spec.rank), key=rise.__getitem__)
+    pivots, _ = reference_eliminate([(e,) + tuple(g[c] for c in order) for g, e in zip(spec.generators, degrees)])
+    coords = tuple(order[c - 1] for c in pivots[1:])
+    return coords, [rise[c] for c in coords], den
+
+
+def reference_contains(enum: SemigroupEnumeration, v) -> bool:
+    """``contains`` as it was: radix bounds, a rational-span test when
+    d < rank, then the point's code in its bucket."""
+    spec = enum.spec
+    if any(c < 0 for c in v) or any(v[c] >= r for c, r in zip(enum.coords, enum.radices)):
+        return False
+    d = len(reference_eliminate(spec.generators)[0])
+    if d < spec.rank and len(reference_eliminate([*spec.generators, v])[0]) > d:
+        return False
+    code, bucket = enum.encode(v), enum.by_degree[spec.degree(v)]
+    return bucket >> code & 1 == 1 if enum._dense else code in bucket
+
+
+def reference_containment_exponent(spec: SemigroupSpec, ideal: MonomialIdealSpec) -> int | None:
+    """The least l with J^l in I by sums of generators and the tuple
+    enumeration, or None when an extremal ray holds no ideal generator."""
+    _, faces = reference_cone(spec)
+    for ray in faces[1]:
+        g = spec.generators[min(ray)]
+        if all(len(reference_eliminate([g, a])[0]) > 1 for a in ideal.generators):
+            return None
+    outside = {(0,) * spec.rank}
+    for ell in itertools.count(1):
+        points = reference_points(spec, ell * spec.m_mu)
+        sums = {tuple(map(sum, zip(w, g))) for w in outside for g in spec.generators}
+        outside = {
+            v
+            for v in sums
+            if not any(tuple(c - d for c, d in zip(v, a)) in points for a in ideal.generators)
+        }
+        if not outside:
+            return ell
+
+
+frame_semigroups = st.one_of(semigroups(), embedded_semigroups())
+
+
+@settings(max_examples=150, deadline=None)
+@given(frame_semigroups, st.integers(0, 10))
+@example(CONE, 8)
+@example(SEGRE, 5)
+@example(DIAGONAL, 6)
+@example(SLICE, 6)
+def test_frame_matches_the_derivations_it_replaced(spec, b):
+    # the degree split: row 0 has degree +-n0, every other row degree 0,
+    # and every row is (deg v,) + v in the frame's column order
+    den, rise, order, pivots, basis = spec.frame
+    n0 = gcd(*(spec.degree(g) for g in spec.generators))
+    assert spec.n0 == n0 and abs(basis[0][0]) == n0
+    assert all(row[0] == 0 for row in basis[1:])
+    for row in basis:
+        v = [0] * spec.rank
+        for j, c in enumerate(order):
+            v[c] = row[j + 1]
+        assert spec.degree(v) == row[0]
+    # each generator rebuilt exactly from its lattice coordinates
+    for g in spec.generators:
+        k = spec.lattice_coords(g)
+        rebuilt = [sum(x * row[j] for x, row in zip(k, basis)) for j in range(spec.rank + 1)]
+        assert rebuilt == [spec.degree(g)] + [g[c] for c in order]
+    assert spec.dim == len(pivots) == len(reference_eliminate(spec.generators)[0])
+    # cone faces, as sets of generator indices, and ehat
+    assert spec.cone[1] == reference_cone(spec)[1]
+    assert spec.ehat() == reference_ehat(spec)
+    # slice coordinates, and radices after extend
+    coords, ref_rise, ref_den = reference_slices(spec)
+    enum = SemigroupEnumeration(spec, min(b, 3))
+    enum.extend(b)
+    assert enum.coords == coords and den == ref_den
+    assert enum.radices == tuple(1 + enum._bound * r // ref_den for r in ref_rise)
+    # membership of semigroup points, of box points, and of steps off S: unit
+    # steps, and half a generator, which is in the span but off ZS when even
+    points = reference_points(spec, b)
+    box = itertools.product(range(4), repeat=spec.rank)
+    steps = [
+        tuple(c + (i == j) for j, c in enumerate(v)) for v in points for i in range(spec.rank)
+    ] + [tuple(c // 2 for c in g) for g in spec.generators]
+    for v in itertools.chain(points, box, steps):
+        if spec.degree(v) <= b:
+            assert enum.contains(v) == reference_contains(enum, v) == (v in points)
+        # v is in ZS iff adding it leaves the covolume alone
+        in_lattice = len(reference_eliminate([*spec.generators, v])[0]) == spec.dim and (
+            reference_covolume([*spec.generators, v]) == reference_covolume(spec.generators)
+        )
+        assert (spec.lattice_coords(v) is not None) == in_lattice
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(semigroup_ideals(), semigroup_ideals(embedded_semigroups())))
+@example((SEGRE, MonomialIdealSpec.build(SEGRE.generators)))
+def test_containment_exponent_matches_reference(spec_ideal):
+    spec, ideal = spec_ideal
+    want = reference_containment_exponent(spec, ideal)
+    pair = LatticePair(spec, ideal)
+    if want is None:
+        with pytest.raises(ValidationError, match="colength is infinite"):
+            pair.containment_exponent()
+    else:
+        assert pair.containment_exponent() == want
 
 
 def test_enumeration_cap_env(monkeypatch):
