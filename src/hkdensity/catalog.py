@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 
 from .bivariate import BivariatePoly, MinorMatchReport, match_generators
 from .combinators import DensityPair
@@ -123,6 +123,7 @@ def _poly(terms, den: int = 1, disc: int | None = None) -> BivariatePoly:
     return BivariatePoly.over([t if len(t) == 4 else (*t, 0) for t in terms], den, disc)
 
 
+@cache
 def _entry_a(n: int) -> AdeEntry:
     betti = BettiTable.build(
         2, [(1, 2, 1), (1, n, 1), (1, n, 1), (2, n + 1, 2)]
@@ -154,6 +155,7 @@ def _entry_a(n: int) -> AdeEntry:
     )
 
 
+@cache
 def _entry_d(n: int) -> AdeEntry:
     betti = BettiTable.build(
         2, [(1, 4, 1), (1, 2 * n, 1), (1, 2 * n + 2, 1), (2, 2 * n + 3, 2)]
@@ -201,6 +203,7 @@ def _entry_d(n: int) -> AdeEntry:
     )
 
 
+@cache
 def _entry_e6() -> AdeEntry:
     # coefficient field k(u), u^2 = -12; a = 2 sqrt(-3) is u
     D = -12
@@ -244,6 +247,7 @@ def _entry_e6() -> AdeEntry:
     )
 
 
+@cache
 def _entry_e7() -> AdeEntry:
     gens = (
         _poly([(5, 1, 1), (1, 5, -1)]),
@@ -275,6 +279,7 @@ def _entry_e7() -> AdeEntry:
     )
 
 
+@cache
 def _entry_e8() -> AdeEntry:
     gens = (
         _poly([(11, 1, 1), (6, 6, 11), (1, 11, -1)]),
@@ -333,8 +338,8 @@ def _entry_e8() -> AdeEntry:
 
 
 def catalog_entry(family: str, n: int | None = None, p: int | None = None) -> AdeEntry:
-    """Look up one catalog entry, validating the parameter and, when given,
-    the characteristic against the entry's constraints."""
+    """Look up one catalog entry, built once per process, checking the
+    parameter and any characteristic against its constraints on every call."""
     fam = str(family).upper()
     if fam not in FAMILIES:
         raise InputError(f"unknown family {family!r}; choose from {FAMILIES}")

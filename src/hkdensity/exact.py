@@ -227,8 +227,7 @@ class Polynomial:
         return not self.nums
 
     def __call__(self, x: int | Fraction) -> Fraction:
-        v = x.denominator
-        return Fraction(_horner(self.nums, x.numerator, v), self.den * v ** max(self.degree, 0))
+        return Fraction(*self._at(x))
 
     def _at(self, x: int | Fraction) -> tuple[int, int]:
         """p(x) as an unreduced integer pair (numerator, denominator > 0),

@@ -222,30 +222,24 @@ class SemigroupSpec:
         return len(self.frame[3])
 
     @cached_property
-    def cone(self) -> tuple[list[Point], list[set[frozenset[int]]]]:
-        """The cone R>=0 S: the generators in the coordinates of the frame,
-        d = dim of them each, and faces[k], its faces of rank k, each the set
-        of indices of the generators on it.  Facets are cut out by cofactor
-        normals of d - 1 generators; the faces of a face of rank k are its
-        intersections with facets that have rank k - 1."""
+    def cone(self) -> tuple[list[Point], dict[frozenset[int], Point]]:
+        """The cone R>=0 S: the generators in frame coordinates, and each facet,
+        the indices of the generators on it, mapped to its primitive inward
+        normal.  The echelon of [sub^T | I_d], d - 1 generators of rank d - 1,
+        ends in (0, u): u is 0 on them, primitive as a unimodular matrix row."""
         gens = [self.lattice_coords(g) for g in self.generators]
         d = self.dim
-        facets = set()
+        unit = [tuple(int(i == j) for i in range(d)) for j in range(d)]
+        facets = {}
         for sub in itertools.combinations(gens, d - 1):
-            normal = [
-                (-1) ** j * _eliminate([v[:j] + v[j + 1 :] for v in sub])[1]
-                for j in range(d)
-            ]
+            pivots, _, rows = _eliminate([tuple(v[j] for v in sub) + unit[j] for j in range(d)])
+            normal = rows[-1][d - 1 :]
             side = [sum(a * b for a, b in zip(normal, g)) for g in gens]
-            if any(normal) and (min(side) >= 0 or max(side) <= 0):
-                facets.add(frozenset(i for i, s in enumerate(side) if s == 0))
-        faces = [set() for _ in range(d)] + [{frozenset(range(len(gens)))}]
-        for k in range(d, 1, -1):
-            cuts = {face & facet for face in faces[k] for facet in facets}
-            faces[k - 1] = {
-                c for c in cuts if len(_eliminate([gens[i] for i in c])[0]) == k - 1
-            }
-        return gens, faces
+            if pivots[: d - 1] == list(range(d - 1)) and (min(side) >= 0 or max(side) <= 0):
+                sign = 1 if max(side) > 0 else -1
+                zeros = frozenset(i for i, s in enumerate(side) if s == 0)
+                facets[zeros] = tuple(sign * a for a in normal)
+        return gens, facets
 
     def ehat(self) -> Fraction:
         """The Hilbert function in degree M*n0 grows like ehat * M^(d-1).
@@ -256,22 +250,23 @@ class SemigroupSpec:
         simplicial cones sigma of generators it is
         n0^d / (d-1)! * sum |det sigma| / prod deg g, with det sigma taken in
         the coordinates of the frame, a basis of ZS, where ZS has covolume 1.
-        """
-        gens, faces = self.cone
+        The facets of a face are its maximal proper cuts by the cone's facets."""
+        gens, facets = self.cone
         d = self.dim
         degrees = [self.degree(g) for g in self.generators]
 
-        def simplices(face: frozenset[int], k: int) -> list[tuple[int, ...]]:
+        def simplices(face: frozenset[int]) -> list[tuple[int, ...]]:
+            if not face:
+                return [()]
             apex = min(face)
-            if k == 1:
-                return [(apex,)]
-            subs = [sub for sub in faces[k - 1] if sub <= face and apex not in sub]
-            return [s + (apex,) for sub in subs for s in simplices(sub, k - 1)]
+            cuts = {face & facet for facet in facets if not face <= facet}
+            subs = [c for c in cuts if apex not in c and not any(c < o for o in cuts)]
+            return [s + (apex,) for sub in subs for s in simplices(sub)]
 
         den = lcm(*degrees) ** d  # a multiple of every prod deg g below
         volume = sum(
             abs(_eliminate([gens[i] for i in s])[1]) * den // prod(degrees[i] for i in s)
-            for s in simplices(frozenset(range(len(gens))), d)
+            for s in simplices(frozenset(range(len(gens))))
         )
         return Fraction(self.n0 ** d * volume, factorial(d - 1) * den)
 
@@ -629,14 +624,15 @@ class LatticePair:
 
         It exists iff I has finite colength, that is (the minimal primes of
         a monomial ideal being face primes) iff every extremal ray of the
-        cone holds an ideal generator.  The search keeps the sums of l
-        generators outside I: a sum with a partial sum inside I is inside I.
-        """
+        cone, a minimal one among the least faces through the generators,
+        holds an ideal generator.  The search keeps the sums of l generators
+        outside I: a sum with a partial sum inside I is inside I."""
         if self._ell is not None:
             return self._ell
         gens, ideal = self.spec.generators, self.ideal.generators
-        _, faces = self.spec.cone
-        for g in sorted(gens[min(ray)] for ray in faces[1]):
+        every, facets = frozenset(range(len(gens))), self.spec.cone[1]
+        least = {every.intersection(*(f for f in facets if i in f)) for i in every}
+        for g in sorted(gens[min(ray)] for ray in least if not any(f < ray for f in least)):
             if all(len(_eliminate([g, a])[0]) > 1 for a in ideal):
                 raise ValidationError(
                     f"no ideal generator lies on the extremal ray through {g}; "

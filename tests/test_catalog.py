@@ -47,6 +47,20 @@ def test_char_admissibility():
         catalog_entry("A", 3, p=3)
 
 
+def test_entry_built_once_and_checked_on_every_call():
+    # one object per (family, n), whatever the case of the family or the
+    # characteristic asked about
+    assert catalog_entry("A", 7) is catalog_entry("a", 7) is catalog_entry("A", 7, p=2)
+    assert catalog_entry("D", 9) is catalog_entry("d", 9)
+    assert catalog_entry("E8") is catalog_entry("e8", 8)
+    assert catalog_entry("A", 7) is not catalog_entry("A", 8)
+    # the cached entry still refuses an inadmissible p
+    with pytest.raises(ValidationError, match="characteristic 7 not admissible for A_7"):
+        catalog_entry("a", 7, p=7)
+    with pytest.raises(ValidationError, match="characteristic 5 not admissible for E8"):
+        catalog_entry("E8", p=5)
+
+
 def test_rank_and_l0():
     assert catalog_entry("A", 2).rank == 2
     assert catalog_entry("A", 3).rank == 3

@@ -374,6 +374,19 @@ def embedded_semigroups(draw):
 
 
 @st.composite
+def cones(draw):
+    """Rank 2-4, 2-7 distinct generators with coordinates 0-3, weights 1-3:
+    cones of dimension up to 4 with many facets, where ``semigroups()`` mostly
+    draws a single ray."""
+    rank = draw(st.integers(2, 4))
+    weights = draw(st.lists(st.integers(1, 3), min_size=rank, max_size=rank))
+    generator = st.tuples(*[st.integers(0, 3)] * rank).filter(any)
+    size = draw(st.integers(2, 7))
+    gens = draw(st.lists(generator, min_size=size, max_size=size, unique=True))
+    return SemigroupSpec.build(rank, gens, weights, draw(st.sampled_from([2, 3])))
+
+
+@st.composite
 def semigroup_ideals(draw, specs=semigroups()):
     spec = draw(specs)
     index = st.integers(0, len(spec.generators) - 1)
@@ -973,14 +986,24 @@ def reference_contains(enum: SemigroupEnumeration, v) -> bool:
     return bucket >> code & 1 == 1 if enum._dense else code in bucket
 
 
+def reference_refusal(spec: SemigroupSpec, ideal: MonomialIdealSpec) -> str | None:
+    """The refusal of an infinite colength, or None: it names the first
+    extremal ray, by its least-index generator in sorted order, that holds
+    no ideal generator."""
+    _, faces = reference_cone(spec)
+    for g in sorted(spec.generators[min(ray)] for ray in faces[1]):
+        if all(len(reference_eliminate([g, a])[0]) > 1 for a in ideal.generators):
+            return (
+                f"no ideal generator lies on the extremal ray through {g}; "
+                "the colength is infinite"
+            )
+
+
 def reference_containment_exponent(spec: SemigroupSpec, ideal: MonomialIdealSpec) -> int | None:
     """The least l with J^l in I by sums of generators and the tuple
     enumeration, or None when an extremal ray holds no ideal generator."""
-    _, faces = reference_cone(spec)
-    for ray in faces[1]:
-        g = spec.generators[min(ray)]
-        if all(len(reference_eliminate([g, a])[0]) > 1 for a in ideal.generators):
-            return None
+    if reference_refusal(spec, ideal) is not None:
+        return None
     outside = {(0,) * spec.rank}
     for ell in itertools.count(1):
         points = reference_points(spec, ell * spec.m_mu)
@@ -995,6 +1018,67 @@ def reference_containment_exponent(spec: SemigroupSpec, ideal: MonomialIdealSpec
 
 
 frame_semigroups = st.one_of(semigroups(), embedded_semigroups())
+
+
+def faces_from_facets(spec: SemigroupSpec) -> list[set[frozenset[int]]]:
+    """The faces of each rank k, as ``reference_cone`` gives them, read from
+    the facets of ``cone``: the facets of a face G are the inclusion-maximal
+    cuts G & F over the facets F that do not contain G."""
+    facets, d = spec.cone[1], spec.dim
+    faces = [set() for _ in range(d)] + [{frozenset(range(len(spec.generators)))}]
+    for k in range(d, 1, -1):
+        for face in faces[k]:
+            cuts = {face & f for f in facets if not face <= f}
+            faces[k - 1] |= {c for c in cuts if not any(c < o for o in cuts)}
+    return faces
+
+
+# (1, 1, 1) and (2, 2, 2) span one ray, and the echelon of that pair has a
+# last row that lies on one side of every generator: a facet test without
+# the pivot check takes the pair for a facet of rank 1
+RAY_PAIR = SemigroupSpec.build(3, [(1, 1, 1), (2, 2, 2), (2, 2, 3), (3, 1, 1)], (2, 3, 3), 2)
+
+
+def maximal_ideal(spec: SemigroupSpec) -> tuple[SemigroupSpec, MonomialIdealSpec]:
+    return spec, MonomialIdealSpec.build(spec.generators)
+
+
+# (1, 1) lies on no extremal ray, and no ideal generator lies on its line: the
+# colength is still finite
+INNER = (
+    SemigroupSpec.build(2, [(1, 0), (0, 1), (1, 1)], (1, 1), 2),
+    MonomialIdealSpec.build([(1, 0), (0, 1)]),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(semigroup_ideals(cones()), semigroup_ideals(embedded_semigroups())))
+@example(maximal_ideal(RAY_PAIR))
+@example(INNER)
+@example(maximal_ideal(CONE))
+@example(maximal_ideal(SEGRE))
+@example(maximal_ideal(DIAGONAL))
+@example(maximal_ideal(SLICE))
+def test_cone_facets_match_reference(spec_ideal):
+    spec, ideal = spec_ideal
+    gens, facets = spec.cone
+    assert faces_from_facets(spec) == reference_cone(spec)[1]
+    assert spec.ehat() == reference_ehat(spec)
+    for zeros, normal in facets.items():
+        # a primitive inward normal, 0 exactly on the facet's generators,
+        # which span a hyperplane
+        side = [sum(a * b for a, b in zip(normal, g)) for g in gens]
+        assert gcd(*normal) == 1 and min(side) >= 0
+        assert zeros == {i for i, s in enumerate(side) if s == 0}
+        assert len(reference_eliminate([spec.generators[i] for i in zeros])[0]) == spec.dim - 1
+    want = reference_containment_exponent(spec, ideal)
+    pair = LatticePair(spec, ideal)
+    if want is None:
+        with pytest.raises(ValidationError, match="colength is infinite") as err:
+            pair.containment_exponent()
+        assert err.value.args[0] == reference_refusal(spec, ideal)
+    else:
+        assert pair.containment_exponent() == want
 
 
 @settings(max_examples=150, deadline=None)
@@ -1022,7 +1106,7 @@ def test_frame_matches_the_derivations_it_replaced(spec, b):
         assert rebuilt == [spec.degree(g)] + [g[c] for c in order]
     assert spec.dim == len(pivots) == len(reference_eliminate(spec.generators)[0])
     # cone faces, as sets of generator indices, and ehat
-    assert spec.cone[1] == reference_cone(spec)[1]
+    assert faces_from_facets(spec) == reference_cone(spec)[1]
     assert spec.ehat() == reference_ehat(spec)
     # slice coordinates, and radices after extend
     coords, ref_rise, ref_den = reference_slices(spec)
