@@ -54,7 +54,7 @@ class DensityPair:
         if not self.f.is_continuous():
             raise ValidationError("density must be continuous")
         # past support_end f = 0 and F is the positive monomial checked above
-        for g, side in ((self.f, "below 0"), (self.defect(), "above the envelope")):
+        for g, side in ((self.f, "below 0"), (self.defect, "above the envelope")):
             if (piece := pw_negative_piece(g)) is not None:
                 raise ValidationError(
                     f"density escapes [0, envelope] on [{piece[0]}, {piece[1]}): {side}"
@@ -68,6 +68,7 @@ class DensityPair:
     def ehk(self) -> Fraction:
         return pw_integrate(self.f)
 
+    @cached_property
     def defect(self) -> PiecewisePoly:
         """F - f: the envelope defect entering the Segre formula."""
         return pw_sub(self.F, self.f)
@@ -76,7 +77,7 @@ class DensityPair:
 def segre(a: DensityPair, b: DensityPair) -> DensityPair:
     """Density pair of the Segre product; dimension d_A + d_B - 1."""
     F = pw_mul(a.F, b.F)
-    f = pw_sub(F, pw_mul(a.defect(), b.defect()))
+    f = pw_sub(F, pw_mul(a.defect, b.defect))
     out = DensityPair(F, f, a.d + b.d - 1)
     # product formula expanded: integral of f equals the three-term sum
     three = (

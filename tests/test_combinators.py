@@ -36,7 +36,7 @@ def test_density_pair_basics():
     pair = koszul_pair()
     assert pair.ehat == 1
     assert pair.ehk == 1
-    defect = pair.defect()
+    defect = pair.defect
     # F - f is x - x = 0 on [0,1), then x - (2-x) = 2x - 2 on [1,2), x beyond
     assert defect(F(1, 2)) == 0
     assert defect(F(3, 2)) == 1

@@ -13,6 +13,7 @@ from hkdensity.exact import (
     P_ZERO,
     PiecewisePoly,
     Polynomial,
+    _horner,
     _odd_part,
     _poly_abs_sup,
     _primitive,
@@ -510,6 +511,72 @@ def linear_pieces(draw):
 def test_linear_sign_test_matches_composed_path(case):
     p, a, b = case
     assert poly_nonnegative(p, a, b) == composed_nonnegative(p, a, b)
+
+
+def sturm_nonnegative(p, a, b):
+    """The former path of ``poly_nonnegative`` for degree >= 2, which still
+    decides degree >= 3: on the integer numerators q of t |-> p(a + (b - a) t),
+    the signs of q(0) and q(1), a Sturm chain of the odd part of q on [0, 1],
+    then the sign at one of k / (deg + 2)."""
+    q = _primitive(p.compose_linear(b - a, a).nums)
+    if q[0] < 0 or sum(q) < 0:
+        return False
+    chain = _sturm_chain(_odd_part(q))
+    if _variations(chain, 0) - _variations(chain, 1) - (sum(chain[0]) == 0) > 0:
+        return False
+    n = len(q) + 1
+    return next(v for k in range(1, n) if (v := _horner(q, k, n))) > 0
+
+
+@st.composite
+def quadratic_pieces(draw):
+    """(p, a, b) with a < b and p of degree 2: a random quadratic, a concave
+    one, c2 (x - v)^2 + k with its vertex v at a or at b, a double root
+    inside (a, b), two roots one of them inside, or no real root with the
+    vertex inside."""
+    ends = st.builds(F, st.integers(-40, 40), st.integers(1, 9))
+    a, b = sorted(draw(st.lists(ends, min_size=2, max_size=2, unique=True)))
+    c2 = draw(st.builds(F, st.integers(-9, 9).filter(bool), st.integers(1, 9)))
+    kind = draw(st.sampled_from(
+        ["random", "concave", "vertex_a", "vertex_b", "double_root", "two_roots", "irreducible"]
+    ))
+    if kind == "random":
+        return Polynomial.of(draw(ends), draw(ends), c2), a, b
+    if kind == "concave":
+        return Polynomial.of(draw(ends), draw(ends), -abs(c2)), a, b
+    inside = a + (b - a) * F(draw(st.integers(1, 8)), 9)
+    if kind == "two_roots":
+        return Polynomial.of(-inside, 1) * Polynomial.of(-draw(ends), 1).scale(c2), a, b
+    v = {"vertex_a": a, "vertex_b": b}.get(kind, inside)
+    if kind == "double_root":
+        k = F(0)
+    elif kind == "irreducible":
+        k = c2 * draw(st.builds(F, st.integers(1, 9), st.integers(1, 9)))
+    else:
+        k = draw(st.one_of(st.just(F(0)), ends))
+    return Polynomial.of(v * v, -2 * v, 1).scale(c2) + Polynomial.of(k), a, b
+
+
+@settings(max_examples=300, deadline=None)
+@given(quadratic_pieces())
+# 2 (x - 1/2)^2 on [0, 1]: the vertex inside, at a double root
+@example((Polynomial.of(F(1, 2), -2, 2), F(0), F(1)))
+# (x - 1)^2 - 1/4 on [1, 3]: the vertex at a, where p < 0
+@example((Polynomial.of(F(3, 4), -2, 1), F(1), F(3)))
+# -(x - 1)^2 + 1 on [0, 2]: concave, 0 at both ends
+@example((Polynomial.of(0, 2, -1), F(0), F(2)))
+def test_quadratic_sign_test_matches_sturm_path(case):
+    p, a, b = case
+    assert p.degree == 2
+    assert poly_nonnegative(p, a, b) == sturm_nonnegative(p, a, b)
+
+
+@settings(max_examples=300, deadline=None)
+@given(quadratic_pieces())
+def test_quadratic_abs_sup_matches_deflation(case):
+    p, a, b = case
+    assert _poly_abs_sup(p, a, b) == deflation_abs_sup(p, a, b)[0]
+    assert deflation_abs_sup(p, a, b)[1]  # a quadratic's vertex is rational
 
 
 @settings(max_examples=150, deadline=None)

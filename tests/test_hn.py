@@ -1,14 +1,16 @@
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hkdensity.errors import ValidationError
-from hkdensity.exact import PiecewisePoly, Polynomial, pw_integrate
+from hkdensity.exact import PiecewisePoly, Polynomial, pw_integrate, pw_negative_piece
 from hkdensity.hn import HNComponent, HNData, dim2_pair_density, hn_density
+from hkdensity.resolution import BettiTable, closed_form_density
 
 F = Fraction
 
@@ -124,3 +126,33 @@ def test_hn_density_properties(data, d):
         F(0),
     )
     assert pw_integrate(f) == expect
+
+
+@st.composite
+def p1_degrees(draw):
+    """Generator degrees d_i of an ideal of k[x, y], 2-5 of them in 1-6, and
+    syzygy degrees e_j, a random composition of sum d_i into one part fewer."""
+    gens = draw(st.lists(st.integers(1, 6), min_size=2, max_size=5))
+    total, n = sum(gens), len(gens)
+    cuts = draw(st.lists(st.integers(1, total - 1), min_size=n - 2, max_size=n - 2, unique=True))
+    ends = [0, *sorted(cuts), total]
+    return tuple(gens), tuple(b - a for a, b in zip(ends, ends[1:]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(p1_degrees())
+# the closed form is 2 - x on [1, 4), negative past 2: refused
+@example(((1, 1, 6, 6), (4, 5, 5)))
+def test_pair_density_matches_closed_form_on_p1(degrees):
+    # on P^1 the syzygy bundle splits as the sum of O(1 - e_j), so the HN
+    # path must give the closed form of the Betti table wherever that form
+    # is a density, and refuse it exactly where it dips below 0
+    gens, syz = degrees
+    betti = BettiTable.build(2, [(1, g, 1) for g in gens] + [(2, e, 1) for e in syz])
+    want = closed_form_density(betti, F(1))
+    v = HNData.build(sorted(Counter(1 - e for e in syz).items(), reverse=True), 1)
+    if pw_negative_piece(want) is None:
+        assert dim2_pair_density(v, gens) == want
+    else:
+        with pytest.raises(ValidationError, match="pair density is negative"):
+            dim2_pair_density(v, gens)

@@ -311,8 +311,11 @@ def test_convergence_report_enumerates_once(monkeypatch):
 # -- properties against tuple enumeration and per-point survivor probes ------
 
 
-def reference_points(spec: SemigroupSpec, max_degree: int) -> set[tuple[int, ...]]:
-    """Every semigroup point of degree <= max_degree, as tuples, by closure."""
+def reference_points(
+    spec: SemigroupSpec, max_degree: int, top: tuple[int, ...] | None = None
+) -> set[tuple[int, ...]]:
+    """Every semigroup point of degree <= max_degree, and <= top in every
+    coordinate when top is given, as tuples, by closure."""
     points = {(0,) * spec.rank}
     frontier = list(points)
     while frontier:
@@ -320,6 +323,8 @@ def reference_points(spec: SemigroupSpec, max_degree: int) -> set[tuple[int, ...
         for v in frontier:
             for g in spec.generators:
                 w = tuple(a + b for a, b in zip(v, g))
+                if top is not None and any(c > m for c, m in zip(w, top)):
+                    continue
                 if spec.degree(w) <= max_degree and w not in points:
                     points.add(w)
                     grown.append(w)
@@ -387,13 +392,20 @@ def cones(draw):
 
 
 @st.composite
-def semigroup_ideals(draw, specs=semigroups()):
+def semigroup_ideals(draw, specs=semigroups(), multiples=False):
+    """A spec from ``specs`` and 1-3 sums of 1-2 of its generators.  With
+    ``multiples``, also k g with k in 1-3 for each generator g: every
+    extremal ray then holds an ideal generator, so the colength is finite."""
     spec = draw(specs)
     index = st.integers(0, len(spec.generators) - 1)
     elements = []
     for _ in range(draw(st.integers(1, 3))):
         parts = [spec.generators[i] for i in draw(st.lists(index, min_size=1, max_size=2))]
         elements.append(tuple(map(sum, zip(*parts))))
+    if multiples:
+        for g in spec.generators:
+            k = draw(st.integers(1, 3))
+            elements.append(tuple(k * c for c in g))
     return spec, MonomialIdealSpec.build(elements)
 
 
@@ -1006,8 +1018,10 @@ def reference_containment_exponent(spec: SemigroupSpec, ideal: MonomialIdealSpec
         return None
     outside = {(0,) * spec.rank}
     for ell in itertools.count(1):
-        points = reference_points(spec, ell * spec.m_mu)
         sums = {tuple(map(sum, zip(w, g))) for w in outside for g in spec.generators}
+        # v - a <= v for the ideal generators a in N^rank: the points under
+        # the largest coordinates of the sums are all the probes can meet
+        points = reference_points(spec, ell * spec.m_mu, tuple(map(max, zip(*sums))))
         outside = {
             v
             for v in sums
@@ -1052,7 +1066,9 @@ INNER = (
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.one_of(semigroup_ideals(cones()), semigroup_ideals(embedded_semigroups())))
+@given(st.one_of(
+    semigroup_ideals(cones(), multiples=True), semigroup_ideals(embedded_semigroups())
+))
 @example(maximal_ideal(RAY_PAIR))
 @example(INNER)
 @example(maximal_ideal(CONE))
