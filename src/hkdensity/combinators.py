@@ -70,7 +70,9 @@ class DensityPair:
 
     @cached_property
     def defect(self) -> PiecewisePoly:
-        """F - f: the envelope defect entering the Segre formula."""
+        """F - f: the envelope defect entering the Segre formula.  An
+        attribute, built once by the check in ``__post_init__``: read
+        ``pair.defect``, not ``pair.defect()``."""
         return pw_sub(self.F, self.f)
 
 

@@ -476,11 +476,13 @@ def poly_nonnegative(p: Polynomial, a: Fraction, b: Fraction) -> bool:
     """Whether p >= 0 on all of [a, b], a < b, decided exactly.  First the
     signs of p(a) and p(b), which decide a p of degree <= 1.  A quadratic
     (c0 + c1 x + c2 x^2) / den with both ends >= 0 dips below 0 only at its
-    vertex -c1 / (2 c2), so it is >= 0 when c2 < 0, when the vertex is not
-    strictly inside (a, b), or when c1^2 <= 4 c0 c2.  Else, on the integer
-    numerators q of t |-> p(a + (b - a) t) on [0, 1]: q changes sign in
-    (0, 1) iff its odd part has a Sturm root there, else the sign at one of
-    k / (deg + 2)."""
+    vertex -c1 / (2 c2), so it is >= 0 when the vertex is not strictly
+    inside (a, b) or when c1^2 <= 4 c0 c2.  For c2 < 0 the two
+    cross-multiplied comparisons read a > vertex and vertex > b, which
+    cannot both hold, so a concave quadratic always reads "not inside".
+    Else, on the integer numerators q of t |-> p(a + (b - a) t) on [0, 1]:
+    q changes sign in (0, 1) iff its odd part has a Sturm root there, else
+    the sign at one of k / (deg + 2)."""
     if p._at(a)[0] < 0 or p._at(b)[0] < 0:
         return False
     if p.degree <= 1:
@@ -488,8 +490,7 @@ def poly_nonnegative(p: Polynomial, a: Fraction, b: Fraction) -> bool:
     if p.degree == 2:
         c0, c1, c2 = p.nums
         return (
-            c2 < 0
-            or not 2 * c2 * a.numerator < -c1 * a.denominator
+            not 2 * c2 * a.numerator < -c1 * a.denominator
             or not -c1 * b.denominator < 2 * c2 * b.numerator
             or c1 * c1 <= 4 * c0 * c2
         )
@@ -535,10 +536,7 @@ def _poly_abs_sup(p: Polynomial, a: Fraction, b: Fraction) -> Fraction:
     point, else an upper bound within lip * (b - a) / 1024 of it, where lip
     >= |p'| on [a, b].
 
-    A quadratic (c0 + c1 x + c2 x^2) / den has one critical point, its
-    vertex -c1 / (2 c2), so its sup is exact: the largest |p| at a, b and
-    the vertex when a < vertex < b.  Above degree 2, the critical points
-    are the roots of q, the squarefree part of p'.  With
+    The critical points are the roots of q, the squarefree part of p'.  With
     L the common denominator of monic q, a rational root of q has a
     denominator dividing L and two such lie at least 1/L^2 apart, so an
     isolating interval narrower than 1/(2 L^2) holds no rational root but
@@ -550,9 +548,6 @@ def _poly_abs_sup(p: Polynomial, a: Fraction, b: Fraction) -> Fraction:
     top = max(abs(p(a)), abs(p(b)))
     if p.degree <= 1:
         return top
-    if p.degree == 2:
-        v = Fraction(-p.nums[1], 2 * p.nums[2])
-        return max(top, abs(p(v))) if a < v < b else top
     dp = p.derivative()
     q = _exact_div(_primitive(dp.nums), _gcd(dp.nums, _derivative(dp.nums)))
     den = abs(q[-1])  # the common denominator of monic q, as q is primitive
