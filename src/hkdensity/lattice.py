@@ -40,10 +40,12 @@ from __future__ import annotations
 
 import itertools
 import os
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import comb, factorial, lcm, prod
+from operator import mul
 from typing import Iterator
 
 from .errors import CapacityError, DomainError, InternalError, ValidationError
@@ -312,17 +314,9 @@ def _degree_ceiling(spec: SemigroupSpec, cap: int) -> int:
     linearly independent.  Their sums n_1 g_1 + ... + n_d g_d with
     n_1 + ... + n_d <= k are C(k + d, d) distinct points, all of degree at
     most k times the largest generator degree; the ceiling takes the least k
-    for which that count exceeds cap.
+    for which that count exceeds cap, at most cap as C(cap + d, d) > cap.
     """
-    d = spec.dim
-    lo, hi = 0, cap  # C(cap + d, d) > cap for every d >= 1
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if comb(mid + d, d) > cap:
-            hi = mid
-        else:
-            lo = mid + 1
-    return lo * spec.m_mu
+    return bisect_left(range(cap), True, key=lambda k: comb(k + spec.dim, spec.dim) > cap) * spec.m_mu
 
 
 class SemigroupEnumeration:
@@ -632,10 +626,13 @@ class LatticePair:
         gens, ideal = self.spec.generators, self.ideal.generators
         every, facets = frozenset(range(len(gens))), self.spec.cone[1]
         least = {every.intersection(*(f for f in facets if i in f)) for i in every}
-        for g in sorted(gens[min(ray)] for ray in least if not any(f < ray for f in least)):
-            if all(len(_eliminate([g, a])[0]) > 1 for a in ideal):
+        rays = [r for r in least if not any(f < r for f in least)]
+        on = [{f for f, n in facets.items() if not sum(map(mul, n, self.spec.lattice_coords(a)))}
+              for a in ideal]  # the facets F that each ideal generator a is on: <n_F, a> = 0
+        for ray in sorted(rays, key=lambda r: gens[min(r)]):
+            if not any({f for f in facets if ray <= f} <= z for z in on):
                 raise ValidationError(
-                    f"no ideal generator lies on the extremal ray through {g}; "
+                    f"no ideal generator lies on the extremal ray through {gens[min(ray)]}; "
                     "the colength is infinite"
                 )
         outside = {(0,) * self.spec.rank}

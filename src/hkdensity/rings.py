@@ -149,8 +149,16 @@ class VeroneseRing:
         return [base(m * self.factor) for m in range(upto + 1)]
 
     def gcd_window(self) -> int | None:
-        window = self.base.gcd_window()
-        return None if window is None else max(1, window // self.factor + 2)
+        # exact from max(e), the largest generator degree of the CI at the
+        # bottom: with F the total factor, a minimal zero-sum sequence over
+        # Z/F has at most F terms (the Davenport constant), so each occupied
+        # view degree is a sum of occupied ones up to max(e).  The term from
+        # the base's window stays, so the CI screen in ``hilbert`` reads no
+        # fewer degrees
+        window, bottom = self.base.gcd_window(), self.base
+        while isinstance(bottom, VeroneseRing):
+            bottom = bottom.base
+        return None if window is None else max(window // self.factor + 2, max(bottom.gen_degrees))
 
 
 RingSpec = CompleteIntersectionRing | SemigroupRing | VeroneseRing

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import contextlib
+import csv
 import hashlib
 import io
 import json
@@ -12,8 +13,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hkdensity.cli import _json_text, main
-from hkdensity.exact import PiecewisePoly, Polynomial, rat
+from hkdensity.cli import _csv_text, _dec, _json_text, main
+from hkdensity.exact import PiecewisePoly, Polynomial, rat, rat_str
 from hkdensity.lattice import SemigroupEnumeration
 
 F = Fraction
@@ -82,6 +83,18 @@ def test_density_betti_explicit_normalization(tmp_path, capsys):
     )
     assert code_a == code_b == 0
     assert out_a == out_b
+
+
+def test_density_betti_on_a_veronese_view_checked_up_to_its_generator_degree(tmp_path, capsys):
+    # view degree m of (19, 19) by 1000 is base degree 1000 m, occupied iff
+    # 19 | m: the gcd check must read up to degree 19 to see n0 = 19
+    ring = {"type": "veronese", "base": {"type": "ci", "gens": [19, 19]}, "factor": 1000}
+    inp = write(tmp_path, "view.json", {"betti": KOSZUL_BETTI["betti"], "ring": ring})
+    code, out, err = run_cli(capsys, ["density-betti", "--in", inp])
+    assert code == 0 and err == ""
+    payload = json.loads(out)
+    assert payload["n0"] == 19 and payload["ehat"] == "1000"
+    assert payload["integral"] == "1000/361"
 
 
 def test_density_empirical_level_one(tmp_path, capsys):
@@ -365,6 +378,26 @@ json_values = st.recursive(
 @given(json_values)
 def test_json_writer_matches_json_dumps(obj):
     assert _json_text(obj) == json.dumps(obj, sort_keys=True, indent=2) + "\n"
+
+
+# the fields the CLI writes: ints, rat_str values and repr(float) values,
+# inf and -inf for the rationals past the float range
+rationals = st.one_of(
+    st.fractions(),
+    st.integers(-(10**400), 10**400).map(Fraction),
+    st.builds(Fraction, st.integers(-(10**400), 10**400), st.integers(1, 10**400)),
+)
+csv_fields = st.one_of(st.integers().map(str), rationals.map(rat_str), rationals.map(_dec))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(csv_fields, max_size=6), st.lists(st.lists(csv_fields, max_size=6), max_size=6))
+def test_csv_text_matches_csv_writer(header, rows):
+    buf = io.StringIO()
+    w = csv.writer(buf, lineterminator="\n")
+    w.writerow(header)
+    w.writerows(rows)
+    assert _csv_text(header, rows) == buf.getvalue()
 
 
 @pytest.mark.parametrize("obj", [1.5, {"a": [0, 2.0]}, {1, 2}, [{"b": frozenset()}], {1: "a"}])

@@ -4,7 +4,7 @@ import itertools
 import math
 import tracemalloc
 from fractions import Fraction
-from math import gcd, isqrt, prod
+from math import comb, gcd, isqrt, prod
 
 import pytest
 from hypothesis import example, given, settings
@@ -277,6 +277,32 @@ def test_capacity_error_names_the_ceiling():
     with pytest.raises(CapacityError, match=r"every degree bound from 9999 up exceeds"):
         enum.extend(2**31)
     assert enum.count == 1
+
+
+def loop_degree_ceiling(spec: SemigroupSpec, cap: int) -> int:
+    """The hand-written binary search that ``_degree_ceiling`` replaced."""
+    d = spec.dim
+    lo, hi = 0, cap  # C(cap + d, d) > cap for every d >= 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if comb(mid + d, d) > cap:
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo * spec.m_mu
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 8), st.integers(1, 3), st.integers(1, 10**9))
+@example(1, 1, 1)
+@example(2, 1, DEFAULT_MAX_POINTS)
+@example(8, 3, 10**9)
+def test_degree_ceiling_matches_the_loop_it_replaced(d, top, cap):
+    # the polynomial ring in d variables, the last of weight top
+    units = [tuple(int(i == j) for i in range(d)) for j in range(d)]
+    spec = SemigroupSpec.build(d, units, (1,) * (d - 1) + (top,), 2)
+    assert spec.dim == d and spec.m_mu == top
+    assert _degree_ceiling(spec, cap) == loop_degree_ceiling(spec, cap)
 
 
 def test_capacity_error_midway_names_the_requested_bound():
@@ -1095,6 +1121,74 @@ def test_cone_facets_match_reference(spec_ideal):
         assert err.value.args[0] == reference_refusal(spec, ideal)
     else:
         assert pair.containment_exponent() == want
+
+
+def rank_test_refusal(spec: SemigroupSpec, ideal: MonomialIdealSpec) -> str | None:
+    """The refusal of the rank test that ray coverage replaced, or None: an
+    ideal generator a lies on the extremal ray through g iff the rows g, a
+    have rank at most 1."""
+    gens = spec.generators
+    every, facets = frozenset(range(len(gens))), spec.cone[1]
+    least = {every.intersection(*(f for f in facets if i in f)) for i in every}
+    for g in sorted(gens[min(ray)] for ray in least if not any(f < ray for f in least)):
+        if all(len(_eliminate([g, a])[0]) > 1 for a in ideal.generators):
+            return (
+                f"no ideal generator lies on the extremal ray through {g}; "
+                "the colength is infinite"
+            )
+
+
+@st.composite
+def ray_ideals(draw):
+    """Pairs whose ideal may miss rays, a fifth of them with the zero vector
+    added to the ideal, which makes it the unit ideal."""
+    spec, ideal = draw(st.one_of(
+        semigroup_ideals(cones(), multiples=True),
+        semigroup_ideals(cones()),
+        semigroup_ideals(embedded_semigroups()),
+    ))
+    if draw(st.integers(0, 4)) == 0:
+        ideal = MonomialIdealSpec.build([*ideal.generators, (0,) * spec.rank])
+    return spec, ideal
+
+
+TILTED = (
+    SemigroupSpec.build(3, [(1, 1, 1), (2, 1, 3), (2, 3, 1), (0, 0, 1)], (1, 1, 1), 2),
+    MonomialIdealSpec.build([(0, 0, 1)]),
+)
+POLY4 = SemigroupSpec.build(4, [tuple(int(i == j) for i in range(4)) for j in range(4)], (1,) * 4, 2)
+
+
+@settings(max_examples=200, deadline=None)
+@given(ray_ideals())
+@example((SEGRE, MonomialIdealSpec.build([(0, 0, 0)])))  # the unit ideal
+# (1, 1, 0, 0) and (2, 1, 0) lie inside a 2-face, on no ray of it
+@example((POLY4, MonomialIdealSpec.build([(1, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)])))
+@example((SEGRE, MonomialIdealSpec.build([(2, 1, 0), (1, 0, 1), (1, 1, 1)])))
+# the cone of SEGRE has four rays and four facets: it is not simplicial
+@example(maximal_ideal(SEGRE))
+@example((SEGRE, MonomialIdealSpec.build([(1, 0, 0), (1, 1, 0), (1, 0, 1)])))
+@example(maximal_ideal(RAY_PAIR))
+@example(INNER)
+# (1, 1, 1) lies inside the 2-face of (2, 1, 3) and (2, 3, 1), which holds no
+# ideal generator, and sorts before both: the refusal names a ray, (2, 1, 3)
+@example(TILTED)
+# both rays miss the ideal; the one through (2, 0) and (1, 0) is named by
+# (2, 0), its least-index generator, so it sorts after (1, 1)
+@example((
+    SemigroupSpec.build(2, [(2, 0), (1, 1), (1, 0)], (1, 1), 2),
+    MonomialIdealSpec.build([(3, 1)]),
+))
+def test_ray_coverage_refuses_what_the_rank_test_refused(spec_ideal):
+    spec, ideal = spec_ideal
+    want = rank_test_refusal(spec, ideal)
+    pair = LatticePair(spec, ideal)
+    if want is None:
+        assert pair.containment_exponent() >= 1
+    else:
+        with pytest.raises(ValidationError) as err:
+            pair.containment_exponent()
+        assert err.value.args[0] == want
 
 
 @settings(max_examples=150, deadline=None)

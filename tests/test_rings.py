@@ -55,8 +55,18 @@ def test_veronese_view_refused_when_its_occupied_degrees_have_a_larger_gcd():
     # gcd 2, where the n0 it takes from its base is 1
     view = VeroneseRing(CompleteIntersectionRing.build((5, 6, 6), (10,)), 3)
     assert view.n0 == 1
-    with pytest.raises(ValidationError, match=r"have gcd 2, expected 1$"):
+    # the window is the base's 72 // 3 + 2 = 26, past max(e) = 6
+    with pytest.raises(ValidationError, match=r"^occupied degrees up to 26 have gcd 2, expected 1$"):
         hilbert_function(view)
+
+
+def test_veronese_gcd_window_reaches_the_largest_generator_degree():
+    # view degree m of (19, 19) by 300 reads base degree 300 m, occupied iff
+    # 19 | m.  The base's window 722 // 300 + 2 = 4 holds no occupied degree;
+    # max(e) = 19 holds one
+    view = VeroneseRing(CompleteIntersectionRing.build((19, 19)), 300)
+    assert view.gcd_window() == 19
+    assert hilbert_function(view).n0 == 19 and leading_coefficient(view) == 300
 
 
 def test_a2_invariant_hilbert_matches_monomial_count():
@@ -375,7 +385,10 @@ def ref_hilbert_function(spec) -> RefHilbertFunction:
 
 def ref_gcd_window(spec) -> int:
     if isinstance(spec, VeroneseRing):
-        return max(1, ref_gcd_window(spec.base) // spec.factor + 2)
+        bottom = spec.base
+        while isinstance(bottom, VeroneseRing):
+            bottom = bottom.base
+        return max(ref_gcd_window(spec.base) // spec.factor + 2, max(bottom.gen_degrees))
     mx = max(spec.gen_degrees)
     return max(2 * mx * mx, 2 * (sum(spec.gen_degrees) + sum(spec.rel_degrees)), 64)
 
@@ -445,7 +458,7 @@ def _observe(ring, hilbert, leading, top: int) -> list:
 
 @settings(max_examples=150, deadline=None)
 @given(ring_views())
-@example(VeroneseRing(CompleteIntersectionRing.build((19, 19)), 300))  # valid, refused by the window guess
+@example(VeroneseRing(CompleteIntersectionRing.build((19, 19)), 300))  # n0 = 19, ehat = 300
 @example(VeroneseRing(VeroneseRing(a_inv(2), 2), 3))
 @example(CompleteIntersectionRing.build((2, 2), (3,)))  # not a regular sequence
 @example(CompleteIntersectionRing.build((1,), ()))  # dimension 1
