@@ -42,7 +42,6 @@ from .resolution import (
 )
 from .rings import (
     CompleteIntersectionRing,
-    SemigroupRing,
     VeroneseRing,
     leading_coefficient,
     parse_ring_json,
@@ -83,7 +82,6 @@ __all__ = [
     "MonomialIdealSpec",
     "PiecewisePoly",
     "Polynomial",
-    "SemigroupRing",
     "SemigroupSpec",
     "ValidationError",
     "VeroneseRing",

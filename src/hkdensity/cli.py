@@ -166,14 +166,16 @@ def _load_lattice_pair(path: str, cap: int | None = None) -> LatticePair:
 
 
 def _parse_ints(text: str, what: str) -> list[int]:
-    """The integers of a comma-separated flag value, at least one; ``what``
-    names the flag."""
+    """The integers of a comma-separated flag value, at least one, each
+    >= 1; ``what`` names the flag."""
     try:
         out = [int(part) for part in text.split(",") if part.strip()]
     except ValueError:
         out = []
     if not out:
         raise InputError(f"{what} must be one or more comma-separated integers, got {text!r}")
+    if min(out) < 1:
+        raise InputError(f"{what} must be >= 1, got {text!r}")
     return out
 
 
@@ -237,8 +239,6 @@ def _run_density_empirical(ns: argparse.Namespace) -> str:
 
 def _run_compare(ns: argparse.Namespace) -> str:
     levels = _parse_ints(ns.levels, "levels")
-    if any(n < 1 for n in levels):
-        raise InputError(f"levels must be >= 1, got {ns.levels!r}")
     _check_max_points(ns)
     pair = _load_lattice_pair(ns.spec, cap=ns.max_points)
     reference = None
@@ -426,7 +426,8 @@ def _build_parser() -> _Parser:
     p = add("hn2", "dimension-2 density from Harder-Narasimhan data", _run_hn2)
     p.add_argument("--in", dest="infile", required=True, help="HN JSON")
     p.add_argument(
-        "--twists", help="comma-separated generator degrees; subtracts the twisted line-bundle sum"
+        "--twists",
+        help="comma-separated generator degrees, each >= 1; subtracts the twisted line-bundle sum",
     )
 
     p = add("integrate", "integral of a density JSON", _run_integrate)

@@ -112,6 +112,9 @@ def dim2_pair_density(v: HNData, twist_degrees) -> PiecewisePoly:
     sequence; the result is the HK density of the underlying graded pair."""
     slope_ranks: dict[Fraction, int] = {}
     for deg in twist_degrees:
+        # a generator of degree 0 is a unit, and then I = R
+        if deg < 1:
+            raise ValidationError(f"twist degree {deg} must be >= 1")
         slope = Fraction((1 - deg) * v.d)
         slope_ranks[slope] = slope_ranks.get(slope, 0) + 1
     summand = HNData.build(

@@ -272,6 +272,19 @@ class SemigroupSpec:
         )
         return Fraction(self.n0 ** d * volume, factorial(d - 1) * den)
 
+    def hilbert(self, upto: int) -> list[int]:
+        # Each extension enumerates afresh and keeps only the counts: the
+        # HilbertFunction lives in the process-wide hilbert_function cache,
+        # and an enumeration kept there would live as long as the process.
+        # The doubling in HilbertFunction.__call__ bounds the rebuild cost.
+        enum = SemigroupEnumeration(self, upto)
+        return [enum.points(m) for m in range(upto + 1)]
+
+    def gcd_window(self) -> None:
+        # n0 is exact: the occupied degrees are a submonoid of N holding
+        # every large multiple of its gcd, so there is nothing to check
+        return None
+
     @staticmethod
     def from_json(data: dict) -> "SemigroupSpec":
         json_keys(data, "semigroup", "rank gens weights p")

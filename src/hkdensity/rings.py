@@ -2,8 +2,8 @@
 
 Three ring descriptions are supported: graded complete intersections
 (generator and relation degrees, Hilbert series prod(1-t^c)/prod(1-t^e)),
-affine semigroup rings (delegating counts to the lattice module), and
-Veronese views of either.  Each kind answers for itself: ``dim``, ``n0``,
+affine semigroup rings (a ``lattice.SemigroupSpec`` is the ring itself),
+and Veronese views of either.  Each kind answers for itself: ``dim``, ``n0``,
 ``ehat()``, ``hilbert(upto)`` (dim_k R_m for m = 0..upto) and
 ``gcd_window()``, the degrees over which ``hilbert_function`` checks that
 the occupied degrees have gcd n0 (None where n0 is exact).
@@ -24,7 +24,7 @@ from math import factorial, gcd, prod
 
 from .errors import DomainError, InputError, ValidationError
 from .exact import json_get, json_int, json_ints, json_keys
-from .lattice import SemigroupEnumeration, SemigroupSpec
+from .lattice import SemigroupSpec
 
 
 @dataclass(frozen=True)
@@ -88,37 +88,6 @@ class CompleteIntersectionRing:
 
 
 @dataclass(frozen=True)
-class SemigroupRing:
-    """A semigroup ring, graded by the weight vector of its lattice spec."""
-
-    spec: SemigroupSpec
-
-    @property
-    def dim(self) -> int:
-        return self.spec.dim
-
-    @property
-    def n0(self) -> int:
-        return self.spec.n0
-
-    def ehat(self) -> Fraction:
-        return self.spec.ehat()
-
-    def hilbert(self, upto: int) -> list[int]:
-        # Each extension enumerates afresh and keeps only the counts: the
-        # HilbertFunction lives in the process-wide hilbert_function cache,
-        # and an enumeration kept there would live as long as the process.
-        # The doubling in HilbertFunction.__call__ bounds the rebuild cost.
-        enum = SemigroupEnumeration(self.spec, upto)
-        return [enum.points(m) for m in range(upto + 1)]
-
-    def gcd_window(self) -> None:
-        # n0 is exact: the occupied degrees are a submonoid of N holding
-        # every large multiple of its gcd, so there is nothing to check
-        return None
-
-
-@dataclass(frozen=True)
 class VeroneseRing:
     """Degree-n Veronese: keeps only the components in degrees divisible by
     the factor, reindexed so component m reads base component m * factor."""
@@ -161,7 +130,7 @@ class VeroneseRing:
         return None if window is None else max(window // self.factor + 2, max(bottom.gen_degrees))
 
 
-RingSpec = CompleteIntersectionRing | SemigroupRing | VeroneseRing
+RingSpec = CompleteIntersectionRing | SemigroupSpec | VeroneseRing
 
 
 class HilbertFunction:
@@ -220,7 +189,7 @@ def parse_ring_json(data: dict) -> RingSpec:
         )
     if kind == "semigroup":
         json_keys(body, "semigroup ring", "type semigroup")
-        return SemigroupRing(SemigroupSpec.from_json(json_get(body, "semigroup", "semigroup ring")))
+        return SemigroupSpec.from_json(json_get(body, "semigroup", "semigroup ring"))
     if kind == "veronese":
         json_keys(body, "veronese ring", "type base factor")
         return VeroneseRing(

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -203,6 +204,18 @@ def test_e8_verdict_clean():
     # printed pieces: x/30, 1/5, (16-x)/30, (31-2x)/30 with breaks 6,10,15,31/2
     assert pair.f.breakpoints == (F(0), F(6), F(10), F(15), F(31, 2))
     assert pair.f(8) == F(1, 5)
+
+
+def test_verdict_notes_a_derived_ehk_off_the_expected_and_printed_values():
+    # E8 with the A_2 table: the closed form is built on E8's ring, whose
+    # e_HK 1/40 matches neither 2 - 1/120 nor the printed 239/120
+    entry = dataclasses.replace(catalog_entry("E8"), betti=catalog_entry("A", 2).betti)
+    pair, verdict = catalog_density(entry)
+    assert pair.ehk == verdict.ehk == F(1, 40)
+    assert not verdict.ehk_matches_expected and not verdict.ehk_matches_printed
+    assert "derived e_HK 1/40 != 2 - 1/rank = 239/120" in verdict.notes
+    assert "derived e_HK 1/40 != printed value 239/120" in verdict.notes
+    assert verdict.clean is False
 
 
 def test_minor_checks():

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hkdensity.catalog import catalog_density, catalog_entry, catalog_lattice_crosscheck
 from hkdensity.cli import _csv_text, _dec, _json_text, main
 from hkdensity.exact import PiecewisePoly, Polynomial, rat, rat_str
 from hkdensity.lattice import SemigroupEnumeration
@@ -185,6 +186,24 @@ def test_compare_csv_and_thread_byte_identity(tmp_path, capsys):
         assert float(rat(cells[4])) == float(cells[5])
 
 
+def test_compare_against_a_reference_matches_the_catalog_crosscheck(tmp_path, capsys):
+    # the A_2 pair in characteristic 3 against the catalog's derived A_2
+    # density: the sup and integral columns are the crosscheck's rows
+    entry = catalog_entry("A", 2)
+    pair = {**A2_INVARIANT_PAIR, "semigroup": {**A2_INVARIANT_PAIR["semigroup"], "p": 3}}
+    spec = write(tmp_path, "a2.json", pair)
+    ref = write(tmp_path, "ref.json", {"density": catalog_density(entry)[0].f.to_json()})
+    code, out, err = run_cli(capsys, ["compare", "--spec", spec, "--levels", "1,2", "--reference", ref])
+    assert code == 0 and err == ""
+    want = [
+        [str(r.level), str(r.q), rat_str(r.sup_distance), _dec(r.sup_distance),
+         rat_str(r.integral), _dec(r.integral)]
+        for r in catalog_lattice_crosscheck(entry, 3, [1, 2])
+    ]
+    assert [row.split(",") for row in out.splitlines()[1:]] == want
+    assert [row[1] for row in want] == ["3", "9"]
+
+
 def test_segre_command(tmp_path, capsys):
     a = write(tmp_path, "a.json", TENT_PAIR)
     b = write(tmp_path, "b.json", TENT_PAIR)
@@ -315,6 +334,11 @@ def test_integer_list_flags_refuse_an_empty_list(tmp_path, capsys, argv, spec):
         (["sample", "--count", "1", "--in"], "count must be >= 2, got 1"),
         (["density-empirical", "--level", "1", "--max-points", "0", "--in"], "max-points must be >= 1, got 0"),
         (["compare", "--levels", "1", "--max-points", "0", "--spec"], "max-points must be >= 1, got 0"),
+        (["compare", "--levels", "0", "--spec"], "levels must be >= 1, got '0'"),
+        (["compare", "--levels", "1,x", "--spec"], "levels must be one or more comma-separated integers, got '1,x'"),
+        (["rescale", "--l0", "0", "--rank", "1", "--in"], "l0 and rank must be >= 1"),
+        # a generator of degree 0 is a unit: the twist sum would not describe I
+        (["hn2", "--twists", "0", "--in"], "twists must be >= 1, got '0'"),
     ],
 )
 def test_bad_flag_reported_before_reading_the_input(tmp_path, capsys, argv, message):
@@ -324,6 +348,17 @@ def test_bad_flag_reported_before_reading_the_input(tmp_path, capsys, argv, mess
     assert code == 1 and out == ""
     report = json.loads(err)
     assert report == {"error": "InputError", "message": message}
+
+
+@pytest.mark.parametrize("name", ["absent.json", "."])
+def test_unreadable_input_reported(tmp_path, capsys, name):
+    # a missing file, and a directory given as a file
+    path = str(tmp_path / name)
+    code, out, err = run_cli(capsys, ["integrate", "--in", path])
+    assert code == 1 and out == ""
+    report = json.loads(err)
+    assert report["error"] == "InputError"
+    assert report["message"].startswith(f"cannot read {path}: ")
 
 
 def test_integrate_command(tmp_path, capsys):

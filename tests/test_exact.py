@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hkdensity.errors import InputError, ValidationError
+from hkdensity.errors import DomainError, InputError, ValidationError
 from hkdensity.exact import (
     P_ZERO,
     PiecewisePoly,
@@ -342,6 +342,18 @@ def test_pw_rescale_arg():
     assert pw_integrate(r) == F(3, 2) * pw_integrate(f)
 
 
+def test_pw_rescale_arg_rescales_the_tail_and_refuses_c_at_most_0():
+    # F(x) = x past 0: 3 F(2 x) = 6 x, the tail included
+    f = PiecewisePoly.monomial_tail(F(1), 1)
+    r = pw_rescale_arg(f, 2, 3)
+    assert r.tail == Polynomial.of(0, 6)
+    for x in (F(0), F(1, 3), F(5)):
+        assert r(x) == 3 * f(2 * x)
+    for c in (0, -1, "-1/2"):
+        with pytest.raises(DomainError, match="argument rescale factor must be positive"):
+            pw_rescale_arg(tent(), c, 1)
+
+
 @given(
     st.integers(min_value=1, max_value=6),
     st.integers(min_value=1, max_value=6),
@@ -387,6 +399,16 @@ def test_sup_distance_exact_on_linear_pieces():
     # shifted tent peak
     h = pw_rescale_arg(f, 1, F(1, 2))
     assert pw_sup_distance(f, h) == F(1, 2)
+
+
+def test_sup_distance_reads_a_constant_tail_and_refuses_a_linear_one():
+    # references 0 on [0, 2), then constant: the sup is the tent's peak 1
+    # or the tail's value, whichever is larger
+    for tail, want in ((3, 3), (F(1, 2), 1)):
+        step = PiecewisePoly.build([F(0), F(2)], [Polynomial.of(0)], Polynomial.of(tail))
+        assert pw_sup_distance(tent(), step) == pw_sup_distance(step, tent()) == want
+    with pytest.raises(ValidationError, match=r"^sup distance is unbounded \(divergent tails\)$"):
+        pw_sup_distance(PiecewisePoly.monomial_tail(F(1), 1), tent())
 
 
 def test_sup_distance_symmetry_and_identity():

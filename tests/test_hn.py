@@ -97,6 +97,14 @@ def test_pair_density_negativity_guard():
         dim2_pair_density(v, (2, 2))
 
 
+def test_pair_density_refuses_a_twist_below_one():
+    # a generator of degree 0 is a unit: I = R, outside the syzygy sequence
+    v = HNData.build([(-1, 1)], 1)
+    for twists in ((0,), (1, 1, -2)):
+        with pytest.raises(ValidationError, match=r"^twist degree -?\d must be >= 1$"):
+            dim2_pair_density(v, twists)
+
+
 def test_pair_density_trivial_case():
     assert dim2_pair_density(HNData((), 1), ()) == PiecewisePoly.zero()
 

@@ -185,6 +185,15 @@ def test_invariant_a3_colengths_q2():
     assert cols == [1, 0, 1, 2, 0, 2, 0, 0, 0]
 
 
+def test_colength_by_degree_checks_q_before_reading_m():
+    pair = koszul_pair()  # p = 2
+    with pytest.raises(ValidationError, match=r"^q = 6 is not a power of the configured characteristic p = 2$"):
+        pair.colength_by_degree(6, -1)
+    with pytest.raises(ValidationError, match=r"^q must be a positive power of p, got 0$"):
+        pair.colength_by_degree(0, -1)
+    assert pair.colength_by_degree(2, -1) == 0
+
+
 def test_colengths_up_to_matches_per_degree():
     pair = LatticePair(a_spec(3, 5), MonomialIdealSpec.build([(1, 1), (3, 0), (0, 3)]))
     assert pair.colengths_up_to(5, 30) == [pair.colength_by_degree(5, m) for m in range(31)]

@@ -12,7 +12,6 @@ from hkdensity.errors import DomainError, InputError, ValidationError
 from hkdensity.lattice import SemigroupEnumeration, SemigroupSpec
 from hkdensity.rings import (
     CompleteIntersectionRing,
-    SemigroupRing,
     VeroneseRing,
     hilbert_function,
     leading_coefficient,
@@ -82,9 +81,7 @@ def test_a2_invariant_hilbert_matches_monomial_count():
 
 def test_a3_invariant_hilbert_matches_semigroup_count():
     ci = hilbert_function(a_inv(3))
-    sg = hilbert_function(
-        SemigroupRing(SemigroupSpec.build(2, [(1, 1), (3, 0), (0, 3)], (1, 1), 5))
-    )
+    sg = hilbert_function(SemigroupSpec.build(2, [(1, 1), (3, 0), (0, 3)], (1, 1), 5))
     for m in range(0, 25):
         assert ci(m) == sg(m), m
     assert ci.n0 == sg.n0 == 1
@@ -111,9 +108,7 @@ def test_leading_coefficient_semigroup_matches_ci():
     # the cone volume of the toric model must agree with the
     # complete-intersection closed form
     for n in (2, 3, 5):
-        sg = SemigroupRing(
-            SemigroupSpec.build(2, [(1, 1), (n, 0), (0, n)], (1, 1), 5)
-        )
+        sg = SemigroupSpec.build(2, [(1, 1), (n, 0), (0, n)], (1, 1), 5)
         assert leading_coefficient(sg) == leading_coefficient(a_inv(n)), n
 
 
@@ -174,16 +169,16 @@ SEGRE_GENS = [(1, 0, 0), (1, 1, 0), (1, 0, 1), (1, 1, 1)]
     ],
 )
 def test_leading_coefficient_semigroup_pinned(spec, want):
-    assert leading_coefficient(SemigroupRing(spec)) == want
+    assert leading_coefficient(spec) == want
 
 
 def test_leading_coefficient_semigroup_veronese():
-    a3 = SemigroupRing(SemigroupSpec.build(2, [(1, 1), (3, 0), (0, 3)], (1, 1), 5))
+    a3 = SemigroupSpec.build(2, [(1, 1), (3, 0), (0, 3)], (1, 1), 5)
     assert leading_coefficient(VeroneseRing(a3, 2)) == F(2, 3)
     assert leading_coefficient(VeroneseRing(a3, 2)) == leading_coefficient(VeroneseRing(a_inv(3), 2))
     # no degree below 70 is occupied, so a gcd check over a window of the
     # first 66 degrees would reject this ring
-    wide = SemigroupRing(SemigroupSpec.build(2, [(1, 0), (0, 1)], (70, 71), 2))
+    wide = SemigroupSpec.build(2, [(1, 0), (0, 1)], (70, 71), 2)
     assert leading_coefficient(VeroneseRing(wide, 1)) == F(1, 4970)
 
 
@@ -205,14 +200,14 @@ def enumerations(monkeypatch) -> list:
 
 
 def test_leading_coefficient_semigroup_enumerates_nothing(enumerations):
-    assert leading_coefficient(SemigroupRing(SemigroupSpec.build(3, SEGRE_GENS, (1, 0, 0), 13))) == 1
+    assert leading_coefficient(SemigroupSpec.build(3, SEGRE_GENS, (1, 0, 0), 13)) == 1
     assert enumerations == []
 
 
 def test_leading_coefficient_semigroup_veronese_enumerates_nothing(enumerations):
     # n0 of a Veronese view of a semigroup ring is exact, so no window of
     # the base is enumerated to check it
-    a3 = SemigroupRing(SemigroupSpec.build(2, [(1, 1), (3, 0), (0, 3)], (1, 1), 17))
+    a3 = SemigroupSpec.build(2, [(1, 1), (3, 0), (0, 3)], (1, 1), 17)
     assert leading_coefficient(VeroneseRing(a3, 2)) == F(2, 3)
     assert enumerations == []
 
@@ -291,6 +286,15 @@ def test_parse_ring_json_round_trip():
         parse_ring_json({"type": "ci"})
 
 
+def test_parse_ring_json_reads_a_semigroup_ring_as_its_spec():
+    body = {"rank": 2, "gens": [[1, 1], [2, 0], [0, 2]], "weights": [1, 1], "p": 5}
+    for data in ({"type": "semigroup", "semigroup": body},
+                 {"ring": {"type": "semigroup", "semigroup": body}}):
+        ring = parse_ring_json(data)
+        assert type(ring) is SemigroupSpec and ring == SemigroupSpec.from_json(body)
+    assert leading_coefficient(ring) == 2
+
+
 @given(st.integers(min_value=1, max_value=4), st.integers(min_value=1, max_value=4))
 def test_koszul_numerator_consistency(a, b):
     # complete intersection k[x,y]/(f) with deg f = a + b has the Hilbert
@@ -362,10 +366,8 @@ def ref_hilbert_function(spec) -> RefHilbertFunction:
         h = RefHilbertFunction(ref_ci_extender(spec), spec.dim, n0)
         ref_verify_gcd(h, n0, ref_gcd_window(spec))
         return h
-    if isinstance(spec, SemigroupRing):
-        return RefHilbertFunction(
-            ref_semigroup_extender(spec.spec), spec.spec.dim, spec.spec.n0
-        )
+    if isinstance(spec, SemigroupSpec):
+        return RefHilbertFunction(ref_semigroup_extender(spec), spec.dim, spec.n0)
     if isinstance(spec, VeroneseRing):
         base = ref_hilbert_function(spec.base)
         n0 = base.n0 // gcd(base.n0, spec.factor)
@@ -377,7 +379,7 @@ def ref_hilbert_function(spec) -> RefHilbertFunction:
         bottom = spec.base
         while isinstance(bottom, VeroneseRing):
             bottom = bottom.base
-        if not isinstance(bottom, SemigroupRing):
+        if not isinstance(bottom, SemigroupSpec):
             ref_verify_gcd(h, n0, ref_gcd_window(spec))
         return h
     raise InputError(f"unknown ring spec {type(spec).__name__}")
@@ -409,8 +411,8 @@ def ref_degreewise_leading(spec) -> Fraction:
         n0 = gcd(*spec.gen_degrees)
         num = prod(spec.rel_degrees) if spec.rel_degrees else 1
         return Fraction(n0 * num, factorial(spec.dim - 1) * prod(spec.gen_degrees))
-    if isinstance(spec, SemigroupRing):
-        return spec.spec.ehat() / spec.spec.n0 ** (spec.dim - 1)
+    if isinstance(spec, SemigroupSpec):
+        return spec.ehat() / spec.n0 ** (spec.dim - 1)
     return ref_degreewise_leading(spec.base) * spec.factor ** (spec.dim - 1)
 
 
@@ -432,7 +434,7 @@ def ci_rings(draw):
 def ring_views(draw):
     """A CI or semigroup ring, or a Veronese view of one, nested at most
     once; the factors of a nested view multiply to at most 300."""
-    ring = draw(st.one_of(ci_rings(), small_semigroups().map(SemigroupRing)))
+    ring = draw(st.one_of(ci_rings(), small_semigroups()))
     budget = 300
     for _ in range(draw(st.integers(0, 2))):
         factor = draw(st.integers(1, budget))
@@ -471,7 +473,7 @@ def test_ring_kinds_match_reference(ring):
     while isinstance(bottom, VeroneseRing):
         bottom, factor = bottom.base, factor * bottom.factor
     top = 60
-    if isinstance(bottom, SemigroupRing):
+    if isinstance(bottom, SemigroupSpec):
         top = 60 // factor if factor <= 4 else -1
     got = _observe(ring, hilbert_function, leading_coefficient, top)
     assert got == _observe(ring, ref_hilbert_function, ref_leading_coefficient, top)
