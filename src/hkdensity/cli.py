@@ -165,29 +165,30 @@ def _load_lattice_pair(path: str, cap: int | None = None) -> LatticePair:
     )
 
 
-def _parse_ints(text: str, what: str) -> list[int]:
-    """The integers of a comma-separated flag value, at least one, each
-    >= 1; ``what`` names the flag."""
-    try:
-        out = [int(part) for part in text.split(",") if part.strip()]
-    except ValueError:
-        out = []
-    if not out:
-        raise InputError(f"{what} must be one or more comma-separated integers, got {text!r}")
-    if min(out) < 1:
-        raise InputError(f"{what} must be >= 1, got {text!r}")
-    return out
+# The least value of each integer flag, by dest, checked in this order after
+# parsing and before any handler reads a file.  levels and twists come in as
+# comma-separated text and go on as lists.  A bad HKDL_MAX_POINTS is no flag:
+# lattice.enumeration_cap refuses it (exit 2).
+_LEAST = {"level": 1, "levels": 1, "max_points": 1, "l0": 1, "rank": 1, "twists": 1, "count": 2}
+
+
+def _check_flags(ns: argparse.Namespace) -> None:
+    for dest, least in _LEAST.items():
+        value, flag = getattr(ns, dest, None), dest.replace("_", "-")
+        ints = [value]
+        if isinstance(value, str):
+            try:
+                ints = [int(part) for part in value.split(",") if part.strip()]
+            except ValueError:
+                ints = []
+            if not ints:
+                raise InputError(f"{flag} must be one or more comma-separated integers, got {value!r}")
+            setattr(ns, dest, ints)
+        if value is not None and min(ints) < least:
+            raise InputError(f"{flag} must be >= {least}, got {value!r}")
 
 
 # ---------------------------------------------------------------- handlers
-# Each handler checks its own flags before it reads any file, so a bad flag
-# is reported ahead of a bad input file.
-
-
-def _check_max_points(ns: argparse.Namespace) -> None:
-    # a bad HKDL_MAX_POINTS is no flag: lattice.enumeration_cap refuses it (exit 2)
-    if ns.max_points is not None and ns.max_points < 1:
-        raise InputError(f"max-points must be >= 1, got {ns.max_points}")
 
 
 def _run_density_betti(ns: argparse.Namespace) -> str:
@@ -219,9 +220,6 @@ def _run_density_betti(ns: argparse.Namespace) -> str:
 
 
 def _run_density_empirical(ns: argparse.Namespace) -> str:
-    if ns.level < 1:
-        raise InputError(f"level must be >= 1, got {ns.level}")
-    _check_max_points(ns)
     pair = _load_lattice_pair(ns.infile, cap=ns.max_points)
     approx = pair.build_approximant(ns.level)
     integral = approx.integral
@@ -238,13 +236,11 @@ def _run_density_empirical(ns: argparse.Namespace) -> str:
 
 
 def _run_compare(ns: argparse.Namespace) -> str:
-    levels = _parse_ints(ns.levels, "levels")
-    _check_max_points(ns)
     pair = _load_lattice_pair(ns.spec, cap=ns.max_points)
     reference = None
     if ns.reference is not None:
         reference = _load_density(ns.reference)
-    rows = pair.convergence_report(levels, reference=reference)
+    rows = pair.convergence_report(ns.levels, reference=reference)
     header = [
         "level",
         "q",
@@ -273,8 +269,6 @@ def _run_segre(ns: argparse.Namespace) -> str:
 
 
 def _run_rescale(ns: argparse.Namespace) -> str:
-    if ns.l0 < 1 or ns.rank < 1:
-        raise InputError("l0 and rank must be >= 1")
     f = _load_density(ns.infile)
     out = rescale_density(f, ns.l0, ns.rank)
     return _json_text({"command": "rescale", **_density_payload(out, pw_integrate(out))})
@@ -329,9 +323,8 @@ def _run_catalog(ns: argparse.Namespace) -> str:
 
 
 def _run_hn2(ns: argparse.Namespace) -> str:
-    twists = None if ns.twists is None else _parse_ints(ns.twists, "twists")
     v = HNData.from_json(_read_json(ns.infile))
-    f = hn_density(v) if twists is None else dim2_pair_density(v, twists)
+    f = hn_density(v) if ns.twists is None else dim2_pair_density(v, ns.twists)
     return _json_text({"command": "hn2", **_density_payload(f, pw_integrate(f))})
 
 
@@ -349,8 +342,6 @@ def _run_integrate(ns: argparse.Namespace) -> str:
 
 def _run_sample(ns: argparse.Namespace) -> str:
     k = ns.count
-    if k < 2:
-        raise InputError(f"count must be >= 2, got {k}")
     f = _load_density(ns.infile)
     if f.support_end == 0:
         raise ValidationError(
@@ -448,6 +439,7 @@ def _report(exc: Exception, **extra) -> None:
 def main(argv: list[str] | None = None) -> int:
     try:
         ns = _build_parser().parse_args(argv)
+        _check_flags(ns)
         _emit(ns.handler(ns), ns.out)
         return 0
     except CapacityError as exc:

@@ -67,6 +67,8 @@ _MAX_POINTS_ENV = "HKDL_MAX_POINTS"
 # the bits that bitset buckets may span per point enumerated: 64 bytes,
 # under the 80 to 100 bytes that a code costs in a set
 _BITS_PER_POINT = 512
+# a degree bound from here up (over 1000 digits) is not printed in a refusal
+_UNPRINTED_BOUND = 10**1000
 
 
 def enumeration_cap(cap: int | None = None) -> int:
@@ -467,7 +469,7 @@ class SemigroupEnumeration:
         Either error names max_degree, the bound asked for.
         """
         if max_degree >= self._ceiling:
-            raise self._capacity_error(max_degree)
+            raise self._capacity_error(f"degree bound {max_degree}")
         for m in range(max_degree + 1):
             if m == len(self.by_degree):
                 if m > self._bound:  # dense, with two slice coordinates or more
@@ -479,7 +481,7 @@ class SemigroupEnumeration:
                 bucket = self._union(m, self._gens)
                 size = self._size(bucket)
                 if self.count + size > self.cap:
-                    raise self._capacity_error(max_degree)
+                    raise self._capacity_error(f"degree bound {max_degree}")
                 self.by_degree.append(bucket)
                 self.count += size
                 if self._dense:
@@ -491,10 +493,10 @@ class SemigroupEnumeration:
         for _ in self.degrees(max_degree):
             pass
 
-    def _capacity_error(self, max_degree: int) -> CapacityError:
+    def _capacity_error(self, bound: str) -> CapacityError:
         return CapacityError(
             f"semigroup enumeration exceeded cap of {self.cap} points "
-            f"(degree bound {max_degree}); raise {_MAX_POINTS_ENV} "
+            f"({bound}); raise {_MAX_POINTS_ENV} "
             f"or lower the level; every degree bound from {self._ceiling} "
             "up exceeds this cap"
         )
@@ -725,6 +727,11 @@ class LatticePair:
         bound = self.support_bound()
         max_window = int(bound * q)  # windows max_window.. are all zero
         max_degree = (max_window + 1) * n0 - 1
+        # colengths_up_to refuses a bound past the ceiling by printing it; an
+        # unprinted one is refused here, by the level, before _check_q
+        # divides q down by p level times
+        if max_degree >= max(self._enum._ceiling, _UNPRINTED_BOUND):
+            raise self._enum._capacity_error(f"level {level}, a degree bound of over 1000 digits")
         counts = self.colengths_up_to(q, max_degree)
         windows = tuple(sum(counts[i : i + n0]) for i in range(0, len(counts), n0))
         den = q ** (self.spec.dim - 1)

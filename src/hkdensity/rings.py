@@ -82,7 +82,12 @@ class CompleteIntersectionRing:
                 )
         return coeffs
 
-    def gcd_window(self) -> int:
+    def gcd_window(self) -> int | None:
+        # with no relations n0 is exact: the occupied degrees are the monoid
+        # generated by the e_i, which holds every large multiple of its gcd,
+        # and 1/prod(1 - t^e) has no negative coefficient to screen for
+        if not self.rel_degrees:
+            return None
         mx = max(self.gen_degrees)
         return max(2 * mx * mx, 2 * (sum(self.gen_degrees) + sum(self.rel_degrees)), 64)
 

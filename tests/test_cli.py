@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hkdensity.catalog import catalog_density, catalog_entry, catalog_lattice_crosscheck
-from hkdensity.cli import _csv_text, _dec, _json_text, main
+from hkdensity.cli import _LEAST, _build_parser, _csv_text, _dec, _json_text, main
 from hkdensity.exact import PiecewisePoly, Polynomial, rat, rat_str
 from hkdensity.lattice import SemigroupEnumeration
 
@@ -336,9 +336,10 @@ def test_integer_list_flags_refuse_an_empty_list(tmp_path, capsys, argv, spec):
         (["compare", "--levels", "1", "--max-points", "0", "--spec"], "max-points must be >= 1, got 0"),
         (["compare", "--levels", "0", "--spec"], "levels must be >= 1, got '0'"),
         (["compare", "--levels", "1,x", "--spec"], "levels must be one or more comma-separated integers, got '1,x'"),
-        (["rescale", "--l0", "0", "--rank", "1", "--in"], "l0 and rank must be >= 1"),
+        (["rescale", "--l0", "0", "--rank", "1", "--in"], "l0 must be >= 1, got 0"),
         # a generator of degree 0 is a unit: the twist sum would not describe I
         (["hn2", "--twists", "0", "--in"], "twists must be >= 1, got '0'"),
+        (["rescale", "--l0", "1", "--rank", "0", "--in"], "rank must be >= 1, got 0"),
     ],
 )
 def test_bad_flag_reported_before_reading_the_input(tmp_path, capsys, argv, message):
@@ -348,6 +349,63 @@ def test_bad_flag_reported_before_reading_the_input(tmp_path, capsys, argv, mess
     assert code == 1 and out == ""
     report = json.loads(err)
     assert report == {"error": "InputError", "message": message}
+
+
+def _bounded_flag_cases():
+    """(argv, file flags, dest, message) for each subcommand flag in the
+    bound table, at one below its least value, with every other bounded
+    required flag valid; the test appends the file flags."""
+    sub = next(a for a in _build_parser()._actions if a.dest == "command")
+    cases = []
+    for name, parser in sub.choices.items():
+        required = [a for a in parser._actions if a.required]
+        for flag in (a for a in parser._actions if a.dest in _LEAST):
+            least = _LEAST[flag.dest]
+            argv = [name]
+            for other in [a for a in required if a.dest in _LEAST and a is not flag] + [flag]:
+                argv += [other.option_strings[0], str(_LEAST[other.dest] - (other is flag))]
+            got = least - 1 if flag.type is int else repr(str(least - 1))
+            shown = flag.option_strings[0].lstrip("-")
+            files = [a.option_strings[0] for a in required if a.dest not in _LEAST]
+            cases.append((argv, files, flag.dest, f"{shown} must be >= {least}, got {got}"))
+    return cases
+
+
+def test_every_bounded_flag_is_refused_before_reading_the_input(tmp_path, capsys):
+    missing = str(tmp_path / "absent.json")
+    cases = _bounded_flag_cases()
+    # every entry of the table bounds a flag of some subcommand
+    assert {dest for _, _, dest, _ in cases} == set(_LEAST)
+    for argv, files, _, message in cases:
+        full = argv + [part for f in files for part in (f, missing)]
+        code, out, err = run_cli(capsys, full)
+        assert (code, out) == (1, ""), full
+        assert json.loads(err) == {"error": "InputError", "message": message}, full
+
+
+@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("level", [20_000, 10**6])
+@pytest.mark.parametrize("command", ["density-empirical", "compare"])
+def test_a_huge_level_is_a_capacity_error(tmp_path, capsys, monkeypatch, command, level, p):
+    # q = p^level puts the degree bound far past the ceiling, at over 1000
+    # digits: refused with the level named, not with the bound printed
+    monkeypatch.delenv("HKDL_MAX_POINTS", raising=False)
+    plane = {
+        "semigroup": {"rank": 2, "gens": [[1, 0], [0, 1]], "weights": [1, 1], "p": p},
+        "ideal": [[1, 0], [0, 1]],
+    }
+    inp = write(tmp_path, "plane.json", plane)
+    argv = ["density-empirical", "--in", inp, "--level", str(level)]
+    if command == "compare":
+        argv = ["compare", "--spec", inp, "--levels", str(level)]
+    code, out, err = run_cli(capsys, argv)
+    assert code == 3 and out == ""
+    assert json.loads(err) == {
+        "error": "CapacityError",
+        "message": f"semigroup enumeration exceeded cap of 50000000 points (level {level}, "
+        "a degree bound of over 1000 digits); raise HKDL_MAX_POINTS or lower the level; "
+        "every degree bound from 9999 up exceeds this cap",
+    }
 
 
 @pytest.mark.parametrize("name", ["absent.json", "."])

@@ -288,6 +288,30 @@ def test_capacity_error_names_the_ceiling():
     assert enum.count == 1
 
 
+def test_a_degree_bound_of_over_1000_digits_is_refused_unprinted(monkeypatch):
+    # on k[x,y] with (x, y) at p = 2 the degree bound is 2^(level + 1), of
+    # 1000 digits at level 3320 and of 1001 at level 3321
+    with pytest.raises(CapacityError, match=rf"\(degree bound {2**3321}\);"):
+        koszul_pair().build_approximant(3320)
+    with pytest.raises(CapacityError, match=r"\(level 3321, a degree bound of over 1000 digits\);"):
+        koszul_pair().build_approximant(3321)
+
+    def unreached(self, q):
+        raise AssertionError("q was checked")
+
+    # refused before q is divided down to 1, and with the ceiling named
+    monkeypatch.setattr(LatticePair, "_check_q", unreached)
+    for p in (2, 3):
+        pair = LatticePair(plane(p), MonomialIdealSpec.build([(1, 0), (0, 1)]), cap=DEFAULT_MAX_POINTS)
+        with pytest.raises(CapacityError) as err:
+            pair.build_approximant(20_000)
+        assert str(err.value) == (
+            f"semigroup enumeration exceeded cap of {DEFAULT_MAX_POINTS} points (level 20000, a degree "
+            "bound of over 1000 digits); raise HKDL_MAX_POINTS or lower the level; every degree "
+            "bound from 9999 up exceeds this cap"
+        )
+
+
 def loop_degree_ceiling(spec: SemigroupSpec, cap: int) -> int:
     """The hand-written binary search that ``_degree_ceiling`` replaced."""
     d = spec.dim

@@ -61,20 +61,43 @@ def test_veronese_view_refused_when_its_occupied_degrees_have_a_larger_gcd():
 
 def test_veronese_gcd_window_reaches_the_largest_generator_degree():
     # view degree m of (19, 19) by 300 reads base degree 300 m, occupied iff
-    # 19 | m.  The base's window 722 // 300 + 2 = 4 holds no occupied degree;
-    # max(e) = 19 holds one
+    # 19 | m.  A view of a polynomial ring inherits its exact n0
     view = VeroneseRing(CompleteIntersectionRing.build((19, 19)), 300)
-    assert view.gcd_window() == 19
+    assert view.gcd_window() is None
     assert hilbert_function(view).n0 == 19 and leading_coefficient(view) == 300
+    # with a relation in degree 38 the base's window is 2 * 38^2 = 2888, and
+    # 2888 // 300 + 2 = 11 holds no occupied view degree; max(e) = 38 holds 19
+    view = VeroneseRing(CompleteIntersectionRing.build((19, 19, 38), (38,)), 300)
+    assert view.gcd_window() == 38
+    assert hilbert_function(view).n0 == 19 and leading_coefficient(view) == 300
+
+
+def test_screening_a_polynomial_ring_computes_no_hilbert_values(monkeypatch):
+    # n0 of a polynomial ring, and of a view of one, is exact: no window of
+    # degrees is read, however large the generator degrees
+    calls = []
+    hilbert = CompleteIntersectionRing.hilbert
+
+    def counting(self, upto):
+        calls.append(upto)
+        return hilbert(self, upto)
+
+    monkeypatch.setattr(CompleteIntersectionRing, "hilbert", counting)
+    ring = CompleteIntersectionRing.build((1, 2001))
+    assert ring.gcd_window() is None
+    assert hilbert_function(ring).n0 == 1 and leading_coefficient(ring) == F(1, 2001)
+    view = VeroneseRing(ring, 3)
+    assert hilbert_function(view).n0 == 1 and leading_coefficient(view) == F(3, 2001)
+    assert calls == []
 
 
 def test_a2_invariant_hilbert_matches_monomial_count():
     # k[xy, x^2, y^2]: dimension of degree-m piece = #{(a,b): a+b=m, a=b mod 2}
     h = hilbert_function(a_inv(2))
     for m in range(0, 20):
-        expect = sum(1 for a in range(m + 1) if (m - 2 * a) % 2 == 0 and a <= m)
-        expect = sum(1 for a in range(m + 1) if (a - (m - a)) % 2 == 0)
-        assert h(m) == expect
+        by_a = sum(1 for a in range(m + 1) if (m - 2 * a) % 2 == 0 and a <= m)
+        by_pairs = sum(1 for a in range(m + 1) if (a - (m - a)) % 2 == 0)
+        assert h(m) == by_a == by_pairs
     assert h.n0 == 2
     assert h.dim == 2
 
