@@ -13,7 +13,6 @@ import argparse
 import sys
 
 from hkdensity.catalog import catalog_density, catalog_entry, catalog_minor_check
-from hkdensity.exact import rat_str
 
 
 def iter_entries(max_n: int):
@@ -39,13 +38,9 @@ def main(argv=None) -> int:
     for entry in iter_entries(args.max_n):
         pair, verdict = catalog_density(entry)
         minors = catalog_minor_check(entry).verdict
-        dist = (
-            "-"
-            if verdict.table_sup_distance is None
-            else rat_str(verdict.table_sup_distance)
-        )
+        dist = "-" if verdict.table_sup_distance is None else str(verdict.table_sup_distance)
         print(
-            f"{entry.label:>6} {entry.rank:>5} {rat_str(pair.ehk):>9} "
+            f"{entry.label:>6} {entry.rank:>5} {pair.ehk!s:>9} "
             f"{verdict.table_status:>12} {dist:>7} {minors:>9}"
         )
         total += 1

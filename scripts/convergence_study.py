@@ -15,7 +15,7 @@ import sys
 
 from hkdensity.catalog import catalog_density, catalog_entry
 from hkdensity.errors import CapacityError
-from hkdensity.exact import pw_sup_distance, rat_str
+from hkdensity.exact import pw_sup_distance
 from hkdensity.lattice import LatticePair, MonomialIdealSpec, SemigroupSpec
 
 
@@ -37,7 +37,7 @@ def main(argv=None) -> int:
         MonomialIdealSpec.build(gens),
     )
 
-    print(f"{entry.label} at p = {args.p}; closed-form e_HK = {rat_str(pair_closed.ehk)}")
+    print(f"{entry.label} at p = {args.p}; closed-form e_HK = {pair_closed.ehk}")
     print(f"{'level':>5} {'q':>6} {'|g_n - f|':>12} {'to printed':>12} {'integral':>10}")
     for level in range(1, args.levels + 1):
         try:
@@ -46,18 +46,18 @@ def main(argv=None) -> int:
             print(f"capped at level {level - 1} by the enumeration budget")
             break
         d_derived = pw_sup_distance(approx.g_interp, derived)
-        row = f"{level:>5} {approx.q:>6} {rat_str(d_derived):>12}"
+        row = f"{level:>5} {approx.q:>6} {d_derived!s:>12}"
         if printed is not None:
-            row += f" {rat_str(pw_sup_distance(approx.g_interp, printed)):>12}"
+            row += f" {pw_sup_distance(approx.g_interp, printed)!s:>12}"
         else:
             row += f" {'-':>12}"
-        row += f" {rat_str(approx.integral):>10}"
+        row += f" {approx.integral!s:>10}"
         print(row)
 
     if verdict.table_status == "discrepancy":
         print(
             "printed table differs from the derived one by "
-            f"{rat_str(verdict.table_sup_distance)} in sup norm"
+            f"{verdict.table_sup_distance} in sup norm"
         )
     return 0
 

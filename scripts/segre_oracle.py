@@ -15,7 +15,7 @@ import sys
 from fractions import Fraction
 
 from hkdensity.combinators import DensityPair, segre
-from hkdensity.exact import PiecewisePoly, Polynomial, rat_str
+from hkdensity.exact import PiecewisePoly, Polynomial
 from hkdensity.lattice import LatticePair, MonomialIdealSpec, SemigroupSpec
 
 
@@ -23,7 +23,7 @@ def koszul_pair() -> DensityPair:
     tent = PiecewisePoly.build(
         [0, 1, 2], [Polynomial.of(0, 1), Polynomial.of(2, -1)]
     )
-    return DensityPair(PiecewisePoly.monomial_tail(Fraction(1), 1), tent, 2)
+    return DensityPair(Fraction(1), tent, 2)
 
 
 def main(argv=None) -> int:
@@ -32,8 +32,8 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
 
     product = segre(koszul_pair(), koszul_pair())
-    print(f"combinator: d = {product.d}, e_HK = {rat_str(product.ehk)}")
-    print(f"density breakpoints: {[rat_str(b) for b in product.f.breakpoints]}")
+    print(f"combinator: d = {product.d}, e_HK = {product.ehk}")
+    print(f"density breakpoints: {[str(b) for b in product.f.breakpoints]}")
 
     gens = [(1, 0, 0), (1, 1, 0), (1, 0, 1), (1, 1, 1)]
     pair = LatticePair(
@@ -45,8 +45,8 @@ def main(argv=None) -> int:
         approx = pair.build_approximant(level)
         err = product.ehk - approx.integral
         print(
-            f"{level:>5} {approx.q:>5} {rat_str(approx.integral):>14} "
-            f"{rat_str(err):>16}"
+            f"{level:>5} {approx.q:>5} {approx.integral!s:>14} "
+            f"{err!s:>16}"
         )
         # the count sits at q(4q^2 - 1)/3, i.e. error exactly 1/(3 q^2)
         assert err == Fraction(1, 3 * approx.q**2)

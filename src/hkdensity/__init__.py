@@ -30,7 +30,6 @@ from .exact import (
     pw_integrate,
     pw_sup_distance,
     rat,
-    rat_str,
 )
 from .resolution import (
     BettiTable,
@@ -100,7 +99,6 @@ __all__ = [
     "pw_integrate",
     "pw_sup_distance",
     "rat",
-    "rat_str",
     "rescale_density",
     "segre",
     "validate_betti",

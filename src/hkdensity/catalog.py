@@ -366,10 +366,11 @@ def catalog_entry(family: str, n: int | None = None, p: int | None = None) -> Ad
 
 @dataclass(frozen=True)
 class CatalogVerdict:
-    ehk: Fraction
-    expected_ehk: Fraction
+    """How the derived pair compares with the entry: the e_HK values
+    compared are the pair's ``ehk`` and the entry's ``expected_ehk`` and
+    ``printed_ehk``."""
+
     ehk_matches_expected: bool
-    printed_ehk: Fraction | None
     ehk_matches_printed: bool | None
     table_status: str  # "agrees" | "discrepancy" | "not-printed"
     table_sup_distance: Fraction | None
@@ -392,7 +393,7 @@ def catalog_density(entry: AdeEntry) -> tuple[DensityPair, CatalogVerdict]:
     ring = entry.ring
     ehat, l0 = ring.ehat(), ring.n0
     f = closed_form_density(entry.betti, ehat, l0)
-    pair = DensityPair(PiecewisePoly.monomial_tail(ehat, 1), f, 2)
+    pair = DensityPair(ehat, f, 2)
 
     if f.support_end != Fraction(entry.betti.max_twist(), l0):
         raise ValidationError(
@@ -424,10 +425,7 @@ def catalog_density(entry: AdeEntry) -> tuple[DensityPair, CatalogVerdict]:
                 f"its own integral is {printed_int}, not {ehk}"
             )
     verdict = CatalogVerdict(
-        ehk=ehk,
-        expected_ehk=entry.expected_ehk,
         ehk_matches_expected=matches_expected,
-        printed_ehk=entry.printed_ehk,
         ehk_matches_printed=matches_printed,
         table_status=status,
         table_sup_distance=dist,

@@ -22,7 +22,7 @@ from json.encoder import encode_basestring_ascii as _quote
 from .catalog import catalog_density, catalog_entry, catalog_minor_check
 from .combinators import DensityPair, rescale_density, segre
 from .errors import CapacityError, HKDError, InputError, ValidationError
-from .exact import PiecewisePoly, json_get, json_int, json_keys, pw_integrate, rat, rat_str
+from .exact import PiecewisePoly, json_get, json_int, json_keys, pw_integrate, rat
 from .hn import HNData, dim2_pair_density, hn_density
 from .lattice import LatticePair, MonomialIdealSpec, SemigroupSpec
 from .resolution import BettiTable, closed_form_density, ehk_closed_form
@@ -49,7 +49,8 @@ def _read_json(path: str):
 def _json_text(obj) -> str:
     """``json.dumps(obj, sort_keys=True, indent=2) + "\\n"`` for what the
     payloads hold: dicts with str keys, lists, tuples, str, int, bool and
-    None.  Anything else raises TypeError."""
+    None, with a Fraction written as its 'num/den' string and a value with
+    ``to_json()`` as what that returns.  Anything else raises TypeError."""
     out: list[str] = []
     _json_write(obj, out, "\n")
     out.append("\n")
@@ -92,13 +93,18 @@ def _json_write(obj, out: list[str], newline: str) -> None:
             _json_write(obj[key], out, inner)
             sep = "," + inner
         out.append(newline + "}")
+    elif isinstance(obj, Fraction):  # after the containers: an ABC check costs more
+        out.append(_quote(str(obj)))
+    elif hasattr(obj, "to_json"):
+        _json_write(obj.to_json(), out, newline)
     else:
         raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
-def _csv_text(header: list[str], rows: list[list[str]]) -> str:
-    # no field holds a comma, a quote or a line break, so none is quoted
-    return "".join(",".join(row) + "\n" for row in [header, *rows])
+def _csv_text(header: list[str], rows: list[list]) -> str:
+    # cells are written by str(); no field holds a comma, a quote or a line
+    # break, so none is quoted
+    return "".join(",".join(map(str, row)) + "\n" for row in [header, *rows])
 
 
 def _dec(x) -> str:
@@ -122,10 +128,10 @@ def _emit(text: str, out: str | None) -> None:
 
 def _density_payload(f: PiecewisePoly, integral: Fraction) -> dict:
     return {
-        "density": f.to_json(),
-        "integral": rat_str(integral),
+        "density": f,
+        "integral": integral,
         "integral_decimal": _dec(integral),
-        "support_end": rat_str(f.support_end),
+        "support_end": f.support_end,
     }
 
 
@@ -137,20 +143,27 @@ def _load_density(path: str) -> PiecewisePoly:
 def _load_pair(path: str) -> DensityPair:
     data = _read_json(path)
     what = f"{path}: density pair"
-    return DensityPair(
-        PiecewisePoly.from_json(json_get(data, "F", what), f"{what} 'F'"),
-        PiecewisePoly.from_json(json_get(data, "f", what), f"{what} 'f'"),
-        json_int(json_get(data, "d", what), f"{what} 'd'"),
-    )
+    F = PiecewisePoly.from_json(json_get(data, "F", what), f"{what} 'F'")
+    f = PiecewisePoly.from_json(json_get(data, "f", what), f"{what} 'f'")
+    d = json_int(json_get(data, "d", what), f"{what} 'd'")
+    if d < 2:
+        raise ValidationError("density pairs need dimension >= 2")
+    # canonical forms are equal exactly when the functions are
+    ehat = F.tail.coeffs[-1] if F.tail is not None else 0
+    if ehat <= 0 or F != PiecewisePoly.monomial_tail(ehat, F.tail.degree):
+        raise ValidationError("envelope must be a single positive monomial ehat * x^k")
+    if F.tail.degree != d - 1:
+        raise ValidationError(f"envelope degree {F.tail.degree} != d - 1 = {d - 1}")
+    return DensityPair(ehat, f, d)
 
 
 def _pair_payload(pair: DensityPair) -> dict:
     return {
-        "F": pair.F.to_json(),
-        "f": pair.f.to_json(),
+        "F": pair.F,
+        "f": pair.f,
         "d": pair.d,
-        "ehat": rat_str(pair.ehat),
-        "ehk": rat_str(pair.ehk),
+        "ehat": pair.ehat,
+        "ehk": pair.ehk,
         "ehk_decimal": _dec(pair.ehk),
     }
 
@@ -211,8 +224,8 @@ def _run_density_betti(ns: argparse.Namespace) -> str:
         "command": "density-betti",
         "d": betti.d,
         "n0": n0,
-        "ehat": rat_str(ehat),
-        "ehk": rat_str(ehk),
+        "ehat": ehat,
+        "ehk": ehk,
         "ehk_decimal": _dec(ehk),
         **_density_payload(f, ehk),
     }
@@ -227,9 +240,9 @@ def _run_density_empirical(ns: argparse.Namespace) -> str:
         "command": "density-empirical",
         "level": approx.level,
         "q": approx.q,
-        "f_step": approx.f_step.to_json(),
-        "g_interp": approx.g_interp.to_json(),
-        "integral": rat_str(integral),
+        "f_step": approx.f_step,
+        "g_interp": approx.g_interp,
+        "integral": integral,
         "integral_decimal": _dec(integral),
     }
     return _json_text(payload)
@@ -241,26 +254,10 @@ def _run_compare(ns: argparse.Namespace) -> str:
     if ns.reference is not None:
         reference = _load_density(ns.reference)
     rows = pair.convergence_report(ns.levels, reference=reference)
-    header = [
-        "level",
-        "q",
-        "sup_distance",
-        "sup_distance_decimal",
-        "integral",
-        "integral_decimal",
-    ]
-    body = [
-        [
-            str(r.level),
-            str(r.q),
-            rat_str(r.sup_distance),
-            _dec(r.sup_distance),
-            rat_str(r.integral),
-            _dec(r.integral),
-        ]
-        for r in rows
-    ]
-    return _csv_text(header, body)
+    header = ["level", "q", "sup_distance", "sup_distance_decimal", "integral", "integral_decimal"]
+    return _csv_text(header, [
+        [r.level, r.q, r.sup_distance, _dec(r.sup_distance), r.integral, _dec(r.integral)] for r in rows
+    ])
 
 
 def _run_segre(ns: argparse.Namespace) -> str:
@@ -284,39 +281,35 @@ def _run_catalog(ns: argparse.Namespace) -> str:
             "label": entry.label,
             "family": entry.family,
             "n": entry.n,
-            "gen_degrees": list(entry.gen_degrees),
+            "gen_degrees": entry.gen_degrees,
             "rel_degree": entry.rel_degree,
             "l0": entry.l0,
             "rank": entry.rank,
             "printed_order": entry.printed_order,
             "char_min": entry.char_min,
             "char_coprime_to": entry.char_coprime_to,
-            "betti": entry.betti.to_json(),
-            "printed_ehk": None if entry.printed_ehk is None else rat_str(entry.printed_ehk),
-            "printed_table": None
-            if entry.printed_table is None
-            else entry.printed_table.to_json(),
+            "betti": entry.betti,
+            "printed_ehk": entry.printed_ehk,
+            "printed_table": entry.printed_table,
         },
         **_pair_payload(pair),
         "verdict": {
-            "ehk": rat_str(verdict.ehk),
-            "expected_ehk": rat_str(verdict.expected_ehk),
+            "ehk": pair.ehk,
+            "expected_ehk": entry.expected_ehk,
             "ehk_matches_expected": verdict.ehk_matches_expected,
-            "printed_ehk": None if verdict.printed_ehk is None else rat_str(verdict.printed_ehk),
+            "printed_ehk": entry.printed_ehk,
             "ehk_matches_printed": verdict.ehk_matches_printed,
             "table_status": verdict.table_status,
-            "table_sup_distance": None
-            if verdict.table_sup_distance is None
-            else rat_str(verdict.table_sup_distance),
+            "table_sup_distance": verdict.table_sup_distance,
             "clean": verdict.clean,
-            "flags": list(verdict.flags),
-            "notes": list(verdict.notes),
+            "flags": verdict.flags,
+            "notes": verdict.notes,
         },
         "minor_check": {
             "verdict": minors.verdict,
             "degree_consistent": minors.degree_consistent,
-            "per_generator": list(minors.per_generator),
-            "notes": list(minors.notes),
+            "per_generator": minors.per_generator,
+            "notes": minors.notes,
         },
     }
     return _json_text(payload)
@@ -331,13 +324,7 @@ def _run_hn2(ns: argparse.Namespace) -> str:
 def _run_integrate(ns: argparse.Namespace) -> str:
     f = _load_density(ns.infile)
     val = pw_integrate(f)
-    return _json_text(
-        {
-            "command": "integrate",
-            "integral": rat_str(val),
-            "integral_decimal": _dec(val),
-        }
-    )
+    return _json_text({"command": "integrate", "integral": val, "integral_decimal": _dec(val)})
 
 
 def _run_sample(ns: argparse.Namespace) -> str:
@@ -352,7 +339,7 @@ def _run_sample(ns: argparse.Namespace) -> str:
     for i in range(k + 1):
         x = end * i / k
         v = f(x)
-        rows.append([rat_str(x), _dec(x), rat_str(v), _dec(v)])
+        rows.append([x, _dec(x), v, _dec(v)])
     return _csv_text(["x", "x_decimal", "value", "value_decimal"], rows)
 
 
@@ -452,7 +439,7 @@ def main(argv: list[str] | None = None) -> int:
         # ValidationError, DomainError, BettiIdentityError, InternalError
         extra = {}
         if getattr(exc, "residual", None) is not None:
-            extra["residual"] = exc.residual.to_json()
+            extra["residual"] = exc.residual
         _report(exc, **extra)
         return 2
 

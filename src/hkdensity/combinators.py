@@ -1,10 +1,10 @@
 """Combinators on density pairs: Segre products, Veronese rescaling.
 
-A DensityPair holds the Hilbert-Samuel envelope F(x) = ehat * x^(d-1)
-together with the Hilbert-Kunz density f of a fixed pair (R, I).  The Segre
-product formula reads F - f = (F_A - f_A)(F_B - f_B): the defect from the
-ambient envelope multiplies.  Veronese-type regrading by a factor c with a
-module rank r sends f to x |-> (c/r) f(c x).
+A DensityPair holds ehat, the Hilbert-Kunz density f and the dimension d
+of a fixed pair (R, I); its Hilbert-Samuel envelope is F(x) = ehat * x^(d-1).
+The Segre product formula reads F - f = (F_A - f_A)(F_B - f_B): the defect
+from the ambient envelope multiplies.  Veronese-type regrading by a factor c
+with a module rank r sends f to x |-> (c/r) f(c x).
 """
 
 from __future__ import annotations
@@ -21,48 +21,39 @@ from .exact import (
     pw_negative_piece,
     pw_rescale_arg,
     pw_sub,
+    rat,
 )
 
 
 @dataclass(frozen=True)
 class DensityPair:
-    """Envelope F, density f, dimension d, for one graded pair (R, I)."""
+    """ehat, density f, dimension d, for one graded pair (R, I)."""
 
-    F: PiecewisePoly
+    ehat: Fraction
     f: PiecewisePoly
     d: int
 
     def __post_init__(self):
+        object.__setattr__(self, "ehat", rat(self.ehat, "ehat"))
         if self.d < 2:
             raise ValidationError("density pairs need dimension >= 2")
-        tail = self.F.tail
-        if (
-            self.F.pieces
-            or tail is None
-            or sum(1 for c in tail.coeffs if c != 0) != 1
-            or tail.coeffs[-1] <= 0
-        ):
-            raise ValidationError(
-                "envelope must be a single positive monomial ehat * x^k"
-            )
-        if tail.degree != self.d - 1:
-            raise ValidationError(
-                f"envelope degree {tail.degree} != d - 1 = {self.d - 1}"
-            )
+        if self.ehat <= 0:
+            raise ValidationError(f"ehat = {self.ehat} must be positive")
         if self.f.tail is not None:
             raise ValidationError("density must be compactly supported")
         if not self.f.is_continuous():
             raise ValidationError("density must be continuous")
-        # past support_end f = 0 and F is the positive monomial checked above
+        # past support_end f = 0 and F is a positive monomial
         for g, side in ((self.f, "below 0"), (self.defect, "above the envelope")):
             if (piece := pw_negative_piece(g)) is not None:
                 raise ValidationError(
                     f"density escapes [0, envelope] on [{piece[0]}, {piece[1]}): {side}"
                 )
 
-    @property
-    def ehat(self) -> Fraction:
-        return self.F.tail.coeffs[-1]
+    @cached_property
+    def F(self) -> PiecewisePoly:
+        """The envelope ehat * x^(d-1)."""
+        return PiecewisePoly.monomial_tail(self.ehat, self.d - 1)
 
     @cached_property
     def ehk(self) -> Fraction:
@@ -78,9 +69,9 @@ class DensityPair:
 
 def segre(a: DensityPair, b: DensityPair) -> DensityPair:
     """Density pair of the Segre product; dimension d_A + d_B - 1."""
-    F = pw_mul(a.F, b.F)
-    f = pw_sub(F, pw_mul(a.defect, b.defect))
-    out = DensityPair(F, f, a.d + b.d - 1)
+    ehat, d = a.ehat * b.ehat, a.d + b.d - 1
+    F = PiecewisePoly.monomial_tail(ehat, d - 1)
+    out = DensityPair(ehat, pw_sub(F, pw_mul(a.defect, b.defect)), d)
     # product formula expanded: integral of f equals the three-term sum
     three = (
         pw_integrate(pw_mul(a.F, b.f))

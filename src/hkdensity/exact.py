@@ -85,11 +85,6 @@ def json_ints(value, what: str) -> tuple[int, ...]:
     return tuple(json_int(v, f"{what}[{i}]") for i, v in enumerate(json_list(value, what)))
 
 
-def rat_str(x: Fraction) -> str:
-    """Canonical 'num/den' form; integers print without a denominator."""
-    return str(x)
-
-
 # ---------------------------------------------------------------------------
 # polynomials; the kernel works on integer lists, constant term first
 
@@ -276,8 +271,8 @@ class Polynomial:
         return Polynomial.over(nums, self.den * m)
 
     def to_json(self) -> list[str]:
-        """The coefficients as ``rat_str`` writes them, reduced from the
-        integer numerators with one gcd each."""
+        """The coefficients as ``str`` writes their Fractions, 'num/den' or
+        an integer, reduced from the integer numerators with one gcd each."""
         out = []
         for n in self.nums:
             g = gcd(n, self.den)
@@ -329,7 +324,9 @@ class PiecewisePoly:
     @staticmethod
     def monomial_tail(coeff: Fraction, power: int) -> "PiecewisePoly":
         """The function coeff * x^power on all of [0, oo)."""
-        return PiecewisePoly.build([0], [], Polynomial.of(*([0] * power), coeff))
+        c = rat(coeff)
+        tail = Polynomial.over([0] * power + [c.numerator], c.denominator)
+        return _canonical([Fraction(0)], [], tail)
 
     @property
     def support_end(self) -> Fraction:
@@ -358,7 +355,7 @@ class PiecewisePoly:
 
     def to_json(self) -> dict:
         return {
-            "breakpoints": [rat_str(b) for b in self.breakpoints],
+            "breakpoints": [str(b) for b in self.breakpoints],
             "pieces": [p.to_json() for p in self.pieces],
             "tail": None if self.tail is None else self.tail.to_json(),
         }

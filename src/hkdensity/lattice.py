@@ -466,10 +466,11 @@ class SemigroupEnumeration:
         raises ``CapacityError`` before any bucket is built.  Below it the
         exact count is checked after each degree, before the next one is
         built, and a degree that would take it past the cap is not kept.
-        Either error names max_degree, the bound asked for.
+        Either error names max_degree, the bound asked for, unless it has
+        over 1000 digits.
         """
         if max_degree >= self._ceiling:
-            raise self._capacity_error(f"degree bound {max_degree}")
+            raise self._capacity_error(max_degree)
         for m in range(max_degree + 1):
             if m == len(self.by_degree):
                 if m > self._bound:  # dense, with two slice coordinates or more
@@ -481,7 +482,7 @@ class SemigroupEnumeration:
                 bucket = self._union(m, self._gens)
                 size = self._size(bucket)
                 if self.count + size > self.cap:
-                    raise self._capacity_error(f"degree bound {max_degree}")
+                    raise self._capacity_error(max_degree)
                 self.by_degree.append(bucket)
                 self.count += size
                 if self._dense:
@@ -493,10 +494,13 @@ class SemigroupEnumeration:
         for _ in self.degrees(max_degree):
             pass
 
-    def _capacity_error(self, bound: str) -> CapacityError:
+    def _capacity_error(self, max_degree: int, prefix: str = "") -> CapacityError:
+        bound = "a degree bound of over 1000 digits"
+        if max_degree < _UNPRINTED_BOUND:
+            bound = f"degree bound {max_degree}"
         return CapacityError(
             f"semigroup enumeration exceeded cap of {self.cap} points "
-            f"({bound}); raise {_MAX_POINTS_ENV} "
+            f"({prefix}{bound}); raise {_MAX_POINTS_ENV} "
             f"or lower the level; every degree bound from {self._ceiling} "
             "up exceeds this cap"
         )
@@ -722,16 +726,19 @@ class LatticePair:
     def build_approximant(self, level: int) -> DensityApproximant:
         if level < 1:
             raise DomainError("level must be >= 1")
+        # colengths_up_to refuses a bound past the ceiling by printing it; an
+        # unprinted one is refused here, by the level, first by the bound's
+        # least value q >= 2^(level * (bit_length(p) - 1)) before q is built
+        huge = max(self._enum._ceiling, _UNPRINTED_BOUND)
+        if level * (self.spec.p.bit_length() - 1) >= (huge - 1).bit_length():
+            raise self._enum._capacity_error(huge, f"level {level}, ")
         q = self.spec.p ** level
         n0 = self.spec.n0
         bound = self.support_bound()
         max_window = int(bound * q)  # windows max_window.. are all zero
         max_degree = (max_window + 1) * n0 - 1
-        # colengths_up_to refuses a bound past the ceiling by printing it; an
-        # unprinted one is refused here, by the level, before _check_q
-        # divides q down by p level times
-        if max_degree >= max(self._enum._ceiling, _UNPRINTED_BOUND):
-            raise self._enum._capacity_error(f"level {level}, a degree bound of over 1000 digits")
+        if max_degree >= huge:
+            raise self._enum._capacity_error(max_degree, f"level {level}, ")
         counts = self.colengths_up_to(q, max_degree)
         windows = tuple(sum(counts[i : i + n0]) for i in range(0, len(counts), n0))
         den = q ** (self.spec.dim - 1)

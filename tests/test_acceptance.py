@@ -59,7 +59,7 @@ def tent() -> PiecewisePoly:
 
 
 def tent_pair() -> DensityPair:
-    return DensityPair(PiecewisePoly.monomial_tail(F(1), 1), tent(), 2)
+    return DensityPair(F(1), tent(), 2)
 
 
 def ambient_plane(p: int) -> SemigroupSpec:

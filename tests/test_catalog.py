@@ -147,7 +147,7 @@ def test_d4_verdict():
     entry = catalog_entry("D", 4)
     pair, verdict = catalog_density(entry)
     assert pair.ehk == 2 - F(1, 16)
-    assert verdict.printed_ehk == pair.ehk
+    assert entry.printed_ehk == pair.ehk
     assert verdict.ehk_matches_printed is True
     assert verdict.table_status == "discrepancy"
     assert verdict.table_sup_distance == F(1, 2)
@@ -167,8 +167,8 @@ def test_d2_degenerate_denominator():
     entry = catalog_entry("D", 2)
     assert entry.printed_table is None
     assert any("n-2" in fl for fl in entry.flags)
-    _, verdict = catalog_density(entry)
-    assert verdict.ehk == 2 - F(1, 8)
+    pair, _ = catalog_density(entry)
+    assert pair.ehk == 2 - F(1, 8)
 
 
 def test_e6_verdict():
@@ -211,7 +211,7 @@ def test_verdict_notes_a_derived_ehk_off_the_expected_and_printed_values():
     # e_HK 1/40 matches neither 2 - 1/120 nor the printed 239/120
     entry = dataclasses.replace(catalog_entry("E8"), betti=catalog_entry("A", 2).betti)
     pair, verdict = catalog_density(entry)
-    assert pair.ehk == verdict.ehk == F(1, 40)
+    assert pair.ehk == F(1, 40)
     assert not verdict.ehk_matches_expected and not verdict.ehk_matches_printed
     assert "derived e_HK 1/40 != 2 - 1/rank = 239/120" in verdict.notes
     assert "derived e_HK 1/40 != printed value 239/120" in verdict.notes

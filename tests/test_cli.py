@@ -6,6 +6,8 @@ import hashlib
 import io
 import json
 import os
+import subprocess
+import sys
 import tempfile
 from fractions import Fraction
 
@@ -13,9 +15,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hkdensity
 from hkdensity.catalog import catalog_density, catalog_entry, catalog_lattice_crosscheck
 from hkdensity.cli import _LEAST, _build_parser, _csv_text, _dec, _json_text, main
-from hkdensity.exact import PiecewisePoly, Polynomial, rat, rat_str
+from hkdensity.exact import PiecewisePoly, Polynomial, rat
 from hkdensity.lattice import SemigroupEnumeration
 
 F = Fraction
@@ -196,8 +199,8 @@ def test_compare_against_a_reference_matches_the_catalog_crosscheck(tmp_path, ca
     code, out, err = run_cli(capsys, ["compare", "--spec", spec, "--levels", "1,2", "--reference", ref])
     assert code == 0 and err == ""
     want = [
-        [str(r.level), str(r.q), rat_str(r.sup_distance), _dec(r.sup_distance),
-         rat_str(r.integral), _dec(r.integral)]
+        [str(r.level), str(r.q), str(r.sup_distance), _dec(r.sup_distance),
+         str(r.integral), _dec(r.integral)]
         for r in catalog_lattice_crosscheck(entry, 3, [1, 2])
     ]
     assert [row.split(",") for row in out.splitlines()[1:]] == want
@@ -383,7 +386,7 @@ def test_every_bounded_flag_is_refused_before_reading_the_input(tmp_path, capsys
         assert json.loads(err) == {"error": "InputError", "message": message}, full
 
 
-@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("p", [2, 3, 1000003])
 @pytest.mark.parametrize("level", [20_000, 10**6])
 @pytest.mark.parametrize("command", ["density-empirical", "compare"])
 def test_a_huge_level_is_a_capacity_error(tmp_path, capsys, monkeypatch, command, level, p):
@@ -406,6 +409,25 @@ def test_a_huge_level_is_a_capacity_error(tmp_path, capsys, monkeypatch, command
         "a degree bound of over 1000 digits); raise HKDL_MAX_POINTS or lower the level; "
         "every degree bound from 9999 up exceeds this cap",
     }
+
+
+def test_a_huge_level_is_refused_promptly_by_python_m(tmp_path):
+    # q = p^level would have 60 million digits at level 10^7 and p = 1000003;
+    # the level is refused before q is built
+    plane = {
+        "semigroup": {"rank": 2, "gens": [[1, 0], [0, 1]], "weights": [1, 1], "p": 1000003},
+        "ideal": [[1, 0], [0, 1]],
+    }
+    src = os.path.dirname(os.path.dirname(hkdensity.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    env.pop("HKDL_MAX_POINTS", None)
+    argv = ["density-empirical", "--in", write(tmp_path, "plane.json", plane), "--level", "10000000"]
+    run = subprocess.run(
+        [sys.executable, "-m", "hkdensity", *argv], capture_output=True, text=True, env=env, timeout=10
+    )
+    assert (run.returncode, run.stdout) == (3, "")
+    report = json.loads(run.stderr)
+    assert report["error"] == "CapacityError" and "(level 10000000, " in report["message"]
 
 
 @pytest.mark.parametrize("name", ["absent.json", "."])
@@ -473,14 +495,14 @@ def test_json_writer_matches_json_dumps(obj):
     assert _json_text(obj) == json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
-# the fields the CLI writes: ints, rat_str values and repr(float) values,
-# inf and -inf for the rationals past the float range
+# the fields the CLI writes: ints, Fractions and repr(float) values, inf and
+# -inf for the rationals past the float range
 rationals = st.one_of(
     st.fractions(),
     st.integers(-(10**400), 10**400).map(Fraction),
     st.builds(Fraction, st.integers(-(10**400), 10**400), st.integers(1, 10**400)),
 )
-csv_fields = st.one_of(st.integers().map(str), rationals.map(rat_str), rationals.map(_dec))
+csv_fields = st.one_of(st.integers(), rationals, rationals.map(_dec))
 
 
 @settings(max_examples=200, deadline=None)
@@ -491,6 +513,22 @@ def test_csv_text_matches_csv_writer(header, rows):
     w.writerow(header)
     w.writerows(rows)
     assert _csv_text(header, rows) == buf.getvalue()
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(rationals, max_size=4), st.integers(0, 4))
+def test_json_writer_prints_fractions_as_strings_and_values_by_to_json(values, k):
+    # exact rationals are 'num/den' strings; a PiecewisePoly, a Polynomial
+    # or a BettiTable is written as its to_json()
+    f = PiecewisePoly.build([0, 1, 2], [Polynomial.of(*values[:k]), Polynomial.of(*values[k:])])
+    table = catalog_entry("A", 2).betti
+    obj = {"x": values, "f": f, "p": (f.pieces[:1], table)}
+    plain = {
+        "x": [str(v) for v in values],
+        "f": f.to_json(),
+        "p": [[p.to_json() for p in f.pieces[:1]], table.to_json()],
+    }
+    assert _json_text(obj) == json.dumps(plain, sort_keys=True, indent=2) + "\n"
 
 
 @pytest.mark.parametrize("obj", [1.5, {"a": [0, 2.0]}, {1, 2}, [{"b": frozenset()}], {1: "a"}])

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 from fractions import Fraction
 from math import factorial
 
@@ -8,12 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hkdensity.catalog import catalog_entry
+from hkdensity.cli import main
 from hkdensity.combinators import (
     DensityPair,
     rescale_density,
     segre,
 )
-from hkdensity.errors import DomainError, ValidationError
+from hkdensity.errors import DomainError, InputError, ValidationError
 from hkdensity.exact import PiecewisePoly, Polynomial, pw_integrate, pw_rescale_arg
 from hkdensity.resolution import closed_form_density, koszul_betti
 from hkdensity.rings import CompleteIntersectionRing
@@ -29,7 +31,7 @@ def tent() -> PiecewisePoly:
 
 
 def koszul_pair() -> DensityPair:
-    return DensityPair(PiecewisePoly.monomial_tail(F(1), 1), tent(), 2)
+    return DensityPair(F(1), tent(), 2)
 
 
 def test_density_pair_basics():
@@ -43,43 +45,62 @@ def test_density_pair_basics():
     assert defect(3) == 3
 
 
-def test_density_pair_rejects_bad_envelope():
-    with pytest.raises(ValidationError):
+def test_density_pair_rejects_bad_envelope(tmp_path, capsys):
+    # an envelope arrives from outside only in a pair file, which segre reads
+    good = tmp_path / "good.json"
+    good.write_text(json.dumps({"F": koszul_pair().F.to_json(), "f": tent().to_json(), "d": 2}))
+    shape = "envelope must be a single positive monomial ehat * x^k"
+    cases = [
         # degree 0 envelope for d = 2
-        DensityPair(PiecewisePoly.monomial_tail(F(1), 0), tent(), 2)
-    with pytest.raises(ValidationError):
+        (PiecewisePoly.monomial_tail(F(1), 0), tent(), 2, "envelope degree 0 != d - 1 = 1"),
         # two-term tail is not a monomial
-        DensityPair(
-            PiecewisePoly.build([0], [], Polynomial.of(1, 1)), tent(), 2
-        )
-    with pytest.raises(ValidationError):
+        (PiecewisePoly.build([0], [], Polynomial.of(1, 1)), tent(), 2, shape),
         # compactly supported envelope
-        DensityPair(tent(), tent(), 2)
+        (tent(), tent(), 2, shape),
+        # a negative monomial
+        (PiecewisePoly.monomial_tail(F(-1), 1), tent(), 2, shape),
+        # refused by d first, then by F, then by f
+        (tent(), tent(), 1, "density pairs need dimension >= 2"),
+        (tent(), PiecewisePoly.monomial_tail(F(1), 1), 2, shape),
+    ]
+    for env, f, d, message in cases:
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"F": env.to_json(), "f": f.to_json(), "d": d}))
+        assert main(["segre", "--a", str(good), "--b", str(bad)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and json.loads(err) == {"error": "ValidationError", "message": message}
+    # the pair itself holds ehat, a positive Fraction
+    for ehat in (0, F(-1, 2)):
+        with pytest.raises(ValidationError, match="must be positive"):
+            DensityPair(ehat, PiecewisePoly.zero(), 2)
+    assert type(DensityPair(1, tent(), 2).ehat) is Fraction
+    # a float is refused, as in every input
+    with pytest.raises(InputError):
+        DensityPair(0.5, tent(), 2)
 
 
 def test_density_pair_rejects_bad_density():
     env = PiecewisePoly.monomial_tail(F(1), 1)
     with pytest.raises(ValidationError):
         # noncompact density
-        DensityPair(env, env, 2)
+        DensityPair(F(1), env, 2)
     with pytest.raises(ValidationError):
         # jump at x = 1
         DensityPair(
-            env,
+            F(1),
             PiecewisePoly.build([0, 1, 2], [Polynomial.of(0, 1), Polynomial.of(0)]),
             2,
         )
     with pytest.raises(ValidationError):
         # escapes above the envelope
-        DensityPair(env, pw_rescale_arg(tent(), 1, 2), 2)
+        DensityPair(F(1), pw_rescale_arg(tent(), 1, 2), 2)
     with pytest.raises(ValidationError):
-        DensityPair(env, tent(), 1)
+        DensityPair(F(1), tent(), 1)
 
 
 def test_density_pair_rejects_escape_between_grid_points():
     # continuous, f <= F = x, but negative on (0, 1/100), inside the first
     # cell of any 64-point grid over [0, 2]
-    env = PiecewisePoly.monomial_tail(F(1), 1)
     dip = PiecewisePoly.build(
         [0, F(1, 100), 1, 2],
         [
@@ -90,7 +111,7 @@ def test_density_pair_rejects_escape_between_grid_points():
     )
     assert dip.is_continuous() and dip(F(1, 100)) < 0
     with pytest.raises(ValidationError, match=r"escapes \[0, envelope\] on \[0, 1/100\)"):
-        DensityPair(env, dip, 2)
+        DensityPair(F(1), dip, 2)
     # the mirror image: above F = x on (0, 1/100) only
     bump = PiecewisePoly.build(
         [0, F(1, 100), 1, 2],
@@ -102,7 +123,7 @@ def test_density_pair_rejects_escape_between_grid_points():
     )
     assert bump.is_continuous() and bump(F(1, 100)) > F(1, 100)
     with pytest.raises(ValidationError, match="above the envelope"):
-        DensityPair(env, bump, 2)
+        DensityPair(F(1), bump, 2)
 
 
 def test_segre_of_two_tents():

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from hkdensity.cli import _json_text
 from hkdensity.errors import DomainError, InputError, ValidationError
 from hkdensity.exact import (
     P_ZERO,
@@ -26,7 +27,6 @@ from hkdensity.exact import (
     pw_sub,
     pw_sup_distance,
     rat,
-    rat_str,
 )
 
 F = Fraction
@@ -187,8 +187,9 @@ def test_rat_parses_strings_and_ints():
     assert rat("3/7") == F(3, 7)
     assert rat(4) == F(4)
     assert rat(F(1, 2)) == F(1, 2)
-    assert rat_str(F(-5, 3)) == "-5/3"
-    assert rat_str(F(4)) == "4"
+    # the JSON writer prints a rational as its 'num/den' string
+    assert _json_text(F(-5, 3)) == '"-5/3"\n'
+    assert _json_text(F(4)) == '"4"\n'
     with pytest.raises(InputError):
         rat("not a number")
     with pytest.raises(InputError):
@@ -271,6 +272,14 @@ def test_piecewise_tail_and_support():
     assert t.tail is None
     assert t.support_end == 2
     assert t.is_continuous()
+
+
+@given(st.one_of(st.integers(-9, 9), rationals), st.integers(0, 5))
+def test_monomial_tail_matches_build(coeff, power):
+    # built straight from the numerators, in the canonical form that build
+    # gives, a zero coefficient included
+    want = PiecewisePoly.build([0], [], Polynomial.of(*([0] * power), coeff))
+    assert PiecewisePoly.monomial_tail(coeff, power) == want
 
 
 def test_pw_integrate_tent():
@@ -714,7 +723,7 @@ def test_integer_ops_match_fraction_reference(p, q, k, x, a, b):
     for got, want in pairs:
         assert_canonical(got)
         assert got.coeffs == want.coeffs
-        assert got.to_json() == [rat_str(c) for c in want.coeffs]
+        assert _json_text(got) == _json_text(want.coeffs)
         assert got == Polynomial.of(*want.coeffs)
     assert p(x) == ref_p(x) and type(p(x)) is Fraction
     assert Polynomial.of(*ref_p.coeffs) == p

@@ -312,6 +312,33 @@ def test_a_degree_bound_of_over_1000_digits_is_refused_unprinted(monkeypatch):
         )
 
 
+def test_a_huge_level_is_refused_before_q_is_built(monkeypatch):
+    # the degree bound is at least q >= 2^(level * (bit_length(p) - 1)):
+    # once that reaches 10^1000 the level is refused before support_bound
+    def unreached(self):
+        raise AssertionError("support_bound was called")
+
+    monkeypatch.setattr(LatticePair, "support_bound", unreached)
+    for p, level in ((2, 3322), (3, 3322), (1000003, 175), (1000003, 10**7)):
+        with pytest.raises(CapacityError, match=rf"\(level {level}, a degree bound of over 1000 digits\);"):
+            koszul_pair(p).build_approximant(level)
+    # 2^3321 < 10^1000 and 2^(19 * 174) < 10^1000: these still build q
+    for p, level in ((2, 3321), (1000003, 174)):
+        with pytest.raises(AssertionError, match="support_bound"):
+            koszul_pair(p).build_approximant(level)
+
+
+def test_extend_refuses_a_bound_of_over_1000_digits_unprinted():
+    enum = SemigroupEnumeration(plane(), 0)
+    for bound in (10**1000, 10**5000):
+        with pytest.raises(CapacityError, match=r"\(a degree bound of over 1000 digits\);"):
+            enum.extend(bound)
+    # a bound of 1000 digits is printed, as are all smaller ones
+    with pytest.raises(CapacityError, match=rf"\(degree bound {10**1000 - 1}\);"):
+        enum.extend(10**1000 - 1)
+    assert enum.max_degree == 0
+
+
 def loop_degree_ceiling(spec: SemigroupSpec, cap: int) -> int:
     """The hand-written binary search that ``_degree_ceiling`` replaced."""
     d = spec.dim
