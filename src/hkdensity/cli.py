@@ -24,7 +24,7 @@ from .combinators import DensityPair, rescale_density, segre
 from .errors import CapacityError, HKDError, InputError, ValidationError
 from .exact import PiecewisePoly, json_get, json_int, json_keys, pw_integrate, rat
 from .hn import HNData, dim2_pair_density, hn_density
-from .lattice import LatticePair, MonomialIdealSpec, SemigroupSpec
+from .lattice import LatticePair, MonomialIdealSpec, SemigroupSpec, lattice_pair
 from .resolution import BettiTable, closed_form_density, ehk_closed_form
 from .rings import hilbert_function, leading_coefficient, parse_ring_json
 
@@ -171,10 +171,10 @@ def _pair_payload(pair: DensityPair) -> dict:
 def _load_lattice_pair(path: str, cap: int | None = None) -> LatticePair:
     what = f"{path}: pair JSON"
     data = json_keys(_read_json(path), what, "semigroup ideal")
-    return LatticePair(
+    return lattice_pair(
         SemigroupSpec.from_json(json_get(data, "semigroup", what)),
         MonomialIdealSpec.from_json(json_get(data, "ideal", what)),
-        cap=cap,
+        cap,
     )
 
 

@@ -41,6 +41,7 @@ from __future__ import annotations
 import itertools
 import os
 from bisect import bisect_left
+from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -278,7 +279,9 @@ class SemigroupSpec:
         # Each extension enumerates afresh and keeps only the counts: the
         # HilbertFunction lives in the process-wide hilbert_function cache,
         # and an enumeration kept there would live as long as the process.
-        # The doubling in HilbertFunction.__call__ bounds the rebuild cost.
+        # The one process-wide cache that keeps enumerations, lattice_pair's,
+        # is bounded by the points they hold.  The doubling in
+        # HilbertFunction.__call__ bounds the rebuild cost.
         enum = SemigroupEnumeration(self, upto)
         return [enum.points(m) for m in range(upto + 1)]
 
@@ -605,9 +608,11 @@ class LatticePair:
     """A semigroup ring together with a monomial ideal.
 
     The pair owns one ``SemigroupEnumeration``, built at construction to the
-    largest ideal generator degree and extended in place, never rebuilt, when
-    the containment search or a colength count needs a larger degree.  It
-    also caches the containment exponent; every public count is exact.
+    largest ideal generator degree and extended, never started afresh, when
+    the containment search or a colength count needs a larger degree (an
+    extension may rebuild the buckets built so far under new radices, see
+    ``SemigroupEnumeration``).  It also keeps the containment exponent and
+    each approximant it has built, by level; every public count is exact.
     Colengths by degree need no finite colength; the support bound does.
     """
 
@@ -620,6 +625,7 @@ class LatticePair:
         self.spec = spec
         self.ideal = ideal
         self._ell: int | None = None
+        self._approximants: dict[int, DensityApproximant] = {}
         # every ideal generator must be a semigroup element
         probe = max(spec.degree(a) for a in ideal.generators)
         self._enum = SemigroupEnumeration(spec, probe, cap)
@@ -724,6 +730,10 @@ class LatticePair:
     # -- approximants ------------------------------------------------------
 
     def build_approximant(self, level: int) -> DensityApproximant:
+        """The level's approximant, built once; a level that raised is not
+        kept, so asking again raises again."""
+        if level in self._approximants:
+            return self._approximants[level]
         if level < 1:
             raise DomainError("level must be >= 1")
         # colengths_up_to refuses a bound past the ceiling by printing it; an
@@ -747,7 +757,8 @@ class LatticePair:
                 f"window {max_window} at q={q} should vanish by the support "
                 f"bound {bound} but counted {Fraction(windows[-1], den)}"
             )
-        return DensityApproximant(level, q, den, windows)
+        approx = self._approximants[level] = DensityApproximant(level, q, den, windows)
+        return approx
 
     def convergence_report(
         self,
@@ -777,3 +788,30 @@ class LatticePair:
                 )
             )
         return rows
+
+
+# (spec, ideal, resolved cap) -> its pair, least recently used first
+_PAIRS: OrderedDict[tuple[SemigroupSpec, MonomialIdealSpec, int], LatticePair] = OrderedDict()
+
+
+def lattice_pair(spec: SemigroupSpec, ideal: MonomialIdealSpec, cap: int | None = None) -> LatticePair:
+    """The process-wide ``LatticePair`` of (spec, ideal) under the point cap
+    that ``enumeration_cap(cap)`` resolves, built on first use.
+
+    A pair whose constructor raises is not kept.  Each lookup then drops
+    least recently used pairs, this one last, while their enumerations
+    together hold more than ``DEFAULT_MAX_POINTS`` points."""
+    try:
+        key = (spec, ideal, enumeration_cap(cap))
+    except ValidationError:
+        # a fresh pair checks its ideal's degrees before the cap: raise what it raises
+        LatticePair(spec, ideal, cap)
+        raise
+    pair = _PAIRS.get(key)
+    if pair is None:
+        pair = _PAIRS[key] = LatticePair(spec, ideal, key[2])
+    _PAIRS.move_to_end(key)
+    held = sum(p._enum.count for p in _PAIRS.values())
+    while held > DEFAULT_MAX_POINTS:
+        held -= _PAIRS.popitem(last=False)[1]._enum.count
+    return pair

@@ -19,6 +19,7 @@ import hkdensity
 from hkdensity.catalog import catalog_density, catalog_entry, catalog_lattice_crosscheck
 from hkdensity.cli import _LEAST, _build_parser, _csv_text, _dec, _json_text, main
 from hkdensity.exact import PiecewisePoly, Polynomial, rat
+from hkdensity import lattice
 from hkdensity.lattice import SemigroupEnumeration
 
 F = Fraction
@@ -687,6 +688,95 @@ def test_capacity_fails_before_enumerating(tmp_path, capsys, monkeypatch):
     assert "every degree bound from 9999 up" in report["message"]
     # the one enumeration holds 1, x and y: the ideal generators' degree
     assert [e.count for e in built] == [3]
+
+
+def test_kept_pairs_print_what_fresh_ones_print(tmp_path, capsys, monkeypatch):
+    # lattice jobs share one kept pair per (spec, ideal, cap); each job,
+    # asked cold and then twice warm, across commands, prints the same bytes
+    monkeypatch.delenv("HKDL_MAX_POINTS", raising=False)
+    spec = write(tmp_path, "a2.json", A2_INVARIANT_PAIR)
+    ref = write(tmp_path, "tent.json", TENT_JSON)
+    off = write(tmp_path, "off.json", {**A2_INVARIANT_PAIR, "ideal": [[1, 0]]})
+    jobs = {
+        "density-empirical": ["density-empirical", "--in", spec, "--level", "2"],
+        "compare": ["compare", "--spec", spec, "--levels", "1,3"],
+        "compare --reference": ["compare", "--spec", spec, "--levels", "2,3", "--reference", ref],
+        "capped": ["density-empirical", "--in", spec, "--level", "6", "--max-points", "100"],
+        "off the semigroup": ["density-empirical", "--in", off, "--level", "1"],
+    }
+    built = []
+    original = SemigroupEnumeration.__init__
+
+    def recording(self, *args, **kwargs):
+        built.append(self)
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(SemigroupEnumeration, "__init__", recording)
+
+    def run(argv):
+        built.clear()
+        return run_cli(capsys, argv), len(built)
+
+    cold = {}
+    for name, argv in jobs.items():
+        lattice._PAIRS.clear()
+        cold[name], enumerations = run(argv)
+        assert enumerations == 1
+    assert [result[0] for result in cold.values()] == [0, 0, 0, 3, 2]
+    assert cold["off the semigroup"][2] == _json_text({
+        "error": "ValidationError", "message": "ideal generator (1, 0) is not a semigroup element",
+    })
+    # in one process: the three uncapped jobs share one pair, and a pair
+    # whose constructor raised is not kept, so it is built every time
+    lattice._PAIRS.clear()
+    for enumerations in ([1, 0, 0, 1, 1], [0, 0, 0, 0, 1]):
+        assert [run(argv) for argv in jobs.values()] == list(zip(cold.values(), enumerations))
+
+
+def test_a_changed_environment_cap_is_a_new_pair(tmp_path, capsys, monkeypatch):
+    # the key holds the resolved cap: the same job under HKDL_MAX_POINTS=100
+    # runs under that cap and exits 3, and back under the default it prints
+    # what it printed first
+    monkeypatch.delenv("HKDL_MAX_POINTS", raising=False)
+    argv = ["density-empirical", "--in", write(tmp_path, "a2.json", A2_INVARIANT_PAIR), "--level", "6"]
+    first = run_cli(capsys, argv)
+    assert first[0] == 0 and first[2] == ""
+    monkeypatch.setenv("HKDL_MAX_POINTS", "100")
+    code, out, err = run_cli(capsys, argv)
+    assert code == 3 and out == ""
+    report = json.loads(err)
+    assert report["error"] == "CapacityError" and "cap of 100 points" in report["message"]
+    monkeypatch.delenv("HKDL_MAX_POINTS")
+    assert run_cli(capsys, argv) == first
+
+
+def test_max_points_overrides_a_bad_environment_cap_for_kept_pairs(tmp_path, capsys, monkeypatch):
+    # with --max-points given, a bad HKDL_MAX_POINTS is never read, cold or warm
+    inp = write(tmp_path, "a2.json", A2_INVARIANT_PAIR)
+    argv = ["density-empirical", "--in", inp, "--level", "2", "--max-points", "10000"]
+    monkeypatch.delenv("HKDL_MAX_POINTS", raising=False)
+    want = run_cli(capsys, argv)
+    assert want[0] == 0
+    monkeypatch.setenv("HKDL_MAX_POINTS", "zero")
+    assert run_cli(capsys, argv) == want
+    lattice._PAIRS.clear()
+    assert run_cli(capsys, argv) == want
+    code, out, err = run_cli(capsys, argv[:-2])
+    assert code == 2 and out == ""
+    assert json.loads(err) == {
+        "error": "ValidationError",
+        "message": "HKDL_MAX_POINTS must be an integer, got 'zero'",
+    }
+
+
+def test_a_bad_environment_cap_is_reported_after_the_ideal_degrees(tmp_path, capsys, monkeypatch):
+    # a fresh pair refuses an ideal of negative degree before it reads the
+    # cap, and the kept pairs refuse in the same order
+    monkeypatch.setenv("HKDL_MAX_POINTS", "0")
+    inp = write(tmp_path, "neg.json", {**A2_INVARIANT_PAIR, "ideal": [[-1, 0]]})
+    code, out, err = run_cli(capsys, ["density-empirical", "--in", inp, "--level", "1"])
+    assert code == 2 and out == ""
+    assert json.loads(err) == {"error": "DomainError", "message": "max_degree must be >= 0"}
 
 
 @pytest.mark.parametrize("cap", ["0", "-5"])

@@ -14,6 +14,7 @@ from hkdensity.errors import CapacityError, DomainError, ValidationError
 from hkdensity.exact import PiecewisePoly, Polynomial, pw_integrate, pw_sup_distance
 from test_rings import small_semigroups
 
+from hkdensity import lattice
 from hkdensity.lattice import (
     _MAX_POINTS_ENV,
     DEFAULT_MAX_POINTS,
@@ -27,6 +28,7 @@ from hkdensity.lattice import (
     _eliminate,
     _is_prime,
     enumeration_cap,
+    lattice_pair,
 )
 
 F = Fraction
@@ -730,6 +732,81 @@ def test_memory_follows_the_points(spec, level, degree):
         tracemalloc.stop()
     assert approx.integral == 1  # e_HK of a regular ring
     assert peak <= 128 * points + (1 << 20)
+
+
+# -- pairs kept across jobs, and their approximants kept by level ------------
+
+
+def test_approximants_are_kept_by_level_and_a_refused_level_is_not():
+    pair = LatticePair(a_spec(2, 2), MonomialIdealSpec.build(a_spec(2, 2).generators), cap=100)
+    approx = pair.build_approximant(2)
+    assert pair.build_approximant(2) is approx
+    for _ in range(2):
+        with pytest.raises(CapacityError, match=r"cap of 100 points \(degree bound 385\)"):
+            pair.build_approximant(6)
+    assert list(pair._approximants) == [2]
+
+
+def test_the_cap_is_part_of_the_key(monkeypatch):
+    ideal = MonomialIdealSpec.build([(1, 0), (0, 1)])
+    monkeypatch.setenv(_MAX_POINTS_ENV, "1234")
+    pair = lattice_pair(plane(), ideal)
+    assert lattice_pair(plane(), ideal, 1234) is pair
+    assert lattice_pair(plane(), ideal, 1235) is not pair
+    monkeypatch.delenv(_MAX_POINTS_ENV)
+    assert lattice_pair(plane(), ideal)._enum.cap == DEFAULT_MAX_POINTS
+    assert list(lattice._PAIRS) == [(plane(), ideal, cap) for cap in (1234, 1235, DEFAULT_MAX_POINTS)]
+
+
+def test_kept_pairs_hold_at_most_the_default_cap_least_recent_dropped_first(monkeypatch):
+    # k[x,y] at p with (x, y) holds q (2q + 1) points once level n, q = p^n,
+    # is counted, and 3 before; each lookup keeps the most recent pairs that
+    # fit in 200 points
+    monkeypatch.setattr(lattice, "DEFAULT_MAX_POINTS", 200)
+    ideal = MonomialIdealSpec.build([(1, 0), (0, 1)])
+    held = {}  # p -> its pair, least recently used first, as the cache should hold them
+    steps = [(2, 3), (3, 1), (5, 1), (3, 1), (2, 1), (7, 1), (5, 2), (2, 1), (5, 2)]
+    kept_after = []
+    for p, level in steps:
+        pair = lattice_pair(plane(p), ideal, 10**6)
+        assert held.pop(p, pair) is pair  # a pair still held is the one returned
+        held[p] = pair
+        while sum(q._enum.count for q in held.values()) > 200:
+            del held[next(iter(held))]
+        assert list(lattice._PAIRS.values()) == list(held.values())
+        assert sum(q._enum.count for q in lattice._PAIRS.values()) <= 200
+        kept_after.append(list(held))
+        pair.build_approximant(level)
+        assert pair._enum.count == (p**level) * (2 * p**level + 1)
+    # the fourth lookup drops k[x,y] at p = 2, the least recently used, for
+    # p = 3 and 5; the eighth drops every other pair, 1,275 points at p = 5
+    # among them, keeping the one looked up
+    assert kept_after == [[2], [2, 3], [2, 3, 5], [5, 3], [5, 3, 2], [5, 3, 2, 7],
+                          [3, 2, 7, 5], [2], [2, 5]]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.one_of(semigroup_ideals(), semigroup_ideals(multiples=True)),
+    st.permutations([1, 2, 3]),
+)
+def test_kept_pair_approximants_match_fresh_ones(spec_ideal, levels):
+    """A kept pair, asked for its levels in any order and then again, gives
+    what a fresh pair gives at each level: the approximant, or the error."""
+    spec, ideal = spec_ideal
+    lattice._PAIRS.clear()
+    kept = lattice_pair(spec, ideal, 5_000)
+
+    def outcome(pair, level):
+        try:
+            approx = pair.build_approximant(level)
+        except (CapacityError, ValidationError) as exc:
+            return type(exc), str(exc)
+        return approx, approx.f_step, approx.g_interp
+
+    want = {level: outcome(LatticePair(spec, ideal, 5_000), level) for level in levels}
+    for level in levels + levels:
+        assert outcome(kept, level) == want[level]
 
 
 # -- the colength stop rule against per-degree reference counts ------------
