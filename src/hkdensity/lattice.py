@@ -280,7 +280,7 @@ class SemigroupSpec:
         # HilbertFunction lives in the process-wide hilbert_function cache,
         # and an enumeration kept there would live as long as the process.
         # The one process-wide cache that keeps enumerations, lattice_pair's,
-        # is bounded by the points they hold.  The doubling in
+        # is bounded by the points and windows they hold.  The doubling in
         # HilbertFunction.__call__ bounds the rebuild cost.
         enum = SemigroupEnumeration(self, upto)
         return [enum.points(m) for m in range(upto + 1)]
@@ -626,6 +626,7 @@ class LatticePair:
         self.ideal = ideal
         self._ell: int | None = None
         self._approximants: dict[int, DensityApproximant] = {}
+        self._windows = 0  # windows held by the approximants kept
         # every ideal generator must be a semigroup element
         probe = max(spec.degree(a) for a in ideal.generators)
         self._enum = SemigroupEnumeration(spec, probe, cap)
@@ -750,14 +751,19 @@ class LatticePair:
         if max_degree >= huge:
             raise self._enum._capacity_error(max_degree, f"level {level}, ")
         counts = self.colengths_up_to(q, max_degree)
-        windows = tuple(sum(counts[i : i + n0]) for i in range(0, len(counts), n0))
+        windows = [sum(counts[i : i + n0]) for i in range(0, len(counts), n0)]
         den = q ** (self.spec.dim - 1)
         if windows[-1]:
             raise InternalError(
                 f"window {max_window} at q={q} should vanish by the support "
                 f"bound {bound} but counted {Fraction(windows[-1], den)}"
             )
-        approx = self._approximants[level] = DensityApproximant(level, q, den, windows)
+        # kept with one zero window past the support, not the zeros up to
+        # the bound, which may be s times too far
+        while len(windows) > 1 and not windows[-2]:
+            windows.pop()
+        approx = self._approximants[level] = DensityApproximant(level, q, den, tuple(windows))
+        self._windows += len(windows)
         return approx
 
     def convergence_report(
@@ -799,19 +805,29 @@ def lattice_pair(spec: SemigroupSpec, ideal: MonomialIdealSpec, cap: int | None 
     that ``enumeration_cap(cap)`` resolves, built on first use.
 
     A pair whose constructor raises is not kept.  Each lookup then drops
-    least recently used pairs, this one last, while their enumerations
-    together hold more than ``DEFAULT_MAX_POINTS`` points."""
+    least recently used pairs, this one last, while together they hold more
+    than ``DEFAULT_MAX_POINTS`` points and windows (see ``_held``).  The
+    pair returned may then grow up to its own cap, as a fresh pair would,
+    so the kept pairs add at most ``DEFAULT_MAX_POINTS`` to what the job in
+    hand holds.  Only a process that runs many jobs gains: each
+    ``hkdensity`` command starts with none kept."""
     try:
         key = (spec, ideal, enumeration_cap(cap))
     except ValidationError:
-        # a fresh pair checks its ideal's degrees before the cap: raise what it raises
-        LatticePair(spec, ideal, cap)
-        raise
+        # a fresh pair checks its ideal's degrees before the cap and raises
+        return LatticePair(spec, ideal, cap)
     pair = _PAIRS.get(key)
     if pair is None:
         pair = _PAIRS[key] = LatticePair(spec, ideal, key[2])
     _PAIRS.move_to_end(key)
-    held = sum(p._enum.count for p in _PAIRS.values())
+    held = sum(map(_held, _PAIRS.values()))
     while held > DEFAULT_MAX_POINTS:
-        held -= _PAIRS.popitem(last=False)[1]._enum.count
+        held -= _held(_PAIRS.popitem(last=False)[1])
     return pair
+
+
+def _held(pair: LatticePair) -> int:
+    """What a kept pair holds: the points of its enumeration and the
+    windows of its approximants, each window with at most one piece of f_n
+    and one of g_n."""
+    return pair._enum.count + pair._windows

@@ -759,30 +759,52 @@ def test_the_cap_is_part_of_the_key(monkeypatch):
 
 
 def test_kept_pairs_hold_at_most_the_default_cap_least_recent_dropped_first(monkeypatch):
-    # k[x,y] at p with (x, y) holds q (2q + 1) points once level n, q = p^n,
-    # is counted, and 3 before; each lookup keeps the most recent pairs that
-    # fit in 200 points
+    # k[x,y] at p with (x, y) holds 3 points, then q (2q + 1) points once
+    # level n, q = p^n, is counted, and 2q windows for each level built;
+    # each lookup keeps the most recent pairs that fit in 200
     monkeypatch.setattr(lattice, "DEFAULT_MAX_POINTS", 200)
     ideal = MonomialIdealSpec.build([(1, 0), (0, 1)])
-    held = {}  # p -> its pair, least recently used first, as the cache should hold them
+
+    def share(p, levels):
+        if not levels:
+            return 3
+        q = p ** max(levels)
+        return q * (2 * q + 1) + sum(2 * p**n for n in levels)
+
+    held = {}  # p -> (its pair, levels built), least recently used first
     steps = [(2, 3), (3, 1), (5, 1), (3, 1), (2, 1), (7, 1), (5, 2), (2, 1), (5, 2)]
     kept_after = []
     for p, level in steps:
         pair = lattice_pair(plane(p), ideal, 10**6)
-        assert held.pop(p, pair) is pair  # a pair still held is the one returned
-        held[p] = pair
-        while sum(q._enum.count for q in held.values()) > 200:
+        kept, levels = held.pop(p, (pair, set()))
+        assert kept is pair  # a pair still held is the one returned
+        held[p] = (pair, levels)
+        while sum(share(k, built) for k, (_, built) in held.items()) > 200:
             del held[next(iter(held))]
-        assert list(lattice._PAIRS.values()) == list(held.values())
-        assert sum(q._enum.count for q in lattice._PAIRS.values()) <= 200
+        assert list(lattice._PAIRS.values()) == [kept for kept, _ in held.values()]
+        assert sum(map(lattice._held, lattice._PAIRS.values())) <= 200
         kept_after.append(list(held))
         pair.build_approximant(level)
+        levels.add(level)
+        assert lattice._held(pair) == share(p, levels)
         assert pair._enum.count == (p**level) * (2 * p**level + 1)
     # the fourth lookup drops k[x,y] at p = 2, the least recently used, for
-    # p = 3 and 5; the eighth drops every other pair, 1,275 points at p = 5
-    # among them, keeping the one looked up
+    # p = 3 and 5; the seventh drops p = 3 for its 6 windows, since the
+    # points alone, 191, would fit; the eighth drops every other pair,
+    # 1,275 points at p = 5 among them, keeping the one looked up
     assert kept_after == [[2], [2, 3], [2, 3, 5], [5, 3], [5, 3, 2], [5, 3, 2, 7],
-                          [3, 2, 7, 5], [2], [2, 5]]
+                          [2, 7, 5], [2], [2, 5]]
+
+
+def test_approximants_keep_no_windows_past_the_support():
+    # a thousand copies of x give the support bound 1000 where the support
+    # ends at 1: the level-3 pair keeps the 9 windows of (x), not 8,001
+    line = SemigroupSpec.build(1, [(1,)], (1,), 2)
+    padded = LatticePair(line, MonomialIdealSpec.build([(1,)] * 1000))
+    approx = padded.build_approximant(3)
+    assert approx == LatticePair(line, MonomialIdealSpec.build([(1,)])).build_approximant(3)
+    assert approx.windows == (1,) * 8 + (0,)
+    assert lattice._held(padded) == padded._enum.count + 9 == 18
 
 
 @settings(max_examples=60, deadline=None)
