@@ -14,8 +14,9 @@ invariants h1, h2, h3 of the finite subgroup acting on it:
 `catalog_density` runs the closed form on the ambient Betti table with
 ehat and n0 = l0 of the invariant ring k[h1, h2, h3] (``AdeEntry.ring``).
 As ehat = l0^2/rank, that is the Veronese-type relation
-f(x) = (l0/rank) f_ambient(l0 x) in one step.  The verdict it returns
-compares the result against the archived printed data instead of silently
+f(x) = (l0/rank) f_ambient(l0 x) in one step.  Each entry derives its
+pair, verdict and minor report once and keeps them.  The verdict compares
+the result against the archived printed data instead of silently
 correcting either side.  The printed tables for the A, D, E6 and E7
 families each fail their own integral cross-check; only E8 agrees in full.
 The lattice oracle on the A family (`catalog_lattice_crosscheck`) is what
@@ -100,6 +101,66 @@ class AdeEntry:
         if self.char_coprime_to is not None and self.char_coprime_to % p == 0:
             return False
         return True
+
+    # The derived values below depend on the entry's fields alone, not on
+    # any characteristic, so each is derived on first use and kept, as
+    # ``ring`` and ``rank`` are.  A derivation that raises is not kept.
+
+    @cached_property
+    def pair(self) -> DensityPair:
+        """The closed form on the ambient Betti table with ehat and
+        n0 = l0 of the invariant ring."""
+        ring = self.ring
+        ehat, l0 = ring.ehat(), ring.n0
+        f = closed_form_density(self.betti, ehat, l0)
+        pair = DensityPair(ehat, f, 2)
+        if f.support_end != Fraction(self.betti.max_twist(), l0):
+            raise ValidationError(
+                f"{self.label}: support ends at {f.support_end}, expected "
+                f"{self.betti.max_twist()}/{l0}"
+            )
+        return pair
+
+    @cached_property
+    def verdict(self) -> CatalogVerdict:
+        """``pair`` against the expected and printed e_HK and the printed
+        piece table."""
+        ehk, f = self.pair.ehk, self.pair.f
+        notes = []
+        matches_expected = ehk == self.expected_ehk
+        if not matches_expected:
+            notes.append(
+                f"derived e_HK {ehk} != 2 - 1/rank = {self.expected_ehk}"
+            )
+        matches_printed = None
+        if self.printed_ehk is not None:
+            matches_printed = ehk == self.printed_ehk
+            if not matches_printed:
+                notes.append(f"derived e_HK {ehk} != printed value {self.printed_ehk}")
+        if self.printed_table is None:
+            status, dist = "not-printed", None
+        else:
+            dist = pw_sup_distance(f, self.printed_table)
+            status = "agrees" if dist == 0 else "discrepancy"
+            if dist != 0:
+                printed_int = pw_integrate(self.printed_table)
+                notes.append(
+                    f"printed table differs from derived (sup distance {dist}); "
+                    f"its own integral is {printed_int}, not {ehk}"
+                )
+        return CatalogVerdict(
+            ehk_matches_expected=matches_expected,
+            ehk_matches_printed=matches_printed,
+            table_status=status,
+            table_sup_distance=dist,
+            flags=self.flags,
+            notes=tuple(notes),
+        )
+
+    @cached_property
+    def minor_report(self) -> MinorMatchReport:
+        """The 2x2 minors of ``hb_matrix`` against ``gens``."""
+        return match_generators(self.hb_matrix, self.gens)
 
 
 def _table(den: int, rows) -> PiecewisePoly:
@@ -389,56 +450,17 @@ class CatalogVerdict:
 
 def catalog_density(entry: AdeEntry) -> tuple[DensityPair, CatalogVerdict]:
     """Derived density pair of the invariant ring, plus the comparison
-    against the printed table and multiplicity."""
-    ring = entry.ring
-    ehat, l0 = ring.ehat(), ring.n0
-    f = closed_form_density(entry.betti, ehat, l0)
-    pair = DensityPair(ehat, f, 2)
-
-    if f.support_end != Fraction(entry.betti.max_twist(), l0):
-        raise ValidationError(
-            f"{entry.label}: support ends at {f.support_end}, expected "
-            f"{entry.betti.max_twist()}/{l0}"
-        )
-
-    ehk = pair.ehk
-    notes = []
-    matches_expected = ehk == entry.expected_ehk
-    if not matches_expected:
-        notes.append(
-            f"derived e_HK {ehk} != 2 - 1/rank = {entry.expected_ehk}"
-        )
-    matches_printed = None
-    if entry.printed_ehk is not None:
-        matches_printed = ehk == entry.printed_ehk
-        if not matches_printed:
-            notes.append(f"derived e_HK {ehk} != printed value {entry.printed_ehk}")
-    if entry.printed_table is None:
-        status, dist = "not-printed", None
-    else:
-        dist = pw_sup_distance(f, entry.printed_table)
-        status = "agrees" if dist == 0 else "discrepancy"
-        if dist != 0:
-            printed_int = pw_integrate(entry.printed_table)
-            notes.append(
-                f"printed table differs from derived (sup distance {dist}); "
-                f"its own integral is {printed_int}, not {ehk}"
-            )
-    verdict = CatalogVerdict(
-        ehk_matches_expected=matches_expected,
-        ehk_matches_printed=matches_printed,
-        table_status=status,
-        table_sup_distance=dist,
-        flags=entry.flags,
-        notes=tuple(notes),
-    )
-    return pair, verdict
+    against the printed table and multiplicity; both are derived once per
+    entry and kept on it (``AdeEntry.pair`` and ``AdeEntry.verdict``)."""
+    return entry.pair, entry.verdict
 
 
 def catalog_minor_check(entry: AdeEntry) -> MinorMatchReport:
     """Compare the 2x2 minors of the stored syzygy matrix with the stored
-    generators, up to scalar, falling back to graded ideal equality."""
-    return match_generators(entry.hb_matrix, entry.gens)
+    generators, up to scalar, falling back to graded ideal equality; the
+    report is derived once per entry and kept on it
+    (``AdeEntry.minor_report``)."""
+    return entry.minor_report
 
 
 def catalog_lattice_crosscheck(entry: AdeEntry, p: int, levels: list[int]) -> list[ConvergenceRow]:

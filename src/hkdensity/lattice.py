@@ -41,7 +41,6 @@ from __future__ import annotations
 import itertools
 import os
 from bisect import bisect_left
-from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -683,7 +682,7 @@ class LatticePair:
         The bound is a priori and often s times too far.  It is the loop
         limit of the colength count and the self-check on its last window,
         not the range counted: counting stops at the first run of m_mu zero
-        degrees (see ``colengths_up_to``)."""
+        degrees (see ``_counted``)."""
         s = len(self.ideal.generators)
         ell = self.containment_exponent()
         return Fraction(-(-self.spec.m_mu * ell * s // self.spec.n0))
@@ -710,7 +709,13 @@ class LatticePair:
         return self._enum.outside(m, self.ideal.generators, q)
 
     def colengths_up_to(self, q: int, max_m: int) -> list[int]:
-        """Colength of the q-th Frobenius power in each degree 0..max_m.
+        """Colength of the q-th Frobenius power in each degree 0..max_m
+        (see ``_counted``)."""
+        counts = self._counted(q, max_m)
+        return counts + [0] * (max_m + 1 - len(counts))
+
+    def _counted(self, q: int, max_m: int) -> list[int]:
+        """The colengths of ``colengths_up_to`` in the degrees counted.
 
         Counting stops after the first run of m_mu consecutive degrees with
         colength 0, and the degrees after it are 0: a point of degree
@@ -726,7 +731,7 @@ class LatticePair:
             zeros = 0 if counts[m] else zeros + 1
             if zeros == self.spec.m_mu:
                 break
-        return counts + [0] * (max_m + 1 - len(counts))
+        return counts
 
     # -- approximants ------------------------------------------------------
 
@@ -737,7 +742,7 @@ class LatticePair:
             return self._approximants[level]
         if level < 1:
             raise DomainError("level must be >= 1")
-        # colengths_up_to refuses a bound past the ceiling by printing it; an
+        # _counted refuses a bound past the ceiling by printing it; an
         # unprinted one is refused here, by the level, first by the bound's
         # least value q >= 2^(level * (bit_length(p) - 1)) before q is built
         huge = max(self._enum._ceiling, _UNPRINTED_BOUND)
@@ -750,18 +755,20 @@ class LatticePair:
         max_degree = (max_window + 1) * n0 - 1
         if max_degree >= huge:
             raise self._enum._capacity_error(max_degree, f"level {level}, ")
-        counts = self.colengths_up_to(q, max_degree)
+        # the windows of the degrees counted; the degrees after them, up to
+        # the bound, which may be s times too far, are 0
+        counts = self._counted(q, max_degree)
         windows = [sum(counts[i : i + n0]) for i in range(0, len(counts), n0)]
         den = q ** (self.spec.dim - 1)
-        if windows[-1]:
+        if len(counts) == max_degree + 1 and windows[-1]:
             raise InternalError(
                 f"window {max_window} at q={q} should vanish by the support "
                 f"bound {bound} but counted {Fraction(windows[-1], den)}"
             )
-        # kept with one zero window past the support, not the zeros up to
-        # the bound, which may be s times too far
-        while len(windows) > 1 and not windows[-2]:
+        # kept with one zero window past the support
+        while windows and not windows[-1]:
             windows.pop()
+        windows.append(0)
         approx = self._approximants[level] = DensityApproximant(level, q, den, tuple(windows))
         self._windows += len(windows)
         return approx
@@ -796,8 +803,9 @@ class LatticePair:
         return rows
 
 
-# (spec, ideal, resolved cap) -> its pair, least recently used first
-_PAIRS: OrderedDict[tuple[SemigroupSpec, MonomialIdealSpec, int], LatticePair] = OrderedDict()
+# (spec, ideal, resolved cap) -> its pair, least recently used first: a
+# lookup pops its key and inserts it again at the end
+_PAIRS: dict[tuple[SemigroupSpec, MonomialIdealSpec, int], LatticePair] = {}
 
 
 def lattice_pair(spec: SemigroupSpec, ideal: MonomialIdealSpec, cap: int | None = None) -> LatticePair:
@@ -816,13 +824,13 @@ def lattice_pair(spec: SemigroupSpec, ideal: MonomialIdealSpec, cap: int | None 
     except ValidationError:
         # a fresh pair checks its ideal's degrees before the cap and raises
         return LatticePair(spec, ideal, cap)
-    pair = _PAIRS.get(key)
+    pair = _PAIRS.pop(key, None)
     if pair is None:
-        pair = _PAIRS[key] = LatticePair(spec, ideal, key[2])
-    _PAIRS.move_to_end(key)
+        pair = LatticePair(spec, ideal, key[2])
+    _PAIRS[key] = pair
     held = sum(map(_held, _PAIRS.values()))
     while held > DEFAULT_MAX_POINTS:
-        held -= _held(_PAIRS.popitem(last=False)[1])
+        held -= _held(_PAIRS.pop(next(iter(_PAIRS))))
     return pair
 
 

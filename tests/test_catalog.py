@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from hkdensity import catalog
 from hkdensity.catalog import (
     FAMILIES,
     AdeEntry,
@@ -216,6 +217,51 @@ def test_verdict_notes_a_derived_ehk_off_the_expected_and_printed_values():
     assert "derived e_HK 1/40 != 2 - 1/rank = 239/120" in verdict.notes
     assert "derived e_HK 1/40 != printed value 239/120" in verdict.notes
     assert verdict.clean is False
+
+
+def test_derivations_run_once_per_entry(monkeypatch):
+    # a fresh entry derives its closed form and its minor match on first
+    # use and keeps them; repeated calls return the kept objects
+    calls = []
+    for name in ("closed_form_density", "match_generators"):
+        original = getattr(catalog, name)
+
+        def counting(*args, name=name, original=original):
+            calls.append(name)
+            return original(*args)
+
+        monkeypatch.setattr(catalog, name, counting)
+    entry = dataclasses.replace(catalog_entry("D", 6))
+    first, minors = catalog_density(entry), catalog_minor_check(entry)
+    for _ in range(3):
+        again = catalog_density(entry)
+        assert again[0] is first[0] and again[1] is first[1]
+        assert catalog_minor_check(entry) is minors
+    assert calls == ["closed_form_density", "match_generators"]
+    # the catalog's own entry is another object and derives once as well
+    assert catalog_density(catalog_entry("D", 6)) == first
+    assert calls.count("closed_form_density") == 2
+
+
+def test_a_derivation_that_raises_is_not_kept(monkeypatch):
+    entry = dataclasses.replace(catalog_entry("A", 4))
+    refused = []
+
+    def refusing(*args):
+        refused.append(args)
+        raise ValidationError("refused")
+
+    monkeypatch.setattr(catalog, "closed_form_density", refusing)
+    monkeypatch.setattr(catalog, "match_generators", refusing)
+    for _ in range(2):
+        with pytest.raises(ValidationError, match="refused"):
+            catalog_density(entry)
+        with pytest.raises(ValidationError, match="refused"):
+            catalog_minor_check(entry)
+    assert len(refused) == 4
+    monkeypatch.undo()
+    assert catalog_density(entry) == catalog_density(catalog_entry("A", 4))
+    assert catalog_minor_check(entry) == catalog_minor_check(catalog_entry("A", 4))
 
 
 def test_minor_checks():

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import dataclasses
 import hashlib
 import io
 import json
@@ -19,7 +20,7 @@ import hkdensity
 from hkdensity.catalog import catalog_density, catalog_entry, catalog_lattice_crosscheck
 from hkdensity.cli import _LEAST, _build_parser, _csv_text, _dec, _json_text, main
 from hkdensity.exact import PiecewisePoly, Polynomial, rat
-from hkdensity import lattice
+from hkdensity import cli, lattice
 from hkdensity.lattice import SemigroupEnumeration
 
 F = Fraction
@@ -257,6 +258,28 @@ def test_catalog_stdout_digest(capsys):
         assert code == 0 and err == "", argv
         h.update(out.encode())
     assert h.hexdigest() == CATALOG_DIGEST
+
+
+def test_kept_derivations_print_what_fresh_entries_print(capsys, monkeypatch):
+    # each entry keeps its pair, verdict and minor report: the first call,
+    # a repeat and one with an admissible --p print the same bytes, and so
+    # does a fresh copy of the entry, which derives them again
+    argvs = [["--family", f, "--n", str(n)] for f in "AD" for n in range(2, 51)]
+    argvs += [["--family", f] for f in ("E6", "E7", "E8")]
+    kept = []
+    for argv in argvs:
+        first = run_cli(capsys, ["catalog", *argv])
+        entry = catalog_entry(argv[1], int(argv[3]) if len(argv) > 2 else None)
+        assert {"pair", "verdict", "minor_report"} <= vars(entry).keys(), argv
+        p = next(p for p in range(2, 100) if entry.char_ok(p))
+        again = [run_cli(capsys, ["catalog", *argv]), run_cli(capsys, ["catalog", *argv, "--p", str(p)])]
+        assert first[0] == 0 and again == [first, first], argv
+        kept.append(first)
+    fresh = []
+    monkeypatch.setattr(cli, "catalog_entry", lambda *args: dataclasses.replace(catalog_entry(*args)))
+    for argv in argvs:
+        fresh.append(run_cli(capsys, ["catalog", *argv]))
+    assert fresh == kept
 
 
 # sha256 of the exit code, stdout and stderr of each run below, in order:

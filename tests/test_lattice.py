@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hkdensity.errors import CapacityError, DomainError, ValidationError
+from hkdensity.errors import CapacityError, DomainError, InternalError, ValidationError
 from hkdensity.exact import PiecewisePoly, Polynomial, pw_integrate, pw_sup_distance
 from test_rings import small_semigroups
 
@@ -805,6 +805,34 @@ def test_approximants_keep_no_windows_past_the_support():
     assert approx == LatticePair(line, MonomialIdealSpec.build([(1,)])).build_approximant(3)
     assert approx.windows == (1,) * 8 + (0,)
     assert lattice._held(padded) == padded._enum.count + 9 == 18
+
+
+def test_windows_are_built_from_the_degrees_counted():
+    # a thousand copies of x at level 10: the count stops at degree 1024,
+    # while the support bound 1000 reaches degree 1,024,000, where zeros
+    # padded to it and their windows took 16 MB
+    line = SemigroupSpec.build(1, [(1,)], (1,), 2)
+    pair = LatticePair(line, MonomialIdealSpec.build([(1,)] * 1000))
+    pair.support_bound()  # the containment search, before the measure
+    tracemalloc.start()
+    try:
+        approx = pair.build_approximant(10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert approx.windows == (1,) * 1024 + (0,)
+    assert peak <= 1 << 20
+
+
+def test_a_count_to_the_bound_checks_its_last_window(monkeypatch):
+    # (x^2) on k[x] at q = 4: colength 1 in degrees 0..7, so a support bound
+    # of 1 counts every degree up to it and finds window 4 nonzero
+    line = SemigroupSpec.build(1, [(1,)], (1,), 2)
+    pair = LatticePair(line, MonomialIdealSpec.build([(2,)]))
+    monkeypatch.setattr(LatticePair, "support_bound", lambda self: F(1))
+    with pytest.raises(InternalError, match="window 4 at q=4 should vanish by the support bound 1 but counted 1"):
+        pair.build_approximant(2)
+    assert pair._approximants == {}
 
 
 @settings(max_examples=60, deadline=None)
