@@ -20,9 +20,9 @@ have the same support and p_k q_0 = p_0 q_k for every term k, where p_0 and
 q_0 are the first terms.  The scalar c = p_0 / q_0 (times q.den / p.den) is
 made only once that holds.
 
-Ideals are compared by membership: each generator of one set that is no
-scalar multiple of a generator of the other is reduced against the other
-ideal's piece in its own degree.  That piece is a sparse integer echelon.
+Ideals are compared by membership: each generator of one set is reduced
+against the other ideal's piece in its own degree, in both directions.
+That piece is a sparse integer echelon.
 Each row, a shifted copy of a generator, is a dict of its nonzero integer
 numerators; elimination is fraction-free, each step dividing the new row by
 the gcd of its entries.  Over Q(sqrt(disc)) the Q-linear embedding
@@ -266,14 +266,11 @@ def _reduce(row: dict[int, int], pivots: dict[int, dict[int, int]]) -> dict[int,
     return row
 
 
-def _echelon(
-    gens, m: int, width: int, pivots: dict[int, dict[int, int]] | None = None
-) -> dict[int, dict[int, int]]:
-    """Echelon rows of the degree-m piece, keyed by leading key: the rows of
-    pivots (left unchanged) extended by the shifts of gens' rows.  gens holds
-    (degree, integer rows) per generator; the multiple x1^i x2^(m-d-i) of a
-    row shifts its keys by width*i."""
-    pivots = {} if pivots is None else dict(pivots)
+def _echelon(gens, m: int, width: int) -> dict[int, dict[int, int]]:
+    """Echelon rows, keyed by leading key, of the degree-m piece spanned by
+    the shifts of gens' rows.  gens holds (degree, integer rows) per
+    generator; x1^i x2^(m-d-i) times a row shifts its keys by width*i."""
+    pivots: dict[int, dict[int, int]] = {}
     for d, rows in gens:
         for i in range(m - d + 1):
             for base in rows:
@@ -289,14 +286,10 @@ def graded_ideal_equal(
     """Equality of the homogeneous ideals generated by the two sets.
 
     The ideals are equal iff every generator of each set lies in the other
-    ideal.  A generator with a nonzero scalar multiple among the other set's
-    generators lies there already; these shared generators span the same
-    lines on both sides.  Every other generator g, of degree m, lies in the
-    other ideal iff g reduces to zero against its degree-m piece: the
-    echelon of the shifted shared generators, built once per degree, then
-    extended by the other side's own generators.  Over Q(sqrt(disc)) that
-    piece is a K-subspace, so reducing g's first Q-row decides it.  Degrees
-    are taken in ascending order.
+    ideal: a nonzero generator g of degree m lies there iff g reduces to
+    zero against the echelon of the other set's shifts in degree m, taken in
+    ascending m.  Over Q(sqrt(disc)) that piece is a K-subspace, so reducing
+    g's first Q-row decides it.
     """
     disc = None
     for g in [*gens_a, *gens_b]:
@@ -304,28 +297,16 @@ def graded_ideal_equal(
             raise ValidationError("ideal comparison needs homogeneous generators")
         disc = _merge_disc(disc, g.disc)
     width = 1 if disc is None else 2
-    gens_a = [g for g in gens_a if not g.is_zero()]
-    gens_b = [g for g in gens_b if not g.is_zero()]
-    # (degree, integer rows) per generator
+    # (degree, integer rows) per nonzero generator
     rows_a, rows_b = (
-        [(g.degree(), _int_rows(g, disc)) for g in gens] for gens in (gens_a, gens_b)
+        [(g.degree(), _int_rows(g, disc)) for g in gens if not g.is_zero()]
+        for gens in (gens_a, gens_b)
     )
-    pairs = [
-        (i, j)
-        for i, g in enumerate(gens_a)
-        for j, h in enumerate(gens_b)
-        if rows_a[i][0] == rows_b[j][0] and proportional(g, h) is not None
-    ]
-    shared_a, shared_b = {i for i, _ in pairs}, {j for _, j in pairs}
-    shared = [r for i, r in enumerate(rows_a) if i in shared_a]
-    own_a = [r for i, r in enumerate(rows_a) if i not in shared_a]
-    own_b = [r for j, r in enumerate(rows_b) if j not in shared_b]
-    for m in sorted({d for d, _ in own_a + own_b}):
-        base = _echelon(shared, m, width)
-        for own, other in ((own_a, own_b), (own_b, own_a)):
+    for m in sorted({d for d, _ in rows_a + rows_b}):
+        for own, other in ((rows_a, rows_b), (rows_b, rows_a)):
             tests = [rows[0] for d, rows in own if d == m]
             if tests:
-                piece = _echelon(other, m, width, base)
+                piece = _echelon(other, m, width)
                 if any(_reduce(row, piece) for row in tests):
                     return False
     return True

@@ -21,12 +21,12 @@ function equality, which the JSON round-trip preserves byte-for-byte.
 from __future__ import annotations
 
 from bisect import bisect_right
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import zip_longest
 from math import gcd, lcm
-from typing import Callable, Iterable
 
 from .errors import DomainError, InputError, ValidationError
 

@@ -32,30 +32,23 @@ from .exact import (
 
 
 @dataclass(frozen=True)
-class HNComponent:
-    slope: Fraction
-    rank: int
-
-    def __post_init__(self):
-        if self.rank < 1:
-            raise ValidationError(f"component rank {self.rank} must be >= 1")
-
-
-@dataclass(frozen=True)
 class HNData:
-    components: tuple[HNComponent, ...]
+    components: tuple[tuple[Fraction, int], ...]  # (slope, rank) pairs
     d: int
 
     def __post_init__(self):
+        for _, rank in self.components:
+            if rank < 1:
+                raise ValidationError(f"component rank {rank} must be >= 1")
         if self.d < 1:
             raise ValidationError(f"d = {self.d} must be >= 1")
-        slopes = [c.slope for c in self.components]
+        slopes = [s for s, _ in self.components]
         if any(s <= t for s, t in zip(slopes, slopes[1:])):
             raise ValidationError(f"slopes must strictly decrease, got {slopes}")
 
     @staticmethod
     def build(pairs, d: int) -> "HNData":
-        return HNData(tuple(HNComponent(Fraction(s), r) for s, r in pairs), d)
+        return HNData(tuple((Fraction(s), r) for s, r in pairs), d)
 
     @staticmethod
     def from_json(data: dict) -> "HNData":
@@ -75,12 +68,12 @@ def hn_density(e: HNData) -> PiecewisePoly:
     if not comps:
         return PiecewisePoly.zero()
     d = Fraction(e.d)
-    thresholds = [1 - c.slope / d for c in comps]  # strictly increasing
+    thresholds = [1 - a / d for a, _ in comps]  # strictly increasing
 
     def region_piece(i: int) -> Polynomial:
         # -sum_{k > i} (a_k + d(x-1)) r_k, components indexed from 1
-        const = sum(((d - c.slope) * c.rank for c in comps[i:]), Fraction(0))
-        lin = -d * sum(c.rank for c in comps[i:])
+        const = sum(((d - a) * r for a, r in comps[i:]), Fraction(0))
+        lin = -d * sum(r for _, r in comps[i:])
         return Polynomial.of(const, lin)
 
     if thresholds[-1] <= 0:

@@ -41,12 +41,12 @@ from __future__ import annotations
 import itertools
 import os
 from bisect import bisect_left
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import comb, factorial, lcm, prod
 from operator import mul
-from typing import Iterator
 
 from .errors import CapacityError, DomainError, InternalError, ValidationError
 from .exact import (

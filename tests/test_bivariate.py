@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hkdensity import bivariate
 from hkdensity.bivariate import (
     BivariatePoly,
     _c_str,
@@ -19,6 +20,7 @@ from hkdensity.bivariate import (
     matrix_degree_report,
     proportional,
 )
+from hkdensity.catalog import catalog_entry
 from hkdensity.errors import InputError, ValidationError
 
 F = Fraction
@@ -505,6 +507,24 @@ def test_match_generators_mismatch_lists_offender():
     report = match_generators(matrix, (poly([(1, 1, 1)]), x1(2), x2(3)))
     assert report.verdict == "mismatch"
     assert any("minor" in note for note in report.notes)
+
+
+@pytest.mark.parametrize("family, n", [("D", 2), ("D", 50), ("E7", None), ("E8", None)])
+def test_ideal_fallback_makes_no_proportionality_calls(monkeypatch, family, n):
+    # these entries reach graded_ideal_equal, which decides by membership
+    # alone: the only proportional calls are match_generators' 3x3 table
+    calls = []
+    original = bivariate.proportional
+
+    def counted(p, q):
+        calls.append((p, q))
+        return original(p, q)
+
+    monkeypatch.setattr(bivariate, "proportional", counted)
+    entry = catalog_entry(family, n)
+    report = match_generators(entry.hb_matrix, entry.gens)
+    assert set(report.per_generator) != {"proportional"}
+    assert len(calls) == 9
 
 
 def assert_canonical(p: P) -> None:

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from hkdensity.errors import ValidationError
 from hkdensity.exact import PiecewisePoly, Polynomial, pw_integrate, pw_negative_piece
-from hkdensity.hn import HNComponent, HNData, dim2_pair_density, hn_density
+from hkdensity.hn import HNData, dim2_pair_density, hn_density
 from hkdensity.resolution import BettiTable, closed_form_density
 
 F = Fraction
